@@ -45,6 +45,7 @@ from .biwords import (
     to_triple,
 )
 from .qseries import (
+    ExponentOverflowError,
     InexactDivisionError,
     MultiPoly,
     SeriesContext,

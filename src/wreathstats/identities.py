@@ -357,14 +357,16 @@ def _theorem_A_cases(budget, r, n, tmax):
     nfact = q_factorial(ctx, n, "p")
     rhs = MultiPoly.zero(ctx)
     clearing = MultiPoly.constant(ctx, 1)
+    # running = prod_{i<k} plain(q^i u), extended by one factor per k
+    running = MultiPoly.constant(ctx, 1)
     for k in range(tmax + 1):
         qk = MultiPoly.monomial(ctx, 1, q=k, u=1)
-        prod = substitute(hatted, "u", qk)
-        for i in range(k):
-            prod = prod * substitute(plain, "u", MultiPoly.monomial(ctx, 1, q=i, u=1))
+        prod = substitute(hatted, "u", qk) * running
         term = divide_exact(coefficient_of(prod, "u", n), clearing)
         rhs = rhs + MultiPoly.monomial(ctx, 1, t=k) * term
         clearing = clearing * nfact
+        if k < tmax:
+            running = running * substitute(plain, "u", qk)
     return f"r={r} n={n} tmax={tmax}", lhs, rhs
 
 
@@ -397,12 +399,11 @@ def _theorem_B_cases(budget, r, n, t1max, t2max):
         for k2 in range(t2max + 1):
             term = _theorem_B_rhs_term(ctx, r, n, k1, k2)
             rhs = rhs + MultiPoly.monomial(ctx, 1, t1=k1, t2=k2) * term
-    return ctx, f"r={r} n={n} t1max={t1max} t2max={t2max}", lhs, rhs
+    return f"r={r} n={n} t1max={t1max} t2max={t2max}", lhs, rhs
 
 
 def _theorem_B(budget, r, n, t1max, t2max):
-    _, label, lhs, rhs = _theorem_B_cases(budget, r, n, t1max, t2max)
-    yield ("poly", label, lhs, rhs)
+    yield ("poly", *_theorem_B_cases(budget, r, n, t1max, t2max))
 
 
 def _gg1(budget, n, tmax):
@@ -414,7 +415,7 @@ def _gg1(budget, n, tmax):
 
 
 def _gg2(budget, n, t1max, t2max):
-    _, label, lhs, rhs = _theorem_B_cases(budget, 1, n, t1max, t2max)
+    label, lhs, rhs = _theorem_B_cases(budget, 1, n, t1max, t2max)
     inert = all(lhs.degree(v) <= 0 and rhs.degree(v) <= 0 for v in ("a", "b"))
     yield ("fact", f"color markers inert at n={n}", inert,
            "uncolored specialization produced color-marker exponents")

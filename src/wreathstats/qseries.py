@@ -7,6 +7,18 @@ arithmetic in the quotient ring modulo the monomial ideal generated by the
 capped powers, so sums and products of truncated values agree with the
 truncations of the exact results.
 
+Each monomial is stored as one packed ``int`` key with a bit field per
+variable, the first variable in the highest bits, so integer order on keys
+is the lexicographic order of exponent vectors.  A capped variable's field
+is just wide enough for its cap; an uncapped one is ``EXPONENT_BITS`` wide,
+so no exponent may exceed ``MAX_EXPONENT`` (a larger cap is rejected by the
+context).  One guard bit sits above every field.  Multiplying two monomials
+is one integer addition, and after adding a per-context bias the guard bits
+of the sum show a broken cap, which drops the product, while an uncapped
+exponent outgrowing its field raises :class:`ExponentOverflowError` rather
+than carrying into the next field.  ``MultiPoly.terms`` decodes the keys
+back to exponent tuples.
+
 Coefficients are arbitrary-precision rationals (plain ``int`` whenever the
 denominator is one); there is no floating point anywhere.  On top of the
 ring the module provides the q-analogue constructors used by the identity
@@ -18,10 +30,14 @@ multinomial, the two-parameter bracket, and exponential series.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from heapq import heapify, heappop, heappush
+from operator import or_
 
 ALLOWED_VARIABLES = ("u", "t", "q", "p", "a", "b", "t1", "t2", "q1", "q2")
 
-_DIVISION_STEP_LIMIT = 10**6
+EXPONENT_BITS = 16
+MAX_EXPONENT = (1 << EXPONENT_BITS) - 1
 
 
 class ContextMismatchError(ValueError):
@@ -30,6 +46,10 @@ class ContextMismatchError(ValueError):
 
 class NonUnitError(ValueError):
     """Reciprocal requested for a series whose constant term is not 1."""
+
+
+class ExponentOverflowError(ValueError):
+    """An uncapped exponent exceeds ``MAX_EXPONENT`` and does not fit its field."""
 
 
 class InexactDivisionError(ArithmeticError):
@@ -47,10 +67,31 @@ def _norm_coeff(c):
     return c
 
 
-class SeriesContext:
-    """Ordered variable list with per-variable exponent caps (None = uncapped)."""
+def _clean(terms):
+    """Drop zero coefficients and turn integral Fractions into ints, in place."""
+    zeros = []
+    for key, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[key] = c = c.numerator
+        if not c:
+            zeros.append(key)
+    for key in zeros:
+        del terms[key]
+    return terms
 
-    __slots__ = ("variables", "caps", "_index")
+
+class SeriesContext:
+    """Ordered variable list with per-variable exponent caps (None = uncapped).
+
+    The context also fixes the packed key layout: ``_fields`` holds the
+    (shift, mask) of each variable's field, ``_guard`` the guard bit above
+    every field, ``_capped_mask`` the bits of the capped fields, and
+    ``_cap_bias`` the per-field ``2**width - 1 - cap`` that pushes a capped
+    field past its guard bit exactly when it exceeds the cap.
+    """
+
+    __slots__ = ("variables", "caps", "_index", "_fields", "_guard",
+                 "_capped_mask", "_cap_bias", "_capped_guard", "_free_guard")
 
     def __init__(self, variables, caps=None):
         variables = tuple(variables)
@@ -67,9 +108,31 @@ class SeriesContext:
         for c in caps:
             if c is not None and (not isinstance(c, int) or c < 0):
                 raise ValueError(f"invalid cap {c!r}")
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "caps", caps)
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(variables)})
+            if c is not None and c > MAX_EXPONENT:
+                raise ValueError(f"cap {c} exceeds the exponent limit {MAX_EXPONENT}")
+        fields = []
+        shift = guard = capped_mask = cap_bias = capped_guard = 0
+        for c in reversed(caps):
+            width = EXPONENT_BITS if c is None else c.bit_length()
+            mask = (1 << width) - 1
+            fields.append((shift, mask))
+            guard |= (mask + 1) << shift
+            if c is not None:
+                capped_mask |= mask << shift
+                cap_bias |= (mask - c) << shift
+                capped_guard |= (mask + 1) << shift
+            shift += width + 1
+        fields.reverse()
+        set_ = object.__setattr__
+        set_(self, "variables", variables)
+        set_(self, "caps", caps)
+        set_(self, "_index", {v: i for i, v in enumerate(variables)})
+        set_(self, "_fields", tuple(fields))
+        set_(self, "_guard", guard)
+        set_(self, "_capped_mask", capped_mask)
+        set_(self, "_cap_bias", cap_bias)
+        set_(self, "_capped_guard", capped_guard)
+        set_(self, "_free_guard", guard & ~capped_guard)
 
     def __setattr__(self, name, value):
         raise AttributeError("SeriesContext is immutable")
@@ -87,6 +150,25 @@ class SeriesContext:
     def capped_indices(self):
         return tuple(i for i, c in enumerate(self.caps) if c is not None)
 
+    def _pack(self, exps):
+        """Packed key of an exponent vector, or None if a cap drops it."""
+        if len(exps) != len(self.variables):
+            raise ValueError("exponent vector has wrong length")
+        if any(c is not None and e > c for e, c in zip(exps, self.caps)):
+            return None
+        key = 0
+        for e, (shift, mask) in zip(exps, self._fields):
+            if not 0 <= e <= mask:
+                if e < 0:
+                    raise ValueError(f"negative exponent {e}")
+                raise ExponentOverflowError(
+                    f"exponent {e} exceeds the limit {MAX_EXPONENT}")
+            key |= e << shift
+        return key
+
+    def _unpack(self, key):
+        return tuple([(key >> shift) & mask for shift, mask in self._fields])
+
     def __eq__(self, other):
         return (isinstance(other, SeriesContext)
                 and self.variables == other.variables
@@ -101,6 +183,22 @@ class SeriesContext:
         return f"SeriesContext({caps})"
 
 
+def _poly(ctx, keys):
+    """Wrap a clean packed-key dict without re-validating it."""
+    poly = object.__new__(MultiPoly)
+    poly.ctx = ctx
+    poly._keys = keys
+    return poly
+
+
+def _buckets(keys, capped_mask):
+    """Terms grouped by their capped-field bits, as (profile, [(key, coeff)])."""
+    grouped = {}
+    for key, c in keys.items():
+        grouped.setdefault(key & capped_mask, []).append((key, c))
+    return list(grouped.items())
+
+
 class MultiPoly:
     """Sparse polynomial over the rationals, truncated to its context's caps.
 
@@ -108,23 +206,27 @@ class MultiPoly:
     polynomial and never mutates its operands.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "_keys")
 
     def __init__(self, ctx, terms=None):
         self.ctx = ctx
-        clean = {}
+        keys = {}
         if terms:
-            caps = ctx.caps
-            nv = len(ctx.variables)
+            pack = ctx._pack
             for exps, coeff in terms.items():
-                if len(exps) != nv:
-                    raise ValueError("exponent vector has wrong length")
-                if any(c is not None and e > c for e, c in zip(exps, caps)):
+                key = pack(exps)
+                if key is None:
                     continue
                 coeff = _norm_coeff(coeff)
                 if coeff:
-                    clean[exps] = coeff
-        self.terms = clean
+                    keys[key] = coeff
+        self._keys = keys
+
+    @property
+    def terms(self):
+        """Exponent tuple -> coefficient, decoded from the packed keys."""
+        unpack = self.ctx._unpack
+        return {unpack(key): c for key, c in self._keys.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -153,43 +255,47 @@ class MultiPoly:
 
     @property
     def is_zero(self):
-        return not self.terms
+        return not self._keys
 
     @property
     def constant_term(self):
-        return self.terms.get((0,) * len(self.ctx.variables), 0)
+        return self._keys.get(0, 0)
 
     def coefficient(self, **exponents):
         exps = [0] * len(self.ctx.variables)
         for name, e in exponents.items():
             exps[self.ctx.index(name)] = e
-        return self.terms.get(tuple(exps), 0)
+        try:
+            key = self.ctx._pack(tuple(exps))
+        except ValueError:
+            return 0  # a negative or oversized exponent names no stored term
+        return 0 if key is None else self._keys.get(key, 0)
 
     def degree(self, name):
         """Largest exponent of ``name`` present, -1 for the zero polynomial."""
-        i = self.ctx.index(name)
-        return max((e[i] for e in self.terms), default=-1)
+        shift, mask = self.ctx._fields[self.ctx.index(name)]
+        return max(((key >> shift) & mask for key in self._keys), default=-1)
 
     def __len__(self):
-        return len(self.terms)
+        return len(self._keys)
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
-            return self.ctx == other.ctx and self.terms == other.terms
+            return self.ctx == other.ctx and self._keys == other._keys
         if isinstance(other, (int, Fraction)):
             return self == MultiPoly.constant(self.ctx, other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ctx, frozenset(self.terms.items())))
+        return hash((self.ctx, frozenset(self._keys.items())))
 
     def __repr__(self):
-        if not self.terms:
+        if not self._keys:
             return "MultiPoly(0)"
-        return "MultiPoly(" + "; ".join(self.to_lines()[:4]) + ("; ..." if len(self.terms) > 4 else "") + ")"
+        return "MultiPoly(" + "; ".join(self.to_lines()[:4]) + ("; ..." if len(self._keys) > 4 else "") + ")"
 
     def _check_ctx(self, other):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatchError(
                 f"operands live in different contexts: {self.ctx} vs {other.ctx}")
 
@@ -199,15 +305,16 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.ctx, other)
         self._check_ctx(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, 0) + coeff
-        return MultiPoly(self.ctx, terms)
+        keys = dict(self._keys)
+        get = keys.get
+        for key, c in other._keys.items():
+            keys[key] = get(key, 0) + c
+        return _poly(self.ctx, _clean(keys))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.ctx, {e: -c for e, c in self.terms.items()})
+        return _poly(self.ctx, {key: -c for key, c in self._keys.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -218,46 +325,39 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        ctx = self.ctx
         if isinstance(other, (int, Fraction)):
             if not other:
-                return MultiPoly.zero(self.ctx)
-            return MultiPoly(self.ctx, {e: c * other for e, c in self.terms.items()})
+                return MultiPoly.zero(ctx)
+            return _poly(ctx, _clean({key: c * other for key, c in self._keys.items()}))
         self._check_ctx(other)
-        capped = self.ctx.capped_indices
-        if capped and len(self.terms) * len(other.terms) > 4096:
-            return self._mul_bucketed(other, capped)
-        caps = self.ctx.caps
+        a, b = self._keys, other._keys
         out = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                if any(caps[i] is not None and exps[i] > caps[i] for i in capped):
+        if not a or not b:
+            return _poly(ctx, out)
+        # Bucket pairs whose capped fields overflow a cap are skipped whole;
+        # inside a surviving pair every product key is a plain addition.
+        bias, capped_guard = ctx._cap_bias, ctx._capped_guard
+        capped_mask = ctx._capped_mask
+        buckets_b = _buckets(b, capped_mask)
+        get = out.get
+        for pa, terms_a in _buckets(a, capped_mask):
+            for pb, terms_b in buckets_b:
+                if (pa + pb + bias) & capped_guard:
                     continue
-                out[exps] = out.get(exps, 0) + ca * cb
-        return MultiPoly(self.ctx, out)
-
-    def _mul_bucketed(self, other, capped):
-        # Group terms by their capped-exponent profile so whole bucket pairs
-        # that would overflow a cap are skipped without touching their terms.
-        caps = [self.ctx.caps[i] for i in capped]
-
-        def buckets(poly):
-            grouped = {}
-            for exps, coeff in poly.terms.items():
-                grouped.setdefault(tuple(exps[i] for i in capped), []).append((exps, coeff))
-            return grouped
-
-        ba, bb = buckets(self), buckets(other)
-        out = {}
-        for pa, terms_a in ba.items():
-            for pb, terms_b in bb.items():
-                if any(x + y > c for x, y, c in zip(pa, pb, caps)):
-                    continue
-                for ea, ca in terms_a:
-                    for eb, cb in terms_b:
-                        exps = tuple(x + y for x, y in zip(ea, eb))
-                        out[exps] = out.get(exps, 0) + ca * cb
-        return MultiPoly(self.ctx, out)
+                for ka, ca in terms_a:
+                    for kb, cb in terms_b:
+                        key = ka + kb
+                        out[key] = get(key, 0) + ca * cb
+        # The or of all keys bounds every field, so an uncapped field can only
+        # have reached its guard bit if the two bounds together reach it.
+        free_guard = ctx._free_guard
+        if free_guard and (reduce(or_, a) + reduce(or_, b)) & free_guard:
+            for key in out:
+                if key & free_guard:
+                    raise ExponentOverflowError(
+                        f"a product exponent exceeds the limit {MAX_EXPONENT}")
+        return _poly(ctx, _clean(out))
 
     __rmul__ = __mul__
 
@@ -279,19 +379,21 @@ class MultiPoly:
     def to_lines(self):
         """Sorted text form, one ``"<num>/<den> : <monomial>"`` line per term."""
         lines = []
-        for exps in sorted(self.terms):
-            coeff = Fraction(self.terms[exps])
-            mono = " ".join(f"{v}^{e}" for v, e in zip(self.ctx.variables, exps) if e)
-            lines.append(f"{coeff.numerator}/{coeff.denominator} : {mono or '1'}")
+        unpack = self.ctx._unpack
+        for key in sorted(self._keys):
+            coeff = Fraction(self._keys[key])
+            mono = monomial_text(self.ctx, unpack(key))
+            lines.append(f"{coeff.numerator}/{coeff.denominator} : {mono}")
         return lines
 
     def to_json_obj(self):
         out = []
-        for exps in sorted(self.terms):
-            coeff = Fraction(self.terms[exps])
+        unpack = self.ctx._unpack
+        for key in sorted(self._keys):
+            coeff = Fraction(self._keys[key])
             out.append({
                 "coeff": f"{coeff.numerator}/{coeff.denominator}",
-                "exps": {v: e for v, e in zip(self.ctx.variables, exps) if e},
+                "exps": {v: e for v, e in zip(self.ctx.variables, unpack(key)) if e},
             })
         return out
 
@@ -306,14 +408,10 @@ def monomial_text(ctx, exps):
 
 def coefficient_of(poly, name, exponent):
     """Polynomial coefficient of ``name**exponent`` (the variable is removed)."""
-    i = poly.ctx.index(name)
-    out = {}
-    for exps, coeff in poly.terms.items():
-        if exps[i] == exponent:
-            e = list(exps)
-            e[i] = 0
-            out[tuple(e)] = coeff
-    return MultiPoly(poly.ctx, out)
+    shift, mask = poly.ctx._fields[poly.ctx.index(name)]
+    clear = ~(mask << shift)
+    return _poly(poly.ctx, {key & clear: c for key, c in poly._keys.items()
+                            if (key >> shift) & mask == exponent})
 
 
 def reciprocal(x):
@@ -327,13 +425,12 @@ def reciprocal(x):
     if x.constant_term != 1:
         raise NonUnitError("reciprocal needs constant term 1")
     z = MultiPoly.constant(ctx, 1) - x
-    capped = ctx.capped_indices
-    for exps in z.terms:
-        if not any(exps[i] for i in capped):
+    for key in z._keys:
+        if not key & ctx._capped_mask:
             raise NonUnitError(
                 "reciprocal does not terminate: term "
-                f"{monomial_text(ctx, exps)} has no finitely capped variable")
-    bound = sum(ctx.caps[i] for i in capped) if capped else 0
+                f"{monomial_text(ctx, ctx._unpack(key))} has no finitely capped variable")
+    bound = sum(c for c in ctx.caps if c is not None)
     result = MultiPoly.constant(ctx, 1)
     power = MultiPoly.constant(ctx, 1)
     for _ in range(bound):
@@ -349,12 +446,11 @@ def substitute(x, name, value):
     ctx = x.ctx
     if value.ctx != ctx:
         raise ContextMismatchError("substitution value lives in a different context")
-    i = ctx.index(name)
+    shift, mask = ctx._fields[ctx.index(name)]
+    clear = ~(mask << shift)
     by_exp = {}
-    for exps, coeff in x.terms.items():
-        e = list(exps)
-        e[i] = 0
-        by_exp.setdefault(exps[i], {})[tuple(e)] = coeff
+    for key, c in x._keys.items():
+        by_exp.setdefault((key >> shift) & mask, {})[key & clear] = c
     result = MultiPoly.zero(ctx)
     power = MultiPoly.constant(ctx, 1)
     current = 0
@@ -362,43 +458,80 @@ def substitute(x, name, value):
         while current < e:
             power = power * value
             current += 1
-        result = result + MultiPoly(ctx, by_exp[e]) * power
+        result = result + _poly(ctx, by_exp[e]) * power
     return result
+
+
+def _divide_coeff(c, d):
+    if type(c) is int and type(d) is int:
+        q, r = divmod(c, d)
+        if not r:
+            return q
+    return _norm_coeff(Fraction(c) / d)
 
 
 def divide_exact(num, den):
     """Exact polynomial quotient ``num / den``.
 
     Both operands must be exact polynomials (terms must not have been lost
-    to caps), otherwise the division is meaningless.  Raises
-    :class:`InexactDivisionError` if ``den`` does not divide ``num``.
+    to caps), otherwise the division is meaningless.  The remainder's
+    smallest term is divided by the divisor's smallest term, taken from a
+    heap of remainder keys.  An exact quotient has, in every variable, at
+    most the degree of ``num`` minus that of ``den``; a quotient term
+    outside that box, or with a negative exponent, raises
+    :class:`InexactDivisionError`, so the division always stops.
     """
     if den.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     num._check_ctx(den)
     ctx = num.ctx
-    den_min = min(den.terms)
-    den_coeff = den.terms[den_min]
-    quotient = {}
-    rem = dict(num.terms)
-    for _ in range(_DIVISION_STEP_LIMIT):
-        if not rem:
-            return MultiPoly(ctx, quotient)
-        rmin = min(rem)
-        qexp = tuple(x - y for x, y in zip(rmin, den_min))
-        if any(e < 0 for e in qexp):
+    rem = dict(num._keys)
+    if not rem:
+        return _poly(ctx, {})
+    guard = ctx._guard
+    box_bias = 0
+    for name, (shift, mask) in zip(ctx.variables, ctx._fields):
+        top = num.degree(name) - den.degree(name)
+        if top < 0:
             raise InexactDivisionError(
-                f"monomial {monomial_text(ctx, rmin)} is not divisible")
-        qcoeff = _norm_coeff(Fraction(rem[rmin]) / den_coeff)
-        quotient[qexp] = qcoeff
-        for exps, coeff in den.terms.items():
-            target = tuple(x + y for x, y in zip(qexp, exps))
-            val = rem.get(target, 0) - qcoeff * coeff
-            if val:
-                rem[target] = val
+                f"divisor has larger degree in {name} than the dividend")
+        box_bias |= (mask - top) << shift
+    den_min = min(den._keys)
+    den_coeff = den._keys[den_min]
+    den_rest = [(key, c) for key, c in den._keys.items() if key != den_min]
+    heap = list(rem)
+    heapify(heap)
+    quotient = {}
+    while heap:
+        low = heappop(heap)
+        c = rem.pop(low, None)
+        if c is None:
+            continue
+        # Every field of ``low`` borrows only from its own guard bit.
+        q = (low | guard) - den_min
+        if q & guard != guard:
+            raise InexactDivisionError(
+                f"monomial {monomial_text(ctx, ctx._unpack(low))} is not divisible")
+        q ^= guard
+        if (q + box_bias) & guard:
+            raise InexactDivisionError(
+                f"quotient term {monomial_text(ctx, ctx._unpack(q))} exceeds "
+                "the degree bound")
+        qc = _divide_coeff(c, den_coeff)
+        quotient[q] = qc
+        for key, dc in den_rest:
+            target = q + key
+            old = rem.get(target)
+            if old is None:
+                rem[target] = -qc * dc
+                heappush(heap, target)
             else:
-                rem.pop(target, None)
-    raise InexactDivisionError("division did not terminate")
+                val = old - qc * dc
+                if val:
+                    rem[target] = val
+                else:
+                    del rem[target]
+    return _poly(ctx, quotient)
 
 
 # -- q-analogue constructors ----------------------------------------------
@@ -438,12 +571,11 @@ def double_pochhammer(ctx, a_expr, p_base, q_base, n, m):
     pb = _as_poly(ctx, p_base)
     qb = _as_poly(ctx, q_base)
     a = _as_poly(ctx, a_expr) if isinstance(a_expr, str) else a_expr
-    capped = ctx.capped_indices
     if not a.is_zero:
         for leg, b in (("first", pb), ("second", qb)) if (n is None or m is None) else ():
             if (leg == "first" and n is None) or (leg == "second" and m is None):
-                for exps in b.terms:
-                    if not any(exps[i] for i in capped):
+                for key in b._keys:
+                    if not key & ctx._capped_mask:
                         raise ValueError(
                             f"infinite {leg} leg needs finite caps on its base variables")
     if n == 0 or m == 0:

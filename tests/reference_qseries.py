@@ -1,0 +1,221 @@
+"""Tuple-key reference ring, the differential oracle for ``wreathstats.qseries``.
+
+This is the straightforward implementation the packed ring replaced: every
+monomial is an exponent tuple, products add tuples field by field (switching
+to bucketing on the capped-exponent profile for large operands), and exact
+division repeatedly divides out the smallest remaining term.  It shares
+``SeriesContext`` with the package, so a reference polynomial and a packed
+one built from the same terms can be compared by ``terms`` and
+``to_lines()``.  It is imported only by the tests.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from wreathstats.qseries import InexactDivisionError, NonUnitError
+
+_DIVISION_STEP_LIMIT = 10**6
+
+
+def _norm_coeff(c):
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return int(c)
+    return c
+
+
+def monomial_text(ctx, exps):
+    return " ".join(f"{v}^{e}" for v, e in zip(ctx.variables, exps) if e) or "1"
+
+
+class RefPoly:
+    """Sparse polynomial keyed by exponent tuples, truncated to the caps."""
+
+    __slots__ = ("ctx", "terms")
+
+    def __init__(self, ctx, terms=None):
+        self.ctx = ctx
+        clean = {}
+        if terms:
+            caps = ctx.caps
+            nv = len(ctx.variables)
+            for exps, coeff in terms.items():
+                if len(exps) != nv:
+                    raise ValueError("exponent vector has wrong length")
+                if any(c is not None and e > c for e, c in zip(exps, caps)):
+                    continue
+                coeff = _norm_coeff(coeff)
+                if coeff:
+                    clean[exps] = coeff
+        self.terms = clean
+
+    @classmethod
+    def constant(cls, ctx, value):
+        return cls(ctx, {(0,) * len(ctx.variables): value})
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    @property
+    def constant_term(self):
+        return self.terms.get((0,) * len(self.ctx.variables), 0)
+
+    def __eq__(self, other):
+        if isinstance(other, RefPoly):
+            return self.ctx == other.ctx and self.terms == other.terms
+        if isinstance(other, (int, Fraction)):
+            return self == RefPoly.constant(self.ctx, other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = RefPoly.constant(self.ctx, other)
+        terms = dict(self.terms)
+        for exps, coeff in other.terms.items():
+            terms[exps] = terms.get(exps, 0) + coeff
+        return RefPoly(self.ctx, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RefPoly(self.ctx, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = RefPoly.constant(self.ctx, other)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return RefPoly(self.ctx)
+            return RefPoly(self.ctx, {e: c * other for e, c in self.terms.items()})
+        capped = self.ctx.capped_indices
+        if capped and len(self.terms) * len(other.terms) > 4096:
+            return self._mul_bucketed(other, capped)
+        caps = self.ctx.caps
+        out = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                exps = tuple(x + y for x, y in zip(ea, eb))
+                if any(caps[i] is not None and exps[i] > caps[i] for i in capped):
+                    continue
+                out[exps] = out.get(exps, 0) + ca * cb
+        return RefPoly(self.ctx, out)
+
+    def _mul_bucketed(self, other, capped):
+        caps = [self.ctx.caps[i] for i in capped]
+
+        def buckets(poly):
+            grouped = {}
+            for exps, coeff in poly.terms.items():
+                grouped.setdefault(tuple(exps[i] for i in capped), []).append((exps, coeff))
+            return grouped
+
+        ba, bb = buckets(self), buckets(other)
+        out = {}
+        for pa, terms_a in ba.items():
+            for pb, terms_b in bb.items():
+                if any(x + y > c for x, y, c in zip(pa, pb, caps)):
+                    continue
+                for ea, ca in terms_a:
+                    for eb, cb in terms_b:
+                        exps = tuple(x + y for x, y in zip(ea, eb))
+                        out[exps] = out.get(exps, 0) + ca * cb
+        return RefPoly(self.ctx, out)
+
+    __rmul__ = __mul__
+
+    def to_lines(self):
+        lines = []
+        for exps in sorted(self.terms):
+            coeff = Fraction(self.terms[exps])
+            mono = " ".join(f"{v}^{e}" for v, e in zip(self.ctx.variables, exps) if e)
+            lines.append(f"{coeff.numerator}/{coeff.denominator} : {mono or '1'}")
+        return lines
+
+
+def coefficient_of(poly, name, exponent):
+    i = poly.ctx.index(name)
+    out = {}
+    for exps, coeff in poly.terms.items():
+        if exps[i] == exponent:
+            e = list(exps)
+            e[i] = 0
+            out[tuple(e)] = coeff
+    return RefPoly(poly.ctx, out)
+
+
+def reciprocal(x):
+    ctx = x.ctx
+    if x.constant_term != 1:
+        raise NonUnitError("reciprocal needs constant term 1")
+    z = RefPoly.constant(ctx, 1) - x
+    capped = ctx.capped_indices
+    for exps in z.terms:
+        if not any(exps[i] for i in capped):
+            raise NonUnitError(
+                "reciprocal does not terminate: term "
+                f"{monomial_text(ctx, exps)} has no finitely capped variable")
+    bound = sum(ctx.caps[i] for i in capped) if capped else 0
+    result = RefPoly.constant(ctx, 1)
+    power = RefPoly.constant(ctx, 1)
+    for _ in range(bound):
+        power = power * z
+        if power.is_zero:
+            break
+        result = result + power
+    return result
+
+
+def substitute(x, name, value):
+    ctx = x.ctx
+    i = ctx.index(name)
+    by_exp = {}
+    for exps, coeff in x.terms.items():
+        e = list(exps)
+        e[i] = 0
+        by_exp.setdefault(exps[i], {})[tuple(e)] = coeff
+    result = RefPoly(ctx)
+    power = RefPoly.constant(ctx, 1)
+    current = 0
+    for e in sorted(by_exp):
+        while current < e:
+            power = power * value
+            current += 1
+        result = result + RefPoly(ctx, by_exp[e]) * power
+    return result
+
+
+def divide_exact(num, den):
+    if den.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    ctx = num.ctx
+    den_min = min(den.terms)
+    den_coeff = den.terms[den_min]
+    quotient = {}
+    rem = dict(num.terms)
+    for _ in range(_DIVISION_STEP_LIMIT):
+        if not rem:
+            return RefPoly(ctx, quotient)
+        rmin = min(rem)
+        qexp = tuple(x - y for x, y in zip(rmin, den_min))
+        if any(e < 0 for e in qexp):
+            raise InexactDivisionError(
+                f"monomial {monomial_text(ctx, rmin)} is not divisible")
+        qcoeff = _norm_coeff(Fraction(rem[rmin]) / den_coeff)
+        quotient[qexp] = qcoeff
+        for exps, coeff in den.terms.items():
+            target = tuple(x + y for x, y in zip(qexp, exps))
+            val = rem.get(target, 0) - qcoeff * coeff
+            if val:
+                rem[target] = val
+            else:
+                rem.pop(target, None)
+    raise InexactDivisionError("division did not terminate")

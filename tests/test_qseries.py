@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_qseries as ref
 from wreathstats.qseries import (
+    ALLOWED_VARIABLES,
+    MAX_EXPONENT,
     ContextMismatchError,
+    ExponentOverflowError,
     InexactDivisionError,
     MultiPoly,
     NonUnitError,
@@ -234,6 +238,16 @@ class TestHatMultinomial:
         p = MultiPoly.variable(ctx, "p")
         with pytest.raises(InexactDivisionError):
             divide_exact(1 + p, 1 + p ** 2)
+        # Two variables: a lexicographic bound alone never stops here, since
+        # (1+a)/(1+b) keeps producing b^k and every b^k sorts below a.
+        ctx = SeriesContext(("a", "b"))
+        a = MultiPoly.variable(ctx, "a")
+        b = MultiPoly.variable(ctx, "b")
+        with pytest.raises(InexactDivisionError):
+            divide_exact(1 + a, 1 + b)
+        # Degrees allow a quotient, but its second term leaves the degree box.
+        with pytest.raises(InexactDivisionError):
+            divide_exact(1 + a * b, 1 + a)
 
 
 class TestExpSeries:
@@ -334,3 +348,146 @@ class TestSerialization:
         x = MultiPoly.constant(ctx, Fraction(1, 3)) * u
         assert (x * 3) == u
         assert (x * 3).terms[(1,)] == 1 and isinstance((x * 3).terms[(1,)], int)
+
+
+class TestExponentLimit:
+    def test_construction_overflow(self):
+        ctx = SeriesContext(("q", "p"))
+        assert MultiPoly.monomial(ctx, 1, p=MAX_EXPONENT).degree("p") == MAX_EXPONENT
+        with pytest.raises(ExponentOverflowError):
+            MultiPoly.monomial(ctx, 1, p=MAX_EXPONENT + 1)
+        with pytest.raises(ValueError):
+            MultiPoly.monomial(ctx, 1, p=-1)
+        # A query for such an exponent is not an error: no term has it.
+        p = MultiPoly.variable(ctx, "p")
+        assert p.coefficient(p=MAX_EXPONENT + 1) == 0 and p.coefficient(p=-1) == 0
+
+    def test_product_overflow_never_carries(self):
+        # p sits below q, so a carry out of p's field would read as a q power.
+        ctx = SeriesContext(("q", "p"))
+        p = MultiPoly.variable(ctx, "p")
+        top = MultiPoly.monomial(ctx, 1, p=MAX_EXPONENT)
+        with pytest.raises(ExponentOverflowError):
+            top * p
+        with pytest.raises(ExponentOverflowError):
+            (1 + top) * (1 + p)
+        with pytest.raises(ExponentOverflowError):
+            MultiPoly.monomial(ctx, 1, p=MAX_EXPONENT // 2 + 1) ** 2
+        assert (top * MultiPoly.variable(ctx, "q")).terms == {(1, MAX_EXPONENT): 1}
+
+    def test_cap_too_large_rejected(self):
+        with pytest.raises(ValueError):
+            SeriesContext(("t",), (MAX_EXPONENT + 1,))
+        ctx = SeriesContext(("t", "q"), (MAX_EXPONENT, None))
+        t = MultiPoly.variable(ctx, "t")
+        top = MultiPoly.monomial(ctx, 1, t=MAX_EXPONENT)
+        assert (top * t).is_zero
+        assert MultiPoly.monomial(ctx, 1, t=MAX_EXPONENT + 1).is_zero
+
+
+# -- differential oracle: the packed ring against the tuple-key reference ----
+
+_COEFFS = st.one_of(st.integers(-5, 5),
+                    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+
+
+@st.composite
+def oracle_contexts(draw):
+    names = draw(st.permutations(ALLOWED_VARIABLES))[:draw(st.integers(1, 7))]
+    caps = tuple(draw(st.one_of(st.none(), st.integers(0, 6))) for _ in names)
+    return SeriesContext(names, caps)
+
+
+@st.composite
+def oracle_terms(draw, ctx, max_terms=6, exact=False):
+    """Exponent-tuple terms; with ``exact`` no product of two can break a cap."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = tuple(draw(st.integers(0, 4 if c is None else c // 2 if exact else c + 1))
+                     for c in ctx.caps)
+        terms[exps] = draw(_COEFFS)
+    return terms
+
+
+def both(ctx, terms):
+    return MultiPoly(ctx, terms), ref.RefPoly(ctx, terms)
+
+
+def assert_same(packed, expected):
+    assert packed.terms == expected.terms
+    assert {e: type(c) for e, c in packed.terms.items()} \
+        == {e: type(c) for e, c in expected.terms.items()}
+    assert packed.to_lines() == expected.to_lines()
+
+
+def same_outcome(packed_call, ref_call):
+    """Both calls raise the same error class, or return the same polynomial."""
+    try:
+        want = ref_call()
+    except ValueError as exc:
+        with pytest.raises(type(exc)):
+            packed_call()
+        return
+    assert_same(packed_call(), want)
+
+
+class TestReferenceOracle:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_ring_operations(self, data):
+        ctx = data.draw(oracle_contexts())
+        x, rx = both(ctx, data.draw(oracle_terms(ctx)))
+        y, ry = both(ctx, data.draw(oracle_terms(ctx)))
+        scalar = data.draw(_COEFFS)
+        assert_same(x, rx)
+        assert_same(x + y, rx + ry)
+        assert_same(x - y, rx - ry)
+        assert_same(-x, -rx)
+        assert_same(x * y, rx * ry)
+        assert_same(x * scalar, rx * scalar)
+        assert_same(scalar - x, scalar - rx)
+        name = data.draw(st.sampled_from(ctx.variables))
+        exponent = data.draw(st.integers(0, 5))
+        assert_same(coefficient_of(x, name, exponent),
+                     ref.coefficient_of(rx, name, exponent))
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_large_products(self, data):
+        # Enough term pairs that the reference takes its bucketed branch.
+        ctx = data.draw(oracle_contexts())
+        x, rx = both(ctx, data.draw(oracle_terms(ctx, max_terms=90)))
+        y, ry = both(ctx, data.draw(oracle_terms(ctx, max_terms=90)))
+        assert_same(x * y, rx * ry)
+        assert_same(x * y * x, rx * ry * rx)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_substitute(self, data):
+        ctx = data.draw(oracle_contexts())
+        x, rx = both(ctx, data.draw(oracle_terms(ctx, max_terms=4)))
+        v, rv = both(ctx, data.draw(oracle_terms(ctx, max_terms=3)))
+        name = data.draw(st.sampled_from(ctx.variables))
+        assert_same(substitute(x, name, v), ref.substitute(rx, name, rv))
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_reciprocal(self, data):
+        ctx = data.draw(oracle_contexts())
+        terms = data.draw(oracle_terms(ctx, max_terms=3))
+        if data.draw(st.booleans()):
+            terms[(0,) * len(ctx.variables)] = 1
+        x, rx = both(ctx, terms)
+        same_outcome(lambda: reciprocal(x), lambda: ref.reciprocal(rx))
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_divide_exact(self, data):
+        ctx = data.draw(oracle_contexts())
+        x, rx = both(ctx, data.draw(oracle_terms(ctx, exact=True)))
+        y, ry = both(ctx, data.draw(oracle_terms(ctx, exact=True)))
+        if y.is_zero:
+            return
+        quotient = divide_exact(x * y, y)
+        assert_same(quotient, ref.divide_exact(rx * ry, ry))
+        assert quotient == x
