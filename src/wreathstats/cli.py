@@ -14,10 +14,9 @@ schemas documented in the README.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .group import (
     BudgetExceededError,
@@ -215,22 +214,14 @@ def _cmd_verify(args):
     params = _report_params(args)
     if args.all:
         names = list(CATALOG)
-        workers = max(1, int(os.environ.get("WREATH_THREADS", "4")))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_entry, name, params,
-                                   args.max_elements, args.max_terms)
-                       for name in names]
-            reports = [f.result() for f in futures]
-    elif args.identity:
-        if args.identity not in CATALOG:
-            print(f"unknown identity {args.identity!r}; known: "
-                  + ", ".join(sorted(CATALOG)), file=sys.stderr)
-            return 2
-        reports = [_run_entry(args.identity, params,
-                              args.max_elements, args.max_terms)]
+    elif args.identity in CATALOG:
+        names = [args.identity]
     else:
-        print("verify needs --identity NAME or --all", file=sys.stderr)
+        print(f"unknown identity {args.identity!r}; known: "
+              + ", ".join(sorted(CATALOG)), file=sys.stderr)
         return 2
+    reports = [_run_entry(name, params, args.max_elements, args.max_terms)
+               for name in names]
     if args.json:
         print(json.dumps([r.to_json_dict() for r in reports], sort_keys=True))
     else:
@@ -250,6 +241,7 @@ def _cmd_selftest(args):
     return 0 if all(ok for _, ok in results) else 1
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="wreathstats",
@@ -296,8 +288,10 @@ def _build_parser():
     p.add_argument("--f", required=True, help="bottom row (a colored sequence)")
 
     p = sub.add_parser("verify", help="check identities from the catalog")
-    p.add_argument("--identity", help="catalog entry name")
-    p.add_argument("--all", action="store_true", help="run the whole catalog")
+    selector = p.add_mutually_exclusive_group(required=True)
+    selector.add_argument("--identity", help="catalog entry name")
+    selector.add_argument("--all", action="store_true",
+                          help="run the whole catalog")
     p.add_argument("--json", action="store_true")
     for flag in _VERIFY_FLAGS:
         p.add_argument(f"--{flag}", type=int)

@@ -19,6 +19,7 @@ from .group import (
     BudgetExceededError,
     ColoredPermutation,
     ParseError,
+    _parse_entries,
     order_key,
     skew_inverse,
     statistics,
@@ -281,8 +282,6 @@ def partitions_in_box(n, cap):
 
 def parse_sequence(text, r):
     """Parse ``4^2,4^1,1,3^3,6,3^1,4^2`` style text into a colored sequence."""
-    from .group import _parse_entries
-
     entries = _parse_entries(text, r, "sequence")
     return ColoredSequence(r, tuple(v for v, _ in entries),
                            tuple(c for _, c in entries))

@@ -161,12 +161,16 @@ def _inverse_sigma(sigma):
     return tuple(inv)
 
 
+def _inverse_colors(r, colors, inv_sigma):
+    """Colors of the inverse: position i gets ``r - c`` (mod r) pulled back."""
+    return tuple((r - colors[s - 1]) % r for s in inv_sigma)
+
+
 def inverse(gamma):
-    """Group inverse: position i gets color ``r - c`` (mod r) pulled back."""
+    """Group inverse of ``gamma``."""
     inv_sigma = _inverse_sigma(gamma.sigma)
-    r = gamma.r
-    colors = tuple((r - gamma.colors[s - 1]) % r for s in inv_sigma)
-    return ColoredPermutation(r, inv_sigma, colors)
+    return ColoredPermutation(gamma.r, inv_sigma,
+                              _inverse_colors(gamma.r, gamma.colors, inv_sigma))
 
 
 def skew_inverse(gamma):

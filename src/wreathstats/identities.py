@@ -23,8 +23,12 @@ from math import factorial
 
 from .group import (
     BudgetExceededError,
+    _inverse_colors,
+    _inverse_sigma,
     enumerate_group,
     group_order,
+    inverse,
+    project_to_signed,
     raw_statistics,
     skew_inverse,
     statistics,
@@ -73,12 +77,6 @@ _DIRECT_STATS = {"des": 3, "maj": 4, "length": 1, "col": 6, "fmaj": 5}
 _INVERSE_STATS = {"ides": 3, "imaj": 4, "icol": 6, "ifmaj": 5}
 
 
-@dataclass
-class Budget:
-    max_elements: int = DEFAULT_MAX_ELEMENTS
-    max_terms: int = DEFAULT_MAX_TERMS
-
-
 def dist_polynomial(ctx, r, n, stats, max_elements=DEFAULT_MAX_ELEMENTS):
     """Sum over the whole group of the monomial assigned by ``stats``.
 
@@ -102,16 +100,13 @@ def dist_polynomial(ctx, r, n, stats, max_elements=DEFAULT_MAX_ELEMENTS):
     nvars = len(ctx.variables)
     acc = {}
     for sigma in itertools.permutations(range(1, n + 1)):
-        inv_sigma = [0] * n
-        for i, v in enumerate(sigma):
-            inv_sigma[v - 1] = i + 1
-        inv_sigma = tuple(inv_sigma)
+        inv_sigma = _inverse_sigma(sigma) if need_inverse else None
         for colors in itertools.product(range(r), repeat=n):
             rec = raw_statistics(r, sigma, colors)
             irec = None
             if need_inverse:
-                icolors = tuple((r - colors[s - 1]) % r for s in inv_sigma)
-                irec = raw_statistics(r, inv_sigma, icolors)
+                irec = raw_statistics(r, inv_sigma,
+                                      _inverse_colors(r, colors, inv_sigma))
             exps = [0] * nvars
             for use_inverse, stat_idx, var_idx in plan:
                 exps[var_idx] += (irec if use_inverse else rec)[stat_idx]
@@ -180,13 +175,12 @@ def verify_identity(name, corrupt=None, max_elements=DEFAULT_MAX_ELEMENTS,
             if value == 0:
                 warnings.warn(f"{name}: cap {key}=0 compares only the constant term",
                               stacklevel=2)
-    budget = Budget(max_elements=max_elements, max_terms=max_terms)
     start = time.perf_counter()
     lhs_terms = rhs_terms = 0
     mismatch = None
     corrupted = None
     pending = corrupt
-    for case in func(budget, **merged):
+    for case in func(max_elements, **merged):
         if case[0] == "poly":
             _, label, lhs, rhs = case
             if pending:
@@ -197,9 +191,9 @@ def verify_identity(name, corrupt=None, max_elements=DEFAULT_MAX_ELEMENTS,
                 pending = None
             lhs_terms += len(lhs)
             rhs_terms += len(rhs)
-            if lhs_terms > budget.max_terms or rhs_terms > budget.max_terms:
+            if lhs_terms > max_terms or rhs_terms > max_terms:
                 raise BudgetExceededError(
-                    f"{name}: term count exceeds budget {budget.max_terms}")
+                    f"{name}: term count exceeds budget {max_terms}")
             diff = lhs - rhs
             if not diff.is_zero:
                 exps = min(diff.terms)
@@ -246,17 +240,17 @@ def _weak_compositions(n, parts):
 # -- catalog entries ---------------------------------------------------------
 
 
-def _length_gf(budget, r, n):
+def _length_gf(max_elements, r, n):
     ctx = SeriesContext(("p",))
-    lhs = dist_polynomial(ctx, r, n, {"length": "p"}, budget.max_elements)
+    lhs = dist_polynomial(ctx, r, n, {"length": "p"}, max_elements)
     rhs = hat_factorial(ctx, n, q_int(ctx, r - 1, "p"), "p")
     yield ("poly", f"r={r} n={n}", lhs, rhs)
 
 
-def _ell_col(budget, r, n):
+def _ell_col(max_elements, r, n):
     ctx = SeriesContext(("p", "a"))
     lhs = dist_polynomial(ctx, r, n, {"length": "p", "col": "a"},
-                          budget.max_elements)
+                          max_elements)
     rhs = q_factorial(ctx, n, "p")
     one = MultiPoly.constant(ctx, 1)
     twist = _color_twist(ctx, r)
@@ -265,48 +259,42 @@ def _ell_col(budget, r, n):
     yield ("poly", f"r={r} n={n}", lhs, rhs)
 
 
-def _projection(budget, r, n):
+def _projection(max_elements, r, n):
     if r < 2:
         raise ValueError("projection needs r >= 2")
     ctx = SeriesContext(("p", "a"))
     buckets = {}
-    for gamma in enumerate_group(r, n, budget.max_elements):
-        flat = tuple(1 if c else 0 for c in gamma.colors)
-        key = (gamma.sigma, flat)
-        rec = raw_statistics(r, gamma.sigma, gamma.colors)
-        flat_rec = raw_statistics(2, gamma.sigma, flat)
-        if rec[2] != flat_rec[2]:
+    for gamma in enumerate_group(r, n, max_elements):
+        flat = project_to_signed(gamma)
+        rec, flat_rec = statistics(gamma), statistics(flat)
+        if rec.des_set != flat_rec.des_set:
             yield ("fact", f"descents of {gamma}", False,
-                   f"{rec[2]} vs {flat_rec[2]} after forgetting colors")
+                   f"{sorted(rec.des_set)} vs {sorted(flat_rec.des_set)}"
+                   " after forgetting colors")
             return
-        inv_sigma = tuple(sorted(range(1, n + 1), key=lambda v: gamma.sigma[v - 1]))
-        # true inverses of the element and of its color-forgetting image
-        icolors = tuple((r - gamma.colors[s - 1]) % r for s in inv_sigma)
-        iflat = tuple((2 - flat[s - 1]) % 2 for s in inv_sigma)
-        if raw_statistics(r, inv_sigma, icolors)[2] != raw_statistics(2, inv_sigma, iflat)[2]:
+        if statistics(inverse(gamma)).des_set != statistics(inverse(flat)).des_set:
             yield ("fact", f"inverse descents of {gamma}", False,
                    "descent sets of the inverses differ after forgetting colors")
             return
-        entry = buckets.setdefault(key, {})
-        exps = (rec[1], rec[6])
+        entry = buckets.setdefault(flat, {})
+        exps = (rec.length, rec.col)
         entry[exps] = entry.get(exps, 0) + 1
     yield ("fact", f"descent preservation r={r} n={n}", True, None)
     twist = _color_twist(ctx, r)
-    for sigma in itertools.permutations(range(1, n + 1)):
-        for flat in itertools.product(range(2), repeat=n):
-            rec = raw_statistics(2, sigma, flat)
-            neg = sum(flat)
-            lhs = MultiPoly(ctx, buckets.get((sigma, flat), {}))
-            rhs = MultiPoly.monomial(ctx, 1, p=rec[1]) * twist ** neg
-            label = f"fiber over sigma={sigma} signs={flat} (r={r})"
-            yield ("poly", label, lhs, rhs)
+    # enumerate_group's order (sigma, then signs) fixes the order of the cases
+    for flat in enumerate_group(2, n):
+        rec = statistics(flat)
+        lhs = MultiPoly(ctx, buckets.get(flat, {}))
+        rhs = MultiPoly.monomial(ctx, 1, p=rec.length) * twist ** rec.col
+        label = f"fiber over sigma={flat.sigma} signs={flat.colors} (r={r})"
+        yield ("poly", label, lhs, rhs)
 
 
-def _desmaj(budget, r, n, tmax):
+def _desmaj(max_elements, r, n, tmax):
     ctx = SeriesContext(("t", "q"), (tmax, None))
     buckets = {}
     for f in enumerate_sequences(r, n, max_cap=tmax, restrict_n0=True,
-                                 max_elements=budget.max_elements):
+                                 max_elements=max_elements):
         gamma = pi_of(f)
         key = (gamma.sigma, gamma.colors)
         top = max(f.values, default=0)
@@ -315,22 +303,23 @@ def _desmaj(budget, r, n, tmax):
         entry[exps] = entry.get(exps, 0) + 1
     t = MultiPoly.variable(ctx, "t")
     denom = reciprocal(pochhammer(ctx, t, "q", n))
-    for gamma in enumerate_group(r, n, budget.max_elements):
+    for gamma in enumerate_group(r, n, max_elements):
         rec = statistics(gamma)
         lhs = MultiPoly(ctx, buckets.get((gamma.sigma, gamma.colors), {}))
         rhs = MultiPoly.monomial(ctx, 1, t=rec.des, q=rec.maj) * denom
         yield ("poly", f"sequences sorting to {gamma} (r={r})", lhs, rhs)
 
 
-def _keylem(budget, r, n, parts_max=4):
+def _keylem(max_elements, r, n, parts_max=4):
     ctx = SeriesContext(("p", "a"))
     twist = _color_twist(ctx, r)
     for nparts in range(1, parts_max + 1):
         for comp in _weak_compositions(n, nparts):
             acc = {}
             for f in enumerate_sequences(r, n, composition=comp,
-                                          max_elements=budget.max_elements):
-                rec = raw_statistics(r, *_pi_raw(f))
+                                          max_elements=max_elements):
+                gamma = pi_of(f)
+                rec = raw_statistics(r, gamma.sigma, gamma.colors)
                 exps = (rec[1], rec[6])
                 acc[exps] = acc.get(exps, 0) + 1
             lhs = MultiPoly(ctx, acc)
@@ -338,18 +327,12 @@ def _keylem(budget, r, n, parts_max=4):
             yield ("poly", f"composition {comp} (r={r})", lhs, rhs)
 
 
-def _pi_raw(f):
-    """(sigma, colors) of the sorted permutation, skipping object creation."""
-    gamma = pi_of(f)
-    return gamma.sigma, gamma.colors
-
-
-def _theorem_A_cases(budget, r, n, tmax):
+def _theorem_A_cases(max_elements, r, n, tmax):
     ctx = SeriesContext(("t", "q", "p", "a", "u"), (tmax, None, None, None, n))
     twist = _color_twist(ctx, r)
     dist = dist_polynomial(ctx, r, n,
                            {"des": "t", "maj": "q", "length": "p", "col": "a"},
-                           budget.max_elements)
+                           max_elements)
     t = MultiPoly.variable(ctx, "t")
     lhs = dist * reciprocal(pochhammer(ctx, t, "q", n + 1))
     plain = exp_series(ctx, "p", "u", n, p_var="p")
@@ -370,8 +353,8 @@ def _theorem_A_cases(budget, r, n, tmax):
     return f"r={r} n={n} tmax={tmax}", lhs, rhs
 
 
-def _theorem_A(budget, r, n, tmax):
-    yield ("poly", *_theorem_A_cases(budget, r, n, tmax))
+def _theorem_A(max_elements, r, n, tmax):
+    yield ("poly", *_theorem_A_cases(max_elements, r, n, tmax))
 
 
 def _theorem_B_rhs_term(ctx, r, n, k1, k2):
@@ -383,13 +366,13 @@ def _theorem_B_rhs_term(ctx, r, n, k1, k2):
     return coefficient_of(reciprocal(first * second), "u", n)
 
 
-def _theorem_B_cases(budget, r, n, t1max, t2max):
+def _theorem_B_cases(max_elements, r, n, t1max, t2max):
     ctx = SeriesContext(("t1", "t2", "q1", "q2", "a", "b", "u"),
                         (t1max, t2max, None, None, None, None, n))
     dist = dist_polynomial(ctx, r, n,
                            {"des": "t1", "ides": "t2", "maj": "q1",
                             "imaj": "q2", "col": "a", "icol": "b"},
-                           budget.max_elements)
+                           max_elements)
     t1 = MultiPoly.variable(ctx, "t1")
     t2 = MultiPoly.variable(ctx, "t2")
     lhs = dist * reciprocal(pochhammer(ctx, t1, "q1", n + 1)) \
@@ -402,30 +385,30 @@ def _theorem_B_cases(budget, r, n, t1max, t2max):
     return f"r={r} n={n} t1max={t1max} t2max={t2max}", lhs, rhs
 
 
-def _theorem_B(budget, r, n, t1max, t2max):
-    yield ("poly", *_theorem_B_cases(budget, r, n, t1max, t2max))
+def _theorem_B(max_elements, r, n, t1max, t2max):
+    yield ("poly", *_theorem_B_cases(max_elements, r, n, t1max, t2max))
 
 
-def _gg1(budget, n, tmax):
-    label, lhs, rhs = _theorem_A_cases(budget, 1, n, tmax)
+def _gg1(max_elements, n, tmax):
+    label, lhs, rhs = _theorem_A_cases(max_elements, 1, n, tmax)
     yield ("fact", f"color marker inert at n={n}",
            lhs.degree("a") <= 0 and rhs.degree("a") <= 0,
            "uncolored specialization produced color-marker exponents")
     yield ("poly", label, lhs, rhs)
 
 
-def _gg2(budget, n, t1max, t2max):
-    label, lhs, rhs = _theorem_B_cases(budget, 1, n, t1max, t2max)
+def _gg2(max_elements, n, t1max, t2max):
+    label, lhs, rhs = _theorem_B_cases(max_elements, 1, n, t1max, t2max)
     inert = all(lhs.degree(v) <= 0 and rhs.degree(v) <= 0 for v in ("a", "b"))
     yield ("fact", f"color markers inert at n={n}", inert,
            "uncolored specialization produced color-marker exponents")
     yield ("poly", label, lhs, rhs)
 
 
-def _chow_gessel(budget, r, n, tmax):
+def _chow_gessel(max_elements, r, n, tmax):
     ctx = SeriesContext(("t", "q", "a"), (tmax, None, None))
     dist = dist_polynomial(ctx, r, n, {"des": "t", "maj": "q", "col": "a"},
-                           budget.max_elements)
+                           max_elements)
     t = MultiPoly.variable(ctx, "t")
     a = MultiPoly.variable(ctx, "a")
     lhs = dist * reciprocal(pochhammer(ctx, t, "q", n + 1))
@@ -437,10 +420,10 @@ def _chow_gessel(budget, r, n, tmax):
     yield ("poly", f"r={r} n={n} tmax={tmax}", lhs, rhs)
 
 
-def _carlitz(budget, r, n, tmax):
+def _carlitz(max_elements, r, n, tmax):
     ctx = SeriesContext(("t", "q"), (tmax, None))
     dist = dist_polynomial(ctx, r, n, {"des": "t", "fmaj": "q"},
-                           budget.max_elements)
+                           max_elements)
     t = MultiPoly.variable(ctx, "t")
     qr = MultiPoly.monomial(ctx, 1, q=r)
     lhs = dist * reciprocal(pochhammer(ctx, t, qr, n + 1))
@@ -450,12 +433,12 @@ def _carlitz(budget, r, n, tmax):
     yield ("poly", f"r={r} n={n} tmax={tmax}", lhs, rhs)
 
 
-def _reiner(budget, r, nmax):
+def _reiner(max_elements, r, nmax):
     for n in range(nmax + 1):
         tcap = n + 1
         ctx = SeriesContext(("t", "p", "u"), (tcap, None, n))
         lhs = dist_polynomial(ctx, r, n, {"des": "t", "length": "p"},
-                              budget.max_elements)
+                              max_elements)
         hat_param = q_int(ctx, r - 1, "p")
         plain = exp_series(ctx, "p", "u", n, p_var="p")
         hatted = exp_series(ctx, "hat", "u", n, p_var="p", a_expr=hat_param)
@@ -477,13 +460,13 @@ def _reiner(budget, r, nmax):
         yield ("poly", f"r={r} n={n}", lhs, rhs)
 
 
-def _brenti(budget, r, nmax):
+def _brenti(max_elements, r, nmax):
     tcap = nmax + 1
     ctx = SeriesContext(("u", "t", "a"), (nmax, tcap, None))
     lhs = MultiPoly.zero(ctx)
     for n in range(nmax + 1):
         dist = dist_polynomial(ctx, r, n, {"des": "t", "col": "a"},
-                               budget.max_elements)
+                               max_elements)
         lhs = lhs + dist * MultiPoly.monomial(ctx, Fraction(1, factorial(n)), u=n)
     one = MultiPoly.constant(ctx, 1)
     t = MultiPoly.variable(ctx, "t")
@@ -497,14 +480,14 @@ def _brenti(budget, r, nmax):
     yield ("poly", f"r={r} nmax={nmax}", lhs, rhs)
 
 
-def _gessel_roselle(budget, r, ucap, pcap, qcap):
+def _gessel_roselle(max_elements, r, ucap, pcap, qcap):
     ctx = SeriesContext(("u", "p", "q"), (ucap, pcap, qcap))
     u = MultiPoly.variable(ctx, "u")
     series = reciprocal(double_pochhammer(ctx, u, "p", "q", None, None))
     p = MultiPoly.variable(ctx, "p")
     for n in range(ucap + 1):
         lhs = dist_polynomial(ctx, r, n, {"maj": "q", "length": "p"},
-                              budget.max_elements)
+                              max_elements)
         clear = pochhammer(ctx, MultiPoly.variable(ctx, "q"), "q", n) \
             * pochhammer(ctx, -(p * q_int(ctx, r - 1, "p")), "p", n) \
             * pochhammer(ctx, p, "p", n)
@@ -512,7 +495,7 @@ def _gessel_roselle(budget, r, ucap, pcap, qcap):
         yield ("poly", f"r={r} n={n}", lhs, rhs)
 
 
-def _adin_roichman(budget, r, ucap, qcap):
+def _adin_roichman(max_elements, r, ucap, qcap):
     ctx = SeriesContext(("u", "q1", "q2"), (ucap, qcap, qcap))
     u = MultiPoly.variable(ctx, "u")
     b1 = MultiPoly.monomial(ctx, 1, q1=r)
@@ -524,16 +507,16 @@ def _adin_roichman(budget, r, ucap, qcap):
     series = reciprocal(first * second)
     for n in range(ucap + 1):
         lhs = dist_polynomial(ctx, r, n, {"fmaj": "q1", "ifmaj": "q2"},
-                              budget.max_elements)
+                              max_elements)
         clear = pochhammer(ctx, b1, b1, n) * pochhammer(ctx, b2, b2, n)
         rhs = coefficient_of(series, "u", n) * clear
         yield ("poly", f"r={r} n={n}", lhs, rhs)
 
 
-def _bijection_stats(budget, r, n, cap):
+def _bijection_stats(max_elements, r, n, cap):
     checked = 0
     for f in enumerate_sequences(r, n, max_cap=cap, restrict_n0=True,
-                                 max_elements=budget.max_elements):
+                                 max_elements=max_elements):
         gamma = pi_of(f)
         lam = lambda_of(f)
         rec = statistics(gamma)
@@ -558,7 +541,7 @@ def _bijection_stats(budget, r, n, cap):
     yield ("fact", f"sequence side r={r} n={n} cap={cap} ({checked} sequences)",
            True, None)
     checked = 0
-    for gamma in enumerate_group(r, n, budget.max_elements):
+    for gamma in enumerate_group(r, n, max_elements):
         for lam in partitions_in_box(n, cap):
             f = sequence_from(gamma, lam)
             if not f.in_n0:
@@ -573,9 +556,9 @@ def _bijection_stats(budget, r, n, cap):
            True, None)
 
 
-def _biword_count(budget, r, n, cap_f, cap_g):
+def _biword_count(max_elements, r, n, cap_f, cap_g):
     words = list(enumerate_biwords(r, n, cap_f, cap_g,
-                                   max_elements=budget.max_elements))
+                                   max_elements=max_elements))
     triples = [to_triple(b) for b in words]
     if len(set((t.gamma, t.lam, t.mu) for t in triples)) != len(words):
         yield ("fact", "injectivity", False, "two biwords shared a triple")
@@ -585,7 +568,7 @@ def _biword_count(budget, r, n, cap_f, cap_g):
             yield ("fact", f"round trip of {b}", False, None)
             return
     expected = set()
-    for gamma in enumerate_group(r, n, budget.max_elements):
+    for gamma in enumerate_group(r, n, max_elements):
         skew = skew_inverse(gamma)
         for lam in partitions_in_box(n, cap_g):
             if not is_compatible(lam, skew):

@@ -134,7 +134,7 @@ def is_in_parabolic(gamma, cls):
 def quotient_set(cls, max_elements=None):
     """Yield the quotient representatives, in group enumeration order."""
     for gamma in enumerate_group(cls.r, cls.n, max_elements):
-        if statistics(gamma).des_set <= set(cls.complement):
+        if is_in_quotient(gamma, cls):
             yield gamma
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -143,6 +144,13 @@ class TestVerify:
         code, _, err = run(capsys, "verify")
         assert code == 2
 
+    def test_both_selectors_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--identity", "length_gf",
+                             "--all")
+        assert code == 2
+        assert not out
+        assert "not allowed with" in err
+
     def test_budget_exceeded(self, capsys):
         code, _, err = run(capsys, "verify", "--identity", "length_gf",
                            "--r", "4", "--n", "5", "--max-elements", "10")
@@ -156,6 +164,16 @@ class TestVerify:
         reports = json.loads(out)
         assert [r["identity"] for r in reports] == list(CATALOG)
         assert all(r["pass"] for r in reports)
+
+    def test_all_entries_run_one_after_another(self, capsys):
+        # Run concurrently, each report's millis would include waiting on
+        # the others, and their sum would exceed the wall time.
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify", "--all", "--json")
+        wall_ms = (time.perf_counter() - start) * 1000
+        assert code == 0
+        reports = json.loads(out)
+        assert sum(r["millis"] for r in reports) <= wall_ms + len(reports)
 
 
 class TestDeterminism:
@@ -175,6 +193,16 @@ class TestDeterminism:
 class TestUsage:
     def test_no_arguments(self, capsys):
         assert main([]) == 2
+
+    def test_parser_reused_after_errors(self, capsys):
+        # The parser is built once per process; errors must not leave state
+        # behind that changes a later call.
+        readme = ("stats", "--r", "5", "--window", "[4^1,3,2^4,1^2]")
+        first = run(capsys, *readme)
+        assert run(capsys, "stats", "--window", "[1]")[0] == 2
+        assert run(capsys, "stats", "--r", "2", "--window", "[1,1]")[0] == 1
+        assert run(capsys, *readme) == first
+        assert first[0] == 0 and "fmaj=17" in first[1]
 
     def test_selftest(self, capsys):
         code, out, _ = run(capsys, "selftest")

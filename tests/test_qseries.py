@@ -1,3 +1,4 @@
+import signal
 from fractions import Fraction
 
 import pytest
@@ -234,20 +235,35 @@ class TestHatMultinomial:
             assert quotient * den == hat_factorial(ctx, sum(parts), a, "p")
 
     def test_inexact_division_raises(self):
-        ctx = SeriesContext(("p",))
-        p = MultiPoly.variable(ctx, "p")
-        with pytest.raises(InexactDivisionError):
-            divide_exact(1 + p, 1 + p ** 2)
-        # Two variables: a lexicographic bound alone never stops here, since
-        # (1+a)/(1+b) keeps producing b^k and every b^k sorts below a.
-        ctx = SeriesContext(("a", "b"))
-        a = MultiPoly.variable(ctx, "a")
-        b = MultiPoly.variable(ctx, "b")
-        with pytest.raises(InexactDivisionError):
-            divide_exact(1 + a, 1 + b)
-        # Degrees allow a quotient, but its second term leaves the degree box.
-        with pytest.raises(InexactDivisionError):
-            divide_exact(1 + a * b, 1 + a)
+        # A division that loses its termination check would run forever;
+        # the alarm turns that into a failure.
+        def timeout(signum, frame):
+            pytest.fail("divide_exact did not stop on an inexact division")
+
+        old_handler = signal.signal(signal.SIGALRM, timeout)
+        old_timer = signal.setitimer(signal.ITIMER_REAL, 5)
+        try:
+            ctx = SeriesContext(("p",))
+            p = MultiPoly.variable(ctx, "p")
+            with pytest.raises(InexactDivisionError):
+                divide_exact(1 + p, 1 + p ** 2)
+            # Two variables: a lexicographic bound alone never stops here,
+            # since (1+a)/(1+b) keeps producing b^k and every b^k sorts
+            # below a.
+            ctx = SeriesContext(("a", "b"))
+            a = MultiPoly.variable(ctx, "a")
+            b = MultiPoly.variable(ctx, "b")
+            with pytest.raises(InexactDivisionError):
+                divide_exact(1 + a, 1 + b)
+            # Degrees allow a quotient, but its second term leaves the
+            # degree box.
+            with pytest.raises(InexactDivisionError):
+                divide_exact(1 + a * b, 1 + a)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old_handler)
+            if old_timer[0]:
+                signal.setitimer(signal.ITIMER_REAL, *old_timer)
 
 
 class TestExpSeries:
