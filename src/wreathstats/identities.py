@@ -62,6 +62,7 @@ from .qseries import (
 
 __all__ = [
     "CATALOG",
+    "CatalogError",
     "DEFAULT_MAX_ELEMENTS",
     "DEFAULT_MAX_TERMS",
     "VerificationReport",
@@ -72,6 +73,12 @@ __all__ = [
 
 DEFAULT_MAX_ELEMENTS = 10 ** 7
 DEFAULT_MAX_TERMS = 10 ** 6
+
+
+class CatalogError(ValueError):
+    """A name the catalog does not have: an unknown identity, or a parameter
+    the chosen entry does not take."""
+
 
 _DIRECT_STATS = {"des": 3, "maj": 4, "length": 1, "col": 6, "fmaj": 5}
 _INVERSE_STATS = {"ides": 3, "imaj": 4, "icol": 6, "ifmaj": 5}
@@ -157,19 +164,28 @@ def verify_identity(name, corrupt=None, max_elements=DEFAULT_MAX_ELEMENTS,
     ``corrupt`` ("lhs" or "rhs") bumps one coefficient of the first
     polynomial comparison before checking, for harness self-tests; the
     bumped monomial is recorded on the report.
+
+    Raises ``CatalogError`` for an unknown identity or a parameter the entry
+    does not take, and ``ValueError`` for a parameter below its range (``r``
+    below 1, any other below 0) or a run that checks no case at all.
     """
     try:
         func, defaults = CATALOG[name]
     except KeyError:
-        raise ValueError(f"unknown identity {name!r}") from None
+        raise CatalogError(f"unknown identity {name!r}; known: "
+                           + ", ".join(sorted(CATALOG))) from None
     if corrupt not in (None, "lhs", "rhs"):
         raise ValueError("corrupt must be None, 'lhs' or 'rhs'")
     merged = dict(defaults)
     for key, value in params.items():
         if key not in defaults:
-            raise ValueError(f"identity {name!r} does not take parameter {key!r}")
+            raise CatalogError(f"identity {name!r} does not take parameter {key!r}")
         if value is not None:
             merged[key] = value
+    for key, value in merged.items():
+        least = 1 if key == "r" else 0
+        if value < least:
+            raise ValueError(f"{name}: parameter {key}={value}, need {key} >= {least}")
     for key, value in merged.items():
         if key.endswith("max") or key.endswith("cap"):
             if value == 0:
@@ -180,7 +196,9 @@ def verify_identity(name, corrupt=None, max_elements=DEFAULT_MAX_ELEMENTS,
     mismatch = None
     corrupted = None
     pending = corrupt
+    cases = 0
     for case in func(max_elements, **merged):
+        cases += 1
         if case[0] == "poly":
             _, label, lhs, rhs = case
             if pending:
@@ -209,6 +227,9 @@ def verify_identity(name, corrupt=None, max_elements=DEFAULT_MAX_ELEMENTS,
             if not ok:
                 mismatch = {"case": label, "detail": detail}
                 break
+    if not cases:
+        raise ValueError(f"{name}: no case to check at "
+                         + " ".join(f"{k}={v}" for k, v in sorted(merged.items())))
     millis = int(round((time.perf_counter() - start) * 1000))
     return VerificationReport(identity=name, params=merged,
                               passed=mismatch is None, mismatch=mismatch,

@@ -165,6 +165,16 @@ class TestVerify:
         assert [r["identity"] for r in reports] == list(CATALOG)
         assert all(r["pass"] for r in reports)
 
+    def test_all_gives_each_entry_only_its_flags(self, capsys):
+        from wreathstats.identities import CATALOG
+        code, out, _ = run(capsys, "verify", "--all", "--r", "3", "--n", "2",
+                           "--json")
+        assert code == 0
+        reports = json.loads(out)
+        assert all(r["pass"] for r in reports)
+        for r in reports:
+            assert set(r["params"]) <= set(CATALOG[r["identity"]][1])
+
     def test_all_entries_run_one_after_another(self, capsys):
         # Run concurrently, each report's millis would include waiting on
         # the others, and their sum would exceed the wall time.
@@ -208,3 +218,21 @@ class TestUsage:
         code, out, _ = run(capsys, "selftest")
         assert code == 0
         assert out.count("PASS") == 3
+
+
+# Every failure lands in its documented exit class: 2 for usage errors and
+# budgets, 1 for invalid mathematical input; stdout stays empty either way.
+@pytest.mark.parametrize("argv,code,named", [
+    ("verify --identity length_gf --tmax 3", 2, "'tmax'"),
+    ("verify --identity gg1 --r 3", 2, "'r'"),
+    ("verify --identity length_gf --n x", 2, "--n"),
+    ("table --r 2 --n 3 --max-elements 1", 2, "budget"),
+    ("encode --r 2 --f 0^1", 1, "colored zero"),
+    ("decode --r 2 --window [1,2] --partition 0,1,2", 1, "lengths"),
+    ("verify --identity length_gf --n -1", 1, "n=-1"),
+    ("verify --identity keylem --parts_max 0", 1, "parts_max=0"),
+])
+def test_exit_class(capsys, argv, code, named):
+    got, out, err = run(capsys, *argv.split())
+    assert (got, out) == (code, "")
+    assert named in err

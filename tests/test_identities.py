@@ -1,8 +1,11 @@
+import warnings
+
 import pytest
 
 from wreathstats.group import enumerate_group, inverse, skew_inverse, statistics
 from wreathstats.identities import (
     CATALOG,
+    CatalogError,
     dist_polynomial,
     selftest_localization,
     verify_identity,
@@ -77,12 +80,34 @@ class TestCatalogEntries:
         assert report.passed
 
     def test_unknown_identity(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CatalogError):
             verify_identity("no_such_identity")
 
     def test_unknown_parameter(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CatalogError):
             verify_identity("length_gf", r=2, n=2, tmax=3)
+
+    @pytest.mark.parametrize("name,params,named", [
+        ("keylem", dict(parts_max=-2), "parts_max=-2"),
+        ("reiner", dict(nmax=-1), "nmax=-1"),
+        ("carlitz", dict(r=0), "r=0"),
+        ("length_gf", dict(n=-1), "n=-1"),
+        ("gg1", dict(tmax=-1), "tmax=-1"),
+    ])
+    def test_out_of_range_parameter(self, name, params, named):
+        with pytest.raises(ValueError, match=named):
+            verify_identity(name, **params)
+
+    def test_range_checked_before_zero_cap_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="r=0"):
+                verify_identity("carlitz", r=0, tmax=0)
+
+    def test_run_without_cases(self):
+        with pytest.warns(UserWarning), \
+                pytest.raises(ValueError, match="no case.*parts_max=0"):
+            verify_identity("keylem", parts_max=0)
 
     def test_zero_cap_warns(self):
         with pytest.warns(UserWarning):
