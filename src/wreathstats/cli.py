@@ -7,8 +7,9 @@ a whole group), ``encode``/``decode`` (the sequence encoding both ways),
 
 Exit codes: 0 on success or pass, 1 on identity failure or invalid
 mathematical input, 2 on usage errors or exceeded budgets.  Results go to
-stdout, error text to stderr; with ``--json`` the output follows the JSON
-schemas documented in the README.
+stdout, error text and warnings (one ``warning: <message>`` line each) to
+stderr; with ``--json`` the output follows the JSON schemas documented in
+the README.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 
 from .group import (
     BudgetExceededError,
@@ -241,17 +243,24 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
-    try:
-        payload, lines, status = args.run(args)
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 2
-    except CatalogError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 1
+    # Warnings that pass the interpreter's filters are printed as one line
+    # each, before any error, rather than in the file:line format.
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            payload, lines, status = args.run(args)
+        except BudgetExceededError as exc:
+            error, status = f"budget exceeded: {exc}", 2
+        except CatalogError as exc:
+            error, status = str(exc), 2
+        except ValueError as exc:
+            error, status = f"invalid input: {exc}", 1
+        else:
+            error = None
+    for caught_warning in caught:
+        print(f"warning: {caught_warning.message}", file=sys.stderr)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return status
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:

@@ -19,6 +19,7 @@ from .group import (
     BudgetExceededError,
     ColoredPermutation,
     ParseError,
+    _descent_set,
     _parse_entries,
     order_key,
     skew_inverse,
@@ -125,7 +126,7 @@ def lambda_of(f):
     if not f.in_n0:
         raise ValueError("sequence has a colored zero entry")
     gamma = pi_of(f)
-    des_set = statistics(gamma).des_set
+    des_set = _descent_set(gamma.sigma, gamma.colors)
     parts = []
     count = 0
     for i, s in enumerate(gamma.sigma):
@@ -143,7 +144,7 @@ def sequence_from(gamma, lam):
     """
     if gamma.n != lam.n:
         raise ValueError("lengths do not agree")
-    des_set = statistics(gamma).des_set
+    des_set = _descent_set(gamma.sigma, gamma.colors)
     mu = []
     count = 0
     for i in range(gamma.n):
@@ -174,7 +175,7 @@ def is_compatible(lam, gamma):
     """
     if gamma.n != lam.n:
         raise ValueError("lengths do not agree")
-    des_set = statistics(gamma).des_set
+    des_set = _descent_set(gamma.sigma, gamma.colors)
     padded = (0,) + lam.parts
     return all(padded[i] < padded[i + 1] for i in des_set)
 
@@ -282,6 +283,8 @@ def partitions_in_box(n, cap):
 
 def parse_sequence(text, r):
     """Parse ``4^2,4^1,1,3^3,6,3^1,4^2`` style text into a colored sequence."""
+    if r < 1:
+        raise ParseError("r must be a positive integer")
     entries = _parse_entries(text, r, "sequence")
     return ColoredSequence(r, tuple(v for v, _ in entries),
                            tuple(c for _, c in entries))

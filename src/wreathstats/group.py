@@ -197,8 +197,9 @@ class StatRecord:
 def raw_statistics(r, sigma, colors):
     """Statistics tuple ``(inv, length, des_set, des, maj, fmaj, col)``.
 
-    Lean variant used by the enumeration-heavy callers; ``statistics``
-    wraps it in a StatRecord.
+    O(n^2) in the window length.  ``statistics`` wraps it in a StatRecord;
+    ``dist_polynomial`` calls it only for the statistics of the inverse at
+    each element of its walk.
     """
     n = len(sigma)
     keys = [order_key(sigma[i], colors[i]) for i in range(n)]
@@ -219,6 +220,23 @@ def raw_statistics(r, sigma, colors):
     maj = sum(des_set)
     col = sum(colors)
     return inv, length, tuple(des_set), des, maj, r * maj + col, col
+
+
+def _descent_set(sigma, colors):
+    """Descent positions of a window, in one pass over adjacent entries.
+
+    Position i in [0, n-1] is a descent when the entry before it (the
+    implicit 0 for i = 0) is larger as a colored integer.  Equal to
+    ``statistics(gamma).des_set`` without its O(n^2) inversion count.
+    """
+    out = []
+    prev = _ZERO_KEY
+    for i, (value, color) in enumerate(zip(sigma, colors)):
+        key = order_key(value, color)
+        if prev > key:
+            out.append(i)
+        prev = key
+    return frozenset(out)
 
 
 def statistics(gamma):

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 from .group import (
     ColoredPermutation,
+    _descent_set,
     enumerate_group,
     order_key,
-    statistics,
 )
 
 __all__ = [
@@ -112,7 +112,7 @@ def decompose(gamma, cls):
 def is_in_quotient(gamma, cls):
     """Membership in the quotient: descents confined to the complement of J."""
     _check(gamma, cls)
-    return statistics(gamma).des_set <= set(cls.complement)
+    return _descent_set(gamma.sigma, gamma.colors) <= set(cls.complement)
 
 
 def is_in_parabolic(gamma, cls):

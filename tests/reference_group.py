@@ -1,0 +1,86 @@
+"""Per-element reference implementations, the differential oracles for the
+enumeration layer.
+
+``reference_dist_terms`` is the loop ``dist_polynomial`` replaced: it lists
+the group with ``itertools.permutations`` times ``itertools.product`` and
+calls ``raw_statistics`` on every element, and on its true inverse for the
+inverse statistics.  The other functions are the encoding and quotient maps
+as they were written on top of ``statistics(gamma).des_set``.  This module
+is imported only by the tests.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from wreathstats.encoding import Partition, lambda_gamma, pi_of
+from wreathstats.group import (
+    _inverse_colors,
+    _inverse_sigma,
+    raw_statistics,
+    skew_inverse,
+    statistics,
+)
+
+_DIRECT_STATS = {"des": 3, "maj": 4, "length": 1, "col": 6, "fmaj": 5}
+_INVERSE_STATS = {"ides": 3, "imaj": 4, "icol": 6, "ifmaj": 5}
+
+
+def reference_dist_terms(ctx, r, n, stats):
+    """Exponent tuple -> count over the whole group, before truncation."""
+    plan = []
+    need_inverse = False
+    for stat, var in stats.items():
+        if stat in _DIRECT_STATS:
+            plan.append((False, _DIRECT_STATS[stat], ctx.index(var)))
+        else:
+            plan.append((True, _INVERSE_STATS[stat], ctx.index(var)))
+            need_inverse = True
+    nvars = len(ctx.variables)
+    acc = {}
+    for sigma in itertools.permutations(range(1, n + 1)):
+        inv_sigma = _inverse_sigma(sigma) if need_inverse else None
+        for colors in itertools.product(range(r), repeat=n):
+            rec = raw_statistics(r, sigma, colors)
+            irec = None
+            if need_inverse:
+                irec = raw_statistics(r, inv_sigma,
+                                      _inverse_colors(r, colors, inv_sigma))
+            exps = [0] * nvars
+            for use_inverse, stat_idx, var_idx in plan:
+                exps[var_idx] += (irec if use_inverse else rec)[stat_idx]
+            key = tuple(exps)
+            acc[key] = acc.get(key, 0) + 1
+    return acc
+
+
+def reference_lambda_of(f):
+    gamma = pi_of(f)
+    des_set = statistics(gamma).des_set
+    parts = []
+    count = 0
+    for i, s in enumerate(gamma.sigma):
+        if i in des_set:
+            count += 1
+        parts.append(f.values[s - 1] - count)
+    return Partition(tuple(parts))
+
+
+def reference_sequence_from(gamma, lam):
+    des_set = statistics(gamma).des_set
+    mu = []
+    count = 0
+    for i in range(gamma.n):
+        if i in des_set:
+            count += 1
+        mu.append(lam.parts[i] + count)
+    return lambda_gamma(Partition(tuple(mu)), skew_inverse(gamma))
+
+
+def reference_is_compatible(lam, gamma):
+    padded = (0,) + lam.parts
+    return all(padded[i] < padded[i + 1] for i in statistics(gamma).des_set)
+
+
+def reference_is_in_quotient(gamma, cls):
+    return statistics(gamma).des_set <= set(cls.complement)

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathstats.cli import main
 
@@ -228,6 +232,7 @@ class TestUsage:
     ("verify --identity length_gf --n x", 2, "--n"),
     ("table --r 2 --n 3 --max-elements 1", 2, "budget"),
     ("encode --r 2 --f 0^1", 1, "colored zero"),
+    ("encode --r 0 --f 1", 1, "r must be a positive integer"),
     ("decode --r 2 --window [1,2] --partition 0,1,2", 1, "lengths"),
     ("verify --identity length_gf --n -1", 1, "n=-1"),
     ("verify --identity keylem --parts_max 0", 1, "parts_max=0"),
@@ -236,3 +241,40 @@ def test_exit_class(capsys, argv, code, named):
     got, out, err = run(capsys, *argv.split())
     assert (got, out) == (code, "")
     assert named in err
+
+
+class TestWarnings:
+    def test_zero_cap_warning_is_one_line(self, capsys):
+        code, out, err = run(capsys, "verify", "--identity", "carlitz", "--tmax", "0")
+        assert (code, out) == (0, "carlitz n=2 r=2 tmax=0 PASS\n")
+        assert err == "warning: carlitz: cap tmax=0 compares only the constant term\n"
+
+    def test_warning_printed_before_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--identity", "keylem", "--parts_max", "0")
+        assert (code, out) == (1, "")
+        assert err == ("warning: keylem: cap parts_max=0 compares only the constant term\n"
+                       "invalid input: keylem: no case to check at n=3 parts_max=0 r=2\n")
+
+
+# Generated argv for the parsing commands: every input is either answered
+# or rejected in its exit class, with the error text on stderr only.
+_TEXT = st.text(alphabet="0123456789^, []", max_size=12)
+_WINDOW = st.one_of(_TEXT, _TEXT.map(lambda text: f"[{text}]"))
+_ARGV = st.one_of(
+    st.tuples(st.just("stats"), st.just("--window"), _WINDOW),
+    st.tuples(st.just("encode"), st.just("--f"), _TEXT),
+    st.tuples(st.just("decode"), st.just("--window"), _WINDOW, st.just("--partition"), _TEXT),
+    st.tuples(st.just("decompose"), st.just("--window"), _WINDOW, st.just("--J"), _TEXT),
+    st.tuples(st.just("biword"), st.just("--g"), _TEXT, st.just("--f"), _TEXT),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_ARGV, r=st.integers(-1, 4))
+def test_generated_argv_lands_in_an_exit_class(argv, r):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--r", str(r)])
+    assert code in (0, 1, 2)
+    if code:
+        assert out.getvalue() == "" and err.getvalue() != ""

@@ -1,6 +1,14 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from reference_group import (
+    reference_is_compatible,
+    reference_lambda_of,
+    reference_sequence_from,
+)
 
 from wreathstats.encoding import (
     ColoredSequence,
@@ -254,3 +262,18 @@ class TestSequenceText:
         assert f.n == 0
         assert pi_of(f) == identity_element(2, 0)
         assert lambda_of(f).parts == ()
+
+
+class TestAgainstStatisticsReference:
+    """The maps read descent sets in one pass; the reference reads them
+    from ``statistics``."""
+
+    @pytest.mark.parametrize("r,n", itertools.product((1, 2), range(5)))
+    def test_maps_agree(self, r, n):
+        for f in enumerate_sequences(r, n, max_cap=2):
+            assert lambda_of(f) == reference_lambda_of(f)
+        boxes = list(partitions_in_box(n, 2))
+        for gamma in enumerate_group(r, n):
+            for lam in boxes:
+                assert sequence_from(gamma, lam) == reference_sequence_from(gamma, lam)
+                assert is_compatible(lam, gamma) == reference_is_compatible(lam, gamma)

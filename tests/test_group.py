@@ -4,6 +4,7 @@ import pytest
 
 from wreathstats.group import (
     BudgetExceededError,
+    _descent_set,
     ColoredInteger,
     ColoredPermutation,
     ParseError,
@@ -220,3 +221,15 @@ class TestWindowText:
     def test_rejects_for_r1(self):
         with pytest.raises(ParseError):
             parse_window("[1^1,2]", 1)
+
+
+class TestDescentSet:
+    def test_matches_statistics_on_small_groups(self):
+        for r in range(1, 4):
+            for n in range(6):
+                for g in enumerate_group(r, n):
+                    assert _descent_set(g.sigma, g.colors) == statistics(g).des_set
+
+    def test_readme_example(self):
+        g = parse_window("[4^1,3,2^4,1^2]", 5)
+        assert _descent_set(g.sigma, g.colors) == statistics(g).des_set == {0, 2}

@@ -2,7 +2,16 @@ import warnings
 
 import pytest
 
-from wreathstats.group import enumerate_group, inverse, skew_inverse, statistics
+from reference_group import reference_dist_terms
+from wreathstats import identities
+from wreathstats.group import (
+    BudgetExceededError,
+    enumerate_group,
+    group_order,
+    inverse,
+    skew_inverse,
+    statistics,
+)
 from wreathstats.identities import (
     CATALOG,
     CatalogError,
@@ -39,6 +48,35 @@ class TestDistPolynomial:
     def test_empty_group(self):
         ctx = SeriesContext(("t",))
         assert dist_polynomial(ctx, 3, 0, {"des": "t"}) == 1
+
+
+_WALK_CTX = SeriesContext(("t", "q", "p", "a", "b", "t1", "t2", "q1", "q2"))
+_DIRECT = {"des": "t", "maj": "q", "length": "p", "col": "a", "fmaj": "b"}
+_WALK_PLANS = [{stat: var} for stat, var in _DIRECT.items()] + [
+    _DIRECT,
+    {"des": "t1", "ides": "t2", "maj": "q1", "imaj": "q2", "col": "a", "icol": "b"},
+]
+
+
+class TestGroupWalk:
+    """The depth-first walk against the per-element loop it replaced."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_per_element_loop(self, r, n):
+        for stats in _WALK_PLANS:
+            got = dist_polynomial(_WALK_CTX, r, n, stats).terms
+            assert got == reference_dist_terms(_WALK_CTX, r, n, stats), stats
+            assert sum(got.values()) == group_order(r, n)
+
+    def test_budget_stops_before_the_walk(self, monkeypatch):
+        visited = []
+        monkeypatch.setattr(identities, "_walk_group",
+                            lambda *args: visited.append(args))
+        with pytest.raises(BudgetExceededError):
+            dist_polynomial(_WALK_CTX, 3, 4, {"des": "t"},
+                            max_elements=group_order(3, 4) - 1)
+        assert visited == []
 
 
 class TestCatalogEntries:

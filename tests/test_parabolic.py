@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from reference_group import reference_is_in_quotient
+
 from wreathstats.group import (
     enumerate_group,
     format_window,
@@ -116,3 +118,12 @@ class TestDescentClass:
     def test_mismatched_element(self):
         with pytest.raises(ValueError):
             decompose(identity_element(2, 3), cls_of(2, 4, {1}))
+
+
+@pytest.mark.parametrize("r,n", itertools.product((1, 2), range(5)))
+def test_quotient_membership_matches_statistics_reference(r, n):
+    classes = [cls_of(r, n, members) for size in range(n + 1)
+               for members in itertools.combinations(range(n), size)]
+    for gamma in enumerate_group(r, n):
+        for cls in classes:
+            assert is_in_quotient(gamma, cls) == reference_is_in_quotient(gamma, cls)
