@@ -22,7 +22,6 @@ from .group import BudgetExceededError, order_key, skew_inverse
 from .encoding import (
     ColoredSequence,
     Partition,
-    enumerate_sequences,
     is_compatible,
     lambda_gamma,
     multinomial,
@@ -42,6 +41,15 @@ __all__ = [
 ]
 
 
+def _may_follow(prev_v, prev_c, v, c):
+    """The column rule where the top row stalls: may bottom entry ``v^c``
+    follow ``prev_v^prev_c``?  It must be larger as a colored integer, or an
+    equal value that is not a colored copy after an uncolored entry."""
+    if v != prev_v:
+        return order_key(prev_v, prev_c) < order_key(v, c)
+    return prev_c != 0 or c == 0
+
+
 def is_biword(g, f):
     """Validity of a partition-over-sequence pair, boundary column included."""
     if g.n != f.n:
@@ -50,12 +58,8 @@ def is_biword(g, f):
         return False
     prev_g, prev_v, prev_c = 0, 0, 0
     for gi, v, c in zip(g.parts, f.values, f.colors):
-        if gi == prev_g:
-            if v != prev_v:
-                if order_key(prev_v, prev_c) >= order_key(v, c):
-                    return False
-            elif prev_c == 0 and c != 0:
-                return False
+        if gi == prev_g and not _may_follow(prev_v, prev_c, v, c):
+            return False
         prev_g, prev_v, prev_c = gi, v, c
     return True
 
@@ -106,8 +110,13 @@ def from_triple(t):
 def enumerate_biwords(r, n, cap_f, cap_g, max_elements=None):
     """Yield every valid biword within the value caps, exactly once.
 
-    Deterministic order: lexicographic in the top row, then in the bottom
-    row entries.
+    Under each top row the bottom rows are built column by column, starting
+    after the boundary column: a new column takes every entry where the top
+    row rises and, where it stalls, only the entries the column rule lets
+    follow the previous one, so no invalid row is ever formed.  Zero values
+    are uncolored.  Deterministic order: lexicographic in the top row, then
+    in the bottom row entries.  The budget bounds the candidate count, the
+    top rows times every bottom row, before any is built.
     """
     if max_elements is not None:
         tops = math.comb(cap_g + n, n)
@@ -115,10 +124,21 @@ def enumerate_biwords(r, n, cap_f, cap_g, max_elements=None):
         if tops * bottoms > max_elements:
             raise BudgetExceededError(
                 f"{tops * bottoms} candidate biwords exceed budget {max_elements}")
+    alphabet = [(v, c) for v in range(cap_f + 1) for c in range(r)
+                if not (v == 0 and c > 0)]
+    after = {entry: [e for e in alphabet if _may_follow(*entry, *e)]
+             for entry in alphabet}
     for g in partitions_in_box(n, cap_g):
-        for f in enumerate_sequences(r, n, max_cap=cap_f, restrict_n0=True):
-            if is_biword(g, f):
-                yield Biword(g=g, f=f)
+        # (values, colors, last entry) of each bottom row built so far
+        rows = [((), (), (0, 0))]
+        prev = 0
+        for top in g.parts:
+            rows = [(values + (v,), colors + (c,), (v, c))
+                    for values, colors, last in rows
+                    for v, c in (after[last] if top == prev else alphabet)]
+            prev = top
+        for values, colors, _ in rows:
+            yield Biword(g=g, f=ColoredSequence(r, values, colors))
 
 
 def column_multiset(b):

@@ -43,6 +43,7 @@ from .identities import (
     CatalogError,
     DEFAULT_MAX_ELEMENTS,
     DEFAULT_MAX_TERMS,
+    _entry_params,
     selftest_localization,
     verify_identity,
 )
@@ -154,9 +155,12 @@ def _cmd_verify(args):
     given = {param: getattr(args, flag) for flag, param in _VERIFY_PARAMS.items()
              if getattr(args, flag) is not None}
     if args.all:
-        # each entry gets the given flags it takes
+        # each entry gets the given flags it takes; every entry's range is
+        # checked before any entry runs
         runs = [(name, {k: v for k, v in given.items() if k in defaults})
                 for name, (_, defaults) in CATALOG.items()]
+        for name, params in runs:
+            _entry_params(name, params)
     else:
         runs = [(args.identity, given)]
     reports = [verify_identity(name, max_elements=args.max_elements,

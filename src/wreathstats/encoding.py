@@ -51,9 +51,9 @@ class Partition:
     parts: tuple
 
     def __post_init__(self):
-        if any(p < 0 for p in self.parts):
+        if self.parts and min(self.parts) < 0:
             raise ValueError("parts must be nonnegative")
-        if any(a > b for a, b in zip(self.parts, self.parts[1:])):
+        if sorted(self.parts) != list(self.parts):
             raise ValueError("parts must be nondecreasing")
 
     @property
@@ -85,9 +85,9 @@ class ColoredSequence:
             raise ValueError("r must be a positive integer")
         if len(self.values) != len(self.colors):
             raise ValueError("values and colors must have equal length")
-        if any(v < 0 for v in self.values):
+        if self.values and min(self.values) < 0:
             raise ValueError("values must be nonnegative")
-        if any(not 0 <= c < self.r for c in self.colors):
+        if self.colors and (min(self.colors) < 0 or max(self.colors) >= self.r):
             raise ValueError("color out of range")
 
     @property
@@ -110,10 +110,11 @@ def pi_of(f):
     arranged increasingly as colored integers.  Accepts any colored
     sequence, including those with colored zeros.
     """
+    values, colors = f.values, f.colors
     order = sorted(range(1, f.n + 1),
-                   key=lambda i: (f.values[i - 1], order_key(i, f.colors[i - 1])))
+                   key=lambda i: (values[i - 1], order_key(i, colors[i - 1])))
     return ColoredPermutation(f.r, tuple(order),
-                              tuple(f.colors[i - 1] for i in order))
+                              tuple(colors[i - 1] for i in order))
 
 
 def lambda_of(f):
@@ -126,13 +127,19 @@ def lambda_of(f):
     if not f.in_n0:
         raise ValueError("sequence has a colored zero entry")
     gamma = pi_of(f)
-    des_set = _descent_set(gamma.sigma, gamma.colors)
+    return _residue(f, gamma, _descent_set(gamma.sigma, gamma.colors))
+
+
+def _residue(f, gamma, des_set):
+    """``lambda_of(f)`` given ``gamma = pi_of(f)`` and its descent set, for
+    callers that already hold both."""
+    values = f.values
     parts = []
     count = 0
     for i, s in enumerate(gamma.sigma):
         if i in des_set:
             count += 1
-        parts.append(f.values[s - 1] - count)
+        parts.append(values[s - 1] - count)
     return Partition(tuple(parts))
 
 

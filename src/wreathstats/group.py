@@ -109,7 +109,7 @@ class ColoredPermutation:
             raise ValueError("sigma and colors must have equal length")
         if sorted(self.sigma) != list(range(1, n + 1)):
             raise ValueError("sigma is not a permutation of 1..n")
-        if any(not 0 <= c < self.r for c in self.colors):
+        if self.colors and (min(self.colors) < 0 or max(self.colors) >= self.r):
             raise ValueError("color out of range")
 
     @property
@@ -199,7 +199,8 @@ def raw_statistics(r, sigma, colors):
 
     O(n^2) in the window length.  ``statistics`` wraps it in a StatRecord;
     ``dist_polynomial`` calls it only for the statistics of the inverse at
-    each element of its walk.
+    each element of its walk, and ``identities._keylem`` for the length
+    and color weight of each sequence's sorted permutation.
     """
     n = len(sigma)
     keys = [order_key(sigma[i], colors[i]) for i in range(n)]

@@ -33,8 +33,14 @@ from .group import (
     skew_inverse,
     statistics,
 )
-from .encoding import enumerate_sequences, is_compatible, partitions_in_box, \
-    pi_of, lambda_of, sequence_from
+from .encoding import (
+    _residue,
+    enumerate_sequences,
+    is_compatible,
+    partitions_in_box,
+    pi_of,
+    sequence_from,
+)
 from .biwords import (
     column_multiset,
     column_realization_count,
@@ -225,6 +231,33 @@ def _bump_min_term(poly):
     return MultiPoly(poly.ctx, terms), monomial_text(poly.ctx, key)
 
 
+# Parameters whose least value is not the general one (r >= 1, any other
+# parameter >= 0).
+_LEAST = {("projection", "r"): 2}
+
+
+def _entry_params(name, params):
+    """The parameters catalog entry ``name`` runs with: its defaults, updated
+    by the given ones that are not None.  Raises as ``verify_identity`` does
+    for a name or parameter out of the catalog or out of range."""
+    try:
+        _, defaults = CATALOG[name]
+    except KeyError:
+        raise CatalogError(f"unknown identity {name!r}; known: "
+                           + ", ".join(sorted(CATALOG))) from None
+    merged = dict(defaults)
+    for key, value in params.items():
+        if key not in defaults:
+            raise CatalogError(f"identity {name!r} does not take parameter {key!r}")
+        if value is not None:
+            merged[key] = value
+    for key, value in merged.items():
+        least = _LEAST.get((name, key), 1 if key == "r" else 0)
+        if value < least:
+            raise ValueError(f"{name}: parameter {key}={value}, need {key} >= {least}")
+    return merged
+
+
 def verify_identity(name, corrupt=None, max_elements=DEFAULT_MAX_ELEMENTS,
                     max_terms=DEFAULT_MAX_TERMS, **params):
     """Run one catalog entry and report the outcome.
@@ -235,25 +268,13 @@ def verify_identity(name, corrupt=None, max_elements=DEFAULT_MAX_ELEMENTS,
 
     Raises ``CatalogError`` for an unknown identity or a parameter the entry
     does not take, and ``ValueError`` for a parameter below its range (``r``
-    below 1, any other below 0) or a run that checks no case at all.
+    below 1, or below 2 for ``projection``; any other below 0) or a run that
+    checks no case at all.
     """
-    try:
-        func, defaults = CATALOG[name]
-    except KeyError:
-        raise CatalogError(f"unknown identity {name!r}; known: "
-                           + ", ".join(sorted(CATALOG))) from None
+    merged = _entry_params(name, params)
     if corrupt not in (None, "lhs", "rhs"):
         raise ValueError("corrupt must be None, 'lhs' or 'rhs'")
-    merged = dict(defaults)
-    for key, value in params.items():
-        if key not in defaults:
-            raise CatalogError(f"identity {name!r} does not take parameter {key!r}")
-        if value is not None:
-            merged[key] = value
-    for key, value in merged.items():
-        least = 1 if key == "r" else 0
-        if value < least:
-            raise ValueError(f"{name}: parameter {key}={value}, need {key} >= {least}")
+    func = CATALOG[name][0]
     for key, value in merged.items():
         if key.endswith("max") or key.endswith("cap"):
             if value == 0:
@@ -349,8 +370,6 @@ def _ell_col(max_elements, r, n):
 
 
 def _projection(max_elements, r, n):
-    if r < 2:
-        raise ValueError("projection needs r >= 2")
     ctx = SeriesContext(("p", "a"))
     buckets = {}
     for gamma in enumerate_group(r, n, max_elements):
@@ -603,42 +622,48 @@ def _adin_roichman(max_elements, r, ucap, qcap):
 
 
 def _bijection_stats(max_elements, r, n, cap):
+    # Each sequence is sorted once: pi_of and its descent set serve the
+    # residue and the bookkeeping identities, while sequence_from, the map
+    # under test, reads its own.
     checked = 0
     for f in enumerate_sequences(r, n, max_cap=cap, restrict_n0=True,
                                  max_elements=max_elements):
         gamma = pi_of(f)
-        lam = lambda_of(f)
         des_set = _descent_set(gamma.sigma, gamma.colors)
+        lam = _residue(f, gamma, des_set)
         des, maj = len(des_set), sum(des_set)
         back = sequence_from(gamma, lam)
         if back != f:
             yield ("fact", f"round trip of {f}", False, f"came back as {back}")
             return
-        if max(f.values, default=0) != lam.max_part + des:
+        top, total = max(f.values, default=0), sum(f.values)
+        if top != lam.max_part + des:
             yield ("fact", f"max relation at {f}", False,
-                   f"max {max(f.values, default=0)} vs {lam.max_part} + {des}")
+                   f"max {top} vs {lam.max_part} + {des}")
             return
-        if sum(f.values) != lam.weight + n * des - maj:
+        if total != lam.weight + n * des - maj:
             yield ("fact", f"sum relation at {f}", False,
-                   f"{sum(f.values)} vs {lam.weight} + {n}*{des} - {maj}")
+                   f"{total} vs {lam.weight} + {n}*{des} - {maj}")
             return
         sorted_vals = [f.values[s - 1] for s in gamma.sigma]
-        if any(i in des_set and sorted_vals[i - 1] >= sorted_vals[i]
-               for i in range(1, n)):
+        if any(i and sorted_vals[i - 1] >= sorted_vals[i] for i in des_set):
             yield ("fact", f"descent forces growth at {f}", False, None)
             return
         checked += 1
     yield ("fact", f"sequence side r={r} n={n} cap={cap} ({checked} sequences)",
            True, None)
     checked = 0
+    boxes = list(partitions_in_box(n, cap))
     for gamma in enumerate_group(r, n, max_elements):
-        for lam in partitions_in_box(n, cap):
+        des_set = _descent_set(gamma.sigma, gamma.colors)
+        for lam in boxes:
             f = sequence_from(gamma, lam)
             if not f.in_n0:
                 yield ("fact", f"image of ({gamma}, {lam})", False,
                        "left the zero-forces-uncolored set")
                 return
-            if pi_of(f) != gamma or lambda_of(f) != lam:
+            # once pi_of(f) is gamma, lambda_of(f) reads gamma's descent set
+            if pi_of(f) != gamma or _residue(f, gamma, des_set) != lam:
                 yield ("fact", f"round trip of ({gamma}, {lam})", False, None)
                 return
             checked += 1
@@ -650,23 +675,23 @@ def _biword_count(max_elements, r, n, cap_f, cap_g):
     words = list(enumerate_biwords(r, n, cap_f, cap_g,
                                    max_elements=max_elements))
     triples = [to_triple(b) for b in words]
-    if len(set((t.gamma, t.lam, t.mu) for t in triples)) != len(words):
+    got = set((t.gamma, t.lam, t.mu) for t in triples)
+    if len(got) != len(words):
         yield ("fact", "injectivity", False, "two biwords shared a triple")
         return
     for b, t in zip(words, triples):
         if from_triple(t) != b:
             yield ("fact", f"round trip of {b}", False, None)
             return
+    tops = list(partitions_in_box(n, cap_g))
+    bottoms = list(partitions_in_box(n, cap_f))
     expected = set()
     for gamma in enumerate_group(r, n, max_elements):
         skew = skew_inverse(gamma)
-        for lam in partitions_in_box(n, cap_g):
-            if not is_compatible(lam, skew):
-                continue
-            for mu in partitions_in_box(n, cap_f):
-                if is_compatible(mu, gamma):
-                    expected.add((gamma, lam, mu))
-    got = set((t.gamma, t.lam, t.mu) for t in triples)
+        mus = [mu for mu in bottoms if is_compatible(mu, gamma)]
+        for lam in tops:
+            if is_compatible(lam, skew):
+                expected.update((gamma, lam, mu) for mu in mus)
     yield ("fact", f"image is every compatible triple (r={r} n={n})",
            got == expected,
            f"{len(got)} triples reached vs {len(expected)} expected")
@@ -681,14 +706,21 @@ def _biword_count(max_elements, r, n, cap_f, cap_g):
                    f"{count} biwords vs multinomial {want}")
             return
     yield ("fact", f"column multiset counts (r={r} n={n})", True, None)
+    tally = {}
+    for b in words:
+        key = (max(b.f.values, default=0), b.g.max_part)
+        tally[key] = tally.get(key, 0) + 1
+    # within[k1][k2] counts the biwords with max f <= k1 and max g <= k2, the
+    # 2-D prefix sums of the tally; index -1 reads the spare zero row or column
+    within = [[0] * (cap_g + 2) for _ in range(cap_f + 2)]
     ctx = SeriesContext(("q1", "q2", "a", "b", "u"),
                         (None, None, None, None, n))
     one = MultiPoly.constant(ctx, 1)
     for k1 in range(cap_f + 1):
         for k2 in range(cap_g + 1):
-            actual = sum(1 for b in words
-                         if max(b.f.values, default=0) <= k1
-                         and b.g.max_part <= k2)
+            actual = within[k1][k2] = (
+                tally.get((k1, k2), 0) + within[k1 - 1][k2]
+                + within[k1][k2 - 1] - within[k1 - 1][k2 - 1])
             term = _theorem_B_rhs_term(ctx, r, n, k1, k2)
             for var in ("q1", "q2", "a", "b"):
                 term = substitute(term, var, one)

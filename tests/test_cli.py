@@ -179,6 +179,15 @@ class TestVerify:
         for r in reports:
             assert set(r["params"]) <= set(CATALOG[r["identity"]][1])
 
+    def test_all_checks_every_entry_before_any_runs(self, capsys, monkeypatch):
+        from wreathstats import cli
+        ran = []
+        monkeypatch.setattr(cli, "verify_identity",
+                            lambda name, **kwargs: ran.append(name))
+        code, out, err = run(capsys, "verify", "--all", "--r", "1")
+        assert (code, out, ran) == (1, "", [])
+        assert err == "invalid input: projection: parameter r=1, need r >= 2\n"
+
     def test_all_entries_run_one_after_another(self, capsys):
         # Run concurrently, each report's millis would include waiting on
         # the others, and their sum would exceed the wall time.
@@ -236,6 +245,7 @@ class TestUsage:
     ("decode --r 2 --window [1,2] --partition 0,1,2", 1, "lengths"),
     ("verify --identity length_gf --n -1", 1, "n=-1"),
     ("verify --identity keylem --parts_max 0", 1, "parts_max=0"),
+    ("verify --all --r 1", 1, "projection: parameter r=1"),
 ])
 def test_exit_class(capsys, argv, code, named):
     got, out, err = run(capsys, *argv.split())

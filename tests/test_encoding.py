@@ -277,3 +277,55 @@ class TestAgainstStatisticsReference:
             for lam in boxes:
                 assert sequence_from(gamma, lam) == reference_sequence_from(gamma, lam)
                 assert is_compatible(lam, gamma) == reference_is_compatible(lam, gamma)
+
+
+class TestConstructorRejections:
+    """Every rejection of ``ColoredSequence`` and ``Partition`` with its exact
+    message; with two faults, the check listed first in ``__post_init__``
+    wins."""
+
+    @pytest.mark.parametrize("r,values,colors,message", [
+        (0, (1,), (0,), "r must be a positive integer"),
+        (-2, (), (), "r must be a positive integer"),
+        (2, (1, 2), (0,), "values and colors must have equal length"),
+        (2, (), (1,), "values and colors must have equal length"),
+        (2, (1, -1), (0, 0), "values must be nonnegative"),
+        (2, (1, 0), (-1, 0), "color out of range"),
+        (2, (1, 0), (0, 2), "color out of range"),
+        (1, (3,), (1,), "color out of range"),
+        # two faults each
+        (0, (-1,), (5,), "r must be a positive integer"),
+        (0, (1, 2), (0,), "r must be a positive integer"),
+        (2, (-1, 2), (0,), "values and colors must have equal length"),
+        (2, (-1,), (2,), "values must be nonnegative"),
+        (2, (-1, 1), (-1, 0), "values must be nonnegative"),
+        (2, (1, 1), (-1, 2), "color out of range"),
+    ])
+    def test_sequence_message(self, r, values, colors, message):
+        with pytest.raises(ValueError) as excinfo:
+            ColoredSequence(r, values, colors)
+        assert type(excinfo.value) is ValueError
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("parts,message", [
+        ((-1,), "parts must be nonnegative"),
+        ((0, 2, -3), "parts must be nonnegative"),
+        ((2, 1), "parts must be nondecreasing"),
+        ((0, 1, 1, 0), "parts must be nondecreasing"),
+        # two faults each: negative and decreasing
+        ((-1, -2), "parts must be nonnegative"),
+        ((3, -1), "parts must be nonnegative"),
+    ])
+    def test_partition_message(self, parts, message):
+        with pytest.raises(ValueError) as excinfo:
+            Partition(parts)
+        assert type(excinfo.value) is ValueError
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("parts", [(), (0,), (0, 0, 3, 3, 7)])
+    def test_partition_accepted(self, parts):
+        assert Partition(parts).parts == parts
+
+    def test_sequence_accepted(self):
+        assert ColoredSequence(3, (0, 2, 2), (0, 2, 1)).n == 3
+        assert ColoredSequence(1, (), ()).n == 0

@@ -233,3 +233,41 @@ class TestDescentSet:
     def test_readme_example(self):
         g = parse_window("[4^1,3,2^4,1^2]", 5)
         assert _descent_set(g.sigma, g.colors) == statistics(g).des_set == {0, 2}
+
+
+class TestConstructorRejections:
+    """Every rejection of ``ColoredPermutation`` with its exact message; with
+    two faults, the check listed first in ``__post_init__`` wins."""
+
+    @pytest.mark.parametrize("r,sigma,colors,message", [
+        (0, (1,), (0,), "r must be a positive integer"),
+        (-1, (), (), "r must be a positive integer"),
+        (2, (1, 2), (0,), "sigma and colors must have equal length"),
+        (2, (), (0,), "sigma and colors must have equal length"),
+        (2, (1, 1), (0, 0), "sigma is not a permutation of 1..n"),
+        (2, (0, 1), (0, 0), "sigma is not a permutation of 1..n"),
+        (2, (1, 3), (0, 0), "sigma is not a permutation of 1..n"),
+        (2, (2, 1), (-1, 0), "color out of range"),
+        (2, (2, 1), (0, 2), "color out of range"),
+        (3, (1,), (3,), "color out of range"),
+        (1, (1,), (1,), "color out of range"),
+        # two faults each
+        (0, (1, 1), (5,), "r must be a positive integer"),
+        (0, (1,), (-1,), "r must be a positive integer"),
+        (2, (1, 1), (0,), "sigma and colors must have equal length"),
+        (2, (1, 2), (0, 0, 2), "sigma and colors must have equal length"),
+        (2, (1, 1), (0, 2), "sigma is not a permutation of 1..n"),
+        (2, (1, 1), (-1, 0), "sigma is not a permutation of 1..n"),
+        (2, (1, 2), (-1, 2), "color out of range"),
+    ])
+    def test_message(self, r, sigma, colors, message):
+        with pytest.raises(ValueError) as excinfo:
+            ColoredPermutation(r, sigma, colors)
+        assert type(excinfo.value) is ValueError
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("r,sigma,colors", [
+        (1, (), ()), (1, (1,), (0,)), (3, (2, 1, 3), (2, 0, 1)),
+    ])
+    def test_accepted(self, r, sigma, colors):
+        assert ColoredPermutation(r, sigma, colors).n == len(sigma)

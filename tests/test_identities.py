@@ -131,6 +131,7 @@ class TestCatalogEntries:
         ("carlitz", dict(r=0), "r=0"),
         ("length_gf", dict(n=-1), "n=-1"),
         ("gg1", dict(tmax=-1), "tmax=-1"),
+        ("projection", dict(r=1), "projection: parameter r=1, need r >= 2"),
     ])
     def test_out_of_range_parameter(self, name, params, named):
         with pytest.raises(ValueError, match=named):
