@@ -260,12 +260,10 @@ def enumerate_sequences(r, n, max_cap=None, restrict_n0=True, composition=None,
                 raise BudgetExceededError(
                     f"{total} sequences exceed budget {max_elements}")
         for arrangement in _distinct_permutations(values):
-            live = [i for i, v in enumerate(arrangement) if v]
-            for combo in itertools.product(range(r), repeat=len(live)):
-                colors = [0] * n
-                for i, c in zip(live, combo):
-                    colors[i] = c
-                yield ColoredSequence(r, arrangement, tuple(colors))
+            # zeros stay uncolored; every other value takes each color
+            palettes = [range(r) if v else (0,) for v in arrangement]
+            for colors in itertools.product(*palettes):
+                yield ColoredSequence(r, arrangement, colors)
         return
     if max_cap is None or max_cap < 0:
         raise ValueError("plain enumeration needs a nonnegative max_cap")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -194,41 +195,12 @@ class StatRecord:
     col_vector: tuple
 
 
-def raw_statistics(r, sigma, colors):
-    """Statistics tuple ``(inv, length, des_set, des, maj, fmaj, col)``.
-
-    O(n^2) in the window length.  ``statistics`` wraps it in a StatRecord;
-    ``dist_polynomial`` calls it only for the statistics of the inverse at
-    each element of its walk, and ``identities._keylem`` for the length
-    and color weight of each sequence's sorted permutation.
-    """
-    n = len(sigma)
-    keys = [order_key(sigma[i], colors[i]) for i in range(n)]
-    inv = 0
-    for i in range(n):
-        ki = keys[i]
-        for j in range(i + 1, n):
-            if ki > keys[j]:
-                inv += 1
-    length = inv + sum(sigma[i] + colors[i] - 1 for i in range(n) if colors[i])
-    des_set = []
-    prev = _ZERO_KEY
-    for i in range(n):
-        if prev > keys[i]:
-            des_set.append(i)
-        prev = keys[i]
-    des = len(des_set)
-    maj = sum(des_set)
-    col = sum(colors)
-    return inv, length, tuple(des_set), des, maj, r * maj + col, col
-
-
 def _descent_set(sigma, colors):
     """Descent positions of a window, in one pass over adjacent entries.
 
     Position i in [0, n-1] is a descent when the entry before it (the
-    implicit 0 for i = 0) is larger as a colored integer.  Equal to
-    ``statistics(gamma).des_set`` without its O(n^2) inversion count.
+    implicit 0 for i = 0) is larger as a colored integer.  This is the
+    ``des_set`` of ``statistics``, for callers that need only the descents.
     """
     out = []
     prev = _ZERO_KEY
@@ -241,11 +213,17 @@ def _descent_set(sigma, colors):
 
 
 def statistics(gamma):
-    inv, length, des_set, des, maj, fmaj, col = raw_statistics(
-        gamma.r, gamma.sigma, gamma.colors)
-    return StatRecord(inv=inv, length=length, des_set=frozenset(des_set),
-                      des=des, maj=maj, fmaj=fmaj, col=col,
-                      col_vector=gamma.colors)
+    """The StatRecord of ``gamma``; O(n^2) in the window length."""
+    sigma, colors = gamma.sigma, gamma.colors
+    keys = list(map(order_key, sigma, colors))
+    inv = sum(itertools.starmap(operator.gt, itertools.combinations(keys, 2)))
+    des_set = _descent_set(sigma, colors)
+    maj = sum(des_set)
+    col = sum(colors)
+    # Positional, in field order: keyword arguments would make the record
+    # cost about half as much again.
+    return StatRecord(inv, inv + sum(v + c - 1 for v, c in zip(sigma, colors) if c),
+                      des_set, len(des_set), maj, gamma.r * maj + col, col, colors)
 
 
 def project_to_signed(gamma):
@@ -256,6 +234,13 @@ def project_to_signed(gamma):
                               tuple(1 if c else 0 for c in gamma.colors))
 
 
+def _check_group_budget(r, n, max_elements):
+    """Refuse a walk of the whole group when its order exceeds the budget."""
+    if max_elements is not None and group_order(r, n) > max_elements:
+        raise BudgetExceededError(
+            f"group of order {group_order(r, n)} exceeds budget {max_elements}")
+
+
 def enumerate_group(r, n, max_elements=None):
     """Yield every element of the r-colored group on n letters exactly once.
 
@@ -263,9 +248,7 @@ def enumerate_group(r, n, max_elements=None):
     """
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
-    if max_elements is not None and group_order(r, n) > max_elements:
-        raise BudgetExceededError(
-            f"group of order {group_order(r, n)} exceeds budget {max_elements}")
+    _check_group_budget(r, n, max_elements)
     for sigma in itertools.permutations(range(1, n + 1)):
         for colors in itertools.product(range(r), repeat=n):
             yield ColoredPermutation(r, sigma, colors)

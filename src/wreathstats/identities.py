@@ -22,14 +22,13 @@ from math import factorial
 
 from .group import (
     BudgetExceededError,
+    _check_group_budget,
     _descent_set,
     _inverse_colors,
     _inverse_sigma,
     enumerate_group,
-    group_order,
     inverse,
     project_to_signed,
-    raw_statistics,
     skew_inverse,
     statistics,
 )
@@ -105,8 +104,8 @@ def _walk_group(r, n, weights):
     integers (counted on a bitmask of their ranks in that order) plus
     ``v + c - 1`` when colored, c to col, and a descent at position i adds
     1 to des and i to maj.  Each element is a leaf, visited once.  Inverse
-    quantities, when weighted, come from ``raw_statistics`` on the true
-    inverse at the leaf.
+    quantities, when weighted, are read at the leaf from the descent set and
+    the colors of the true inverse.
     """
     wlen, wdes, wmaj, wcol, wides, wimaj, wicol = weights
     with_inverse = any(weights[4:])
@@ -149,9 +148,10 @@ def _walk_group(r, n, weights):
                 step += descent[last]
             if with_inverse:
                 colors[last] = c
-                _, _, _, ides, imaj, _, icol = raw_statistics(
-                    r, inv_sigma, _inverse_colors(r, colors, inv_sigma))
-                step += ides * wides + imaj * wimaj + icol * wicol
+                inv_colors = _inverse_colors(r, colors, inv_sigma)
+                inv_des = _descent_set(inv_sigma, inv_colors)
+                step += (len(inv_des) * wides + sum(inv_des) * wimaj
+                         + sum(inv_colors) * wicol)
             tally[step] = tally.get(step, 0) + 1
 
     if n:
@@ -185,9 +185,7 @@ def dist_polynomial(ctx, r, n, stats, max_elements=DEFAULT_MAX_ELEMENTS):
             weights[col] += unit
         else:
             weights[stat] += unit
-    if max_elements is not None and group_order(r, n) > max_elements:
-        raise BudgetExceededError(
-            f"group of order {group_order(r, n)} exceeds budget {max_elements}")
+    _check_group_budget(r, n, max_elements)
     tally = _walk_group(r, n, tuple(weights.values()))
     field = (1 << width) - 1
     shifts = [i * width for i in range(len(ctx.variables))]
@@ -374,13 +372,15 @@ def _projection(max_elements, r, n):
     buckets = {}
     for gamma in enumerate_group(r, n, max_elements):
         flat = project_to_signed(gamma)
-        rec, flat_rec = statistics(gamma), statistics(flat)
-        if rec.des_set != flat_rec.des_set:
+        rec, flat_des = statistics(gamma), _descent_set(flat.sigma, flat.colors)
+        if rec.des_set != flat_des:
             yield ("fact", f"descents of {gamma}", False,
-                   f"{sorted(rec.des_set)} vs {sorted(flat_rec.des_set)}"
+                   f"{sorted(rec.des_set)} vs {sorted(flat_des)}"
                    " after forgetting colors")
             return
-        if statistics(inverse(gamma)).des_set != statistics(inverse(flat)).des_set:
+        inv, flat_inv = inverse(gamma), inverse(flat)
+        if (_descent_set(inv.sigma, inv.colors)
+                != _descent_set(flat_inv.sigma, flat_inv.colors)):
             yield ("fact", f"inverse descents of {gamma}", False,
                    "descent sets of the inverses differ after forgetting colors")
             return
@@ -412,9 +412,9 @@ def _desmaj(max_elements, r, n, tmax):
     t = MultiPoly.variable(ctx, "t")
     denom = reciprocal(pochhammer(ctx, t, "q", n))
     for gamma in enumerate_group(r, n, max_elements):
-        rec = statistics(gamma)
+        des_set = _descent_set(gamma.sigma, gamma.colors)
         lhs = MultiPoly(ctx, buckets.get((gamma.sigma, gamma.colors), {}))
-        rhs = MultiPoly.monomial(ctx, 1, t=rec.des, q=rec.maj) * denom
+        rhs = MultiPoly.monomial(ctx, 1, t=len(des_set), q=sum(des_set)) * denom
         yield ("poly", f"sequences sorting to {gamma} (r={r})", lhs, rhs)
 
 
@@ -426,9 +426,8 @@ def _keylem(max_elements, r, n, parts_max=4):
             acc = {}
             for f in enumerate_sequences(r, n, composition=comp,
                                           max_elements=max_elements):
-                gamma = pi_of(f)
-                rec = raw_statistics(r, gamma.sigma, gamma.colors)
-                exps = (rec[1], rec[6])
+                rec = statistics(pi_of(f))
+                exps = (rec.length, rec.col)
                 acc[exps] = acc.get(exps, 0) + 1
             lhs = MultiPoly(ctx, acc)
             rhs = hat_multinomial(ctx, comp, twist, "p")

@@ -1,12 +1,16 @@
 """Per-element reference implementations, the differential oracles for the
 enumeration layer.
 
-``reference_dist_terms`` is the loop ``dist_polynomial`` replaced: it lists
-the group with ``itertools.permutations`` times ``itertools.product`` and
-calls ``raw_statistics`` on every element, and on its true inverse for the
+``reference_statistics`` is the tuple function ``statistics`` was built on,
+with its own sort keys, inversion loop and descent loop, so it shares no
+descent scan with the package.  ``reference_dist_terms`` is the loop
+``dist_polynomial`` replaced: it lists the group with
+``itertools.permutations`` times ``itertools.product`` and calls
+``reference_statistics`` on every element, and on its true inverse for the
 inverse statistics.  The other functions are the encoding and quotient maps
-as they were written on top of ``statistics(gamma).des_set``.  This module
-is imported only by the tests.
+as they were written on top of a full statistics computation, reading their
+descents from ``reference_des_set``.  This module is imported only by the
+tests.
 """
 
 from __future__ import annotations
@@ -17,13 +21,39 @@ from wreathstats.encoding import Partition, lambda_gamma, pi_of
 from wreathstats.group import (
     _inverse_colors,
     _inverse_sigma,
-    raw_statistics,
+    order_key,
     skew_inverse,
-    statistics,
 )
 
 _DIRECT_STATS = {"des": 3, "maj": 4, "length": 1, "col": 6, "fmaj": 5}
 _INVERSE_STATS = {"ides": 3, "imaj": 4, "icol": 6, "ifmaj": 5}
+
+
+def reference_statistics(r, sigma, colors):
+    """Statistics tuple ``(inv, length, des_set, des, maj, fmaj, col)``."""
+    n = len(sigma)
+    keys = [order_key(sigma[i], colors[i]) for i in range(n)]
+    inv = 0
+    for i in range(n):
+        ki = keys[i]
+        for j in range(i + 1, n):
+            if ki > keys[j]:
+                inv += 1
+    length = inv + sum(sigma[i] + colors[i] - 1 for i in range(n) if colors[i])
+    des_set = []
+    prev = order_key(0, 0)
+    for i in range(n):
+        if prev > keys[i]:
+            des_set.append(i)
+        prev = keys[i]
+    des = len(des_set)
+    maj = sum(des_set)
+    col = sum(colors)
+    return inv, length, tuple(des_set), des, maj, r * maj + col, col
+
+
+def reference_des_set(gamma):
+    return frozenset(reference_statistics(gamma.r, gamma.sigma, gamma.colors)[2])
 
 
 def reference_dist_terms(ctx, r, n, stats):
@@ -41,11 +71,11 @@ def reference_dist_terms(ctx, r, n, stats):
     for sigma in itertools.permutations(range(1, n + 1)):
         inv_sigma = _inverse_sigma(sigma) if need_inverse else None
         for colors in itertools.product(range(r), repeat=n):
-            rec = raw_statistics(r, sigma, colors)
+            rec = reference_statistics(r, sigma, colors)
             irec = None
             if need_inverse:
-                irec = raw_statistics(r, inv_sigma,
-                                      _inverse_colors(r, colors, inv_sigma))
+                irec = reference_statistics(
+                    r, inv_sigma, _inverse_colors(r, colors, inv_sigma))
             exps = [0] * nvars
             for use_inverse, stat_idx, var_idx in plan:
                 exps[var_idx] += (irec if use_inverse else rec)[stat_idx]
@@ -56,7 +86,7 @@ def reference_dist_terms(ctx, r, n, stats):
 
 def reference_lambda_of(f):
     gamma = pi_of(f)
-    des_set = statistics(gamma).des_set
+    des_set = reference_des_set(gamma)
     parts = []
     count = 0
     for i, s in enumerate(gamma.sigma):
@@ -67,7 +97,7 @@ def reference_lambda_of(f):
 
 
 def reference_sequence_from(gamma, lam):
-    des_set = statistics(gamma).des_set
+    des_set = reference_des_set(gamma)
     mu = []
     count = 0
     for i in range(gamma.n):
@@ -79,8 +109,8 @@ def reference_sequence_from(gamma, lam):
 
 def reference_is_compatible(lam, gamma):
     padded = (0,) + lam.parts
-    return all(padded[i] < padded[i + 1] for i in statistics(gamma).des_set)
+    return all(padded[i] < padded[i + 1] for i in reference_des_set(gamma))
 
 
 def reference_is_in_quotient(gamma, cls):
-    return statistics(gamma).des_set <= set(cls.complement)
+    return reference_des_set(gamma) <= set(cls.complement)

@@ -1,19 +1,23 @@
 """Generate-and-test reference implementations of the sequence and biword
 side, the differential oracles for the enumeration layer.
 
-``reference_enumerate_biwords`` filters the full product of top rows and
-bottom rows through ``reference_is_biword``, which spells the column rule
-out inline; ``reference_lambda_of`` and ``reference_sequence_from`` read
-their own descent sets; the two catalog functions compute ``pi_of`` and
-the descent set again for every map they call, and rescan every biword for
-each pair of caps.  This module is
-imported only by the tests.
+``reference_composition_sequences`` places each arrangement's colors one
+position at a time; ``reference_enumerate_biwords`` filters the full product
+of top rows and bottom rows through ``reference_is_biword``, which spells
+the column rule out inline; ``reference_lambda_of`` and
+``reference_sequence_from`` read their own descent sets, from
+``reference_group.reference_des_set``; the two catalog functions compute
+``pi_of`` and the descent set again for every map they call, and rescan
+every biword for each pair of caps.  This module is imported only by the
+tests.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
+from reference_group import reference_des_set
 from wreathstats.biwords import (
     Biword,
     column_multiset,
@@ -22,7 +26,9 @@ from wreathstats.biwords import (
     to_triple,
 )
 from wreathstats.encoding import (
+    ColoredSequence,
     Partition,
+    _distinct_permutations,
     enumerate_sequences,
     is_compatible,
     lambda_gamma,
@@ -31,13 +37,23 @@ from wreathstats.encoding import (
 )
 from wreathstats.group import (
     BudgetExceededError,
-    _descent_set,
     enumerate_group,
     order_key,
     skew_inverse,
 )
 from wreathstats.identities import _theorem_B_rhs_term
 from wreathstats.qseries import MultiPoly, SeriesContext, substitute
+
+
+def reference_composition_sequences(r, n, composition):
+    values = [j for j, mult in enumerate(composition) for _ in range(mult)]
+    for arrangement in _distinct_permutations(values):
+        live = [i for i, v in enumerate(arrangement) if v]
+        for combo in itertools.product(range(r), repeat=len(live)):
+            colors = [0] * n
+            for i, c in zip(live, combo):
+                colors[i] = c
+            yield ColoredSequence(r, arrangement, tuple(colors))
 
 
 def reference_is_biword(g, f):
@@ -74,7 +90,7 @@ def reference_lambda_of(f):
     if not f.in_n0:
         raise ValueError("sequence has a colored zero entry")
     gamma = pi_of(f)
-    des_set = _descent_set(gamma.sigma, gamma.colors)
+    des_set = reference_des_set(gamma)
     parts = []
     count = 0
     for i, s in enumerate(gamma.sigma):
@@ -87,7 +103,7 @@ def reference_lambda_of(f):
 def reference_sequence_from(gamma, lam):
     if gamma.n != lam.n:
         raise ValueError("lengths do not agree")
-    des_set = _descent_set(gamma.sigma, gamma.colors)
+    des_set = reference_des_set(gamma)
     mu = []
     count = 0
     for i in range(gamma.n):
@@ -103,7 +119,7 @@ def reference_bijection_stats(max_elements, r, n, cap):
                                  max_elements=max_elements):
         gamma = pi_of(f)
         lam = reference_lambda_of(f)
-        des_set = _descent_set(gamma.sigma, gamma.colors)
+        des_set = reference_des_set(gamma)
         des, maj = len(des_set), sum(des_set)
         back = reference_sequence_from(gamma, lam)
         if back != f:

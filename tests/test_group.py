@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from reference_group import reference_statistics
 from wreathstats.group import (
     BudgetExceededError,
     _descent_set,
@@ -153,6 +154,23 @@ class TestStatistics:
                           for i in range(n) if gamma.colors[i])
             assert rec.length == rec.inv + colored
 
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_reference_statistics(self, r, n):
+        for gamma in enumerate_group(r, n):
+            rec = statistics(gamma)
+            inv, length, des_set, des, maj, fmaj, col = reference_statistics(
+                r, gamma.sigma, gamma.colors)
+            assert rec.inv == inv, gamma
+            assert rec.length == length, gamma
+            assert type(rec.des_set) is frozenset
+            assert rec.des_set == frozenset(des_set), gamma
+            assert rec.des == des, gamma
+            assert rec.maj == maj, gamma
+            assert rec.fmaj == fmaj, gamma
+            assert rec.col == col, gamma
+            assert rec.col_vector == gamma.colors, gamma
+
 
 class TestProjection:
     def test_colors_flatten(self):
@@ -228,7 +246,8 @@ class TestDescentSet:
         for r in range(1, 4):
             for n in range(6):
                 for g in enumerate_group(r, n):
-                    assert _descent_set(g.sigma, g.colors) == statistics(g).des_set
+                    assert _descent_set(g.sigma, g.colors) == frozenset(
+                        reference_statistics(r, g.sigma, g.colors)[2])
 
     def test_readme_example(self):
         g = parse_window("[4^1,3,2^4,1^2]", 5)

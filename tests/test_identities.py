@@ -52,9 +52,11 @@ class TestDistPolynomial:
 
 _WALK_CTX = SeriesContext(("t", "q", "p", "a", "b", "t1", "t2", "q1", "q2"))
 _DIRECT = {"des": "t", "maj": "q", "length": "p", "col": "a", "fmaj": "b"}
-_WALK_PLANS = [{stat: var} for stat, var in _DIRECT.items()] + [
+_INVERSE = {"ides": "t2", "imaj": "q2", "icol": "b", "ifmaj": "q1"}
+_WALK_PLANS = [{stat: var} for stat, var in {**_DIRECT, **_INVERSE}.items()] + [
     _DIRECT,
     {"des": "t1", "ides": "t2", "maj": "q1", "imaj": "q2", "col": "a", "icol": "b"},
+    {"fmaj": "q1", "ifmaj": "q2"},
 ]
 
 

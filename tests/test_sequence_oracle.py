@@ -1,6 +1,7 @@
 """The sequence and biword side against its generate-and-test reference:
-the same biwords in the same order, the same residue for every sequence,
-and the same reports from the two catalog entries built on them."""
+the same sequences and biwords in the same order, the same residue for
+every sequence, and the same reports from the two catalog entries built on
+them."""
 
 import itertools
 
@@ -9,6 +10,7 @@ import pytest
 from reference_sequences import (
     reference_biword_count,
     reference_bijection_stats,
+    reference_composition_sequences,
     reference_enumerate_biwords,
     reference_lambda_of,
     reference_sequence_from,
@@ -23,6 +25,7 @@ from wreathstats.encoding import (
     sequence_from,
 )
 from wreathstats.group import enumerate_group
+from wreathstats.identities import _weak_compositions
 
 # (r, n) pairs: r <= 3 and n <= 3, with caps <= 3; plus r=2, n=4 with caps 2.
 _GRID = list(itertools.product((1, 2, 3), range(4))) + [(2, 4)]
@@ -38,6 +41,14 @@ def test_same_biwords_in_the_same_order(r, n):
         got = list(enumerate_biwords(r, n, cap_f, cap_g))
         assert got == list(reference_enumerate_biwords(r, n, cap_f, cap_g)), \
             (cap_f, cap_g)
+
+
+@pytest.mark.parametrize("r,n", _GRID)
+def test_same_composition_sequences_in_the_same_order(r, n):
+    for parts in range(1, 5):
+        for comp in _weak_compositions(n, parts):
+            got = list(enumerate_sequences(r, n, composition=comp))
+            assert got == list(reference_composition_sequences(r, n, comp)), comp
 
 
 @pytest.mark.parametrize("r,n", _GRID)
