@@ -50,6 +50,7 @@ from .biwords import (
 from .qseries import (
     MultiPoly,
     SeriesContext,
+    _coefficient_product,
     bracket_two_param,
     coefficient_of,
     divide_exact,
@@ -434,14 +435,8 @@ def _keylem(max_elements, r, n, parts_max=4):
             yield ("poly", f"composition {comp} (r={r})", lhs, rhs)
 
 
-def _theorem_A_cases(max_elements, r, n, tmax):
-    ctx = SeriesContext(("t", "q", "p", "a", "u"), (tmax, None, None, None, n))
+def _theorem_A_rhs(ctx, r, n, tmax):
     twist = _color_twist(ctx, r)
-    dist = dist_polynomial(ctx, r, n,
-                           {"des": "t", "maj": "q", "length": "p", "col": "a"},
-                           max_elements)
-    t = MultiPoly.variable(ctx, "t")
-    lhs = dist * reciprocal(pochhammer(ctx, t, "q", n + 1))
     plain = exp_series(ctx, "p", "u", n, p_var="p")
     hatted = exp_series(ctx, "hat", "u", n, p_var="p", a_expr=twist)
     nfact = q_factorial(ctx, n, "p")
@@ -451,13 +446,22 @@ def _theorem_A_cases(max_elements, r, n, tmax):
     running = MultiPoly.constant(ctx, 1)
     for k in range(tmax + 1):
         qk = MultiPoly.monomial(ctx, 1, q=k, u=1)
-        prod = substitute(hatted, "u", qk) * running
-        term = divide_exact(coefficient_of(prod, "u", n), clearing)
-        rhs = rhs + MultiPoly.monomial(ctx, 1, t=k) * term
-        clearing = clearing * nfact
+        term = _coefficient_product(substitute(hatted, "u", qk), running, "u", n)
+        rhs = rhs + MultiPoly.monomial(ctx, 1, t=k) * divide_exact(term, clearing)
         if k < tmax:
+            clearing = clearing * nfact
             running = running * substitute(plain, "u", qk)
-    return f"r={r} n={n} tmax={tmax}", lhs, rhs
+    return rhs
+
+
+def _theorem_A_cases(max_elements, r, n, tmax):
+    ctx = SeriesContext(("t", "q", "p", "a", "u"), (tmax, None, None, None, n))
+    dist = dist_polynomial(ctx, r, n,
+                           {"des": "t", "maj": "q", "length": "p", "col": "a"},
+                           max_elements)
+    t = MultiPoly.variable(ctx, "t")
+    lhs = dist * reciprocal(pochhammer(ctx, t, "q", n + 1))
+    return f"r={r} n={n} tmax={tmax}", lhs, _theorem_A_rhs(ctx, r, n, tmax)
 
 
 def _theorem_A(max_elements, r, n, tmax):
@@ -540,31 +544,34 @@ def _carlitz(max_elements, r, n, tmax):
     yield ("poly", f"r={r} n={n} tmax={tmax}", lhs, rhs)
 
 
-def _reiner(max_elements, r, nmax):
-    for n in range(nmax + 1):
-        tcap = n + 1
-        ctx = SeriesContext(("t", "p", "u"), (tcap, None, n))
-        lhs = dist_polynomial(ctx, r, n, {"des": "t", "length": "p"},
-                              max_elements)
-        hat_param = q_int(ctx, r - 1, "p")
-        plain = exp_series(ctx, "p", "u", n, p_var="p")
-        hatted = exp_series(ctx, "hat", "u", n, p_var="p", a_expr=hat_param)
-        one = MultiPoly.constant(ctx, 1)
-        shrink = one - MultiPoly.variable(ctx, "t")
-        scaled = shrink * MultiPoly.variable(ctx, "u")
-        plain_v = substitute(plain, "u", scaled)
-        hat_v = substitute(hatted, "u", scaled)
-        nfact = q_factorial(ctx, n, "p")
-        rhs = MultiPoly.zero(ctx)
-        power = MultiPoly.constant(ctx, 1)
-        clearing = MultiPoly.constant(ctx, 1)
-        for j in range(tcap + 1):
-            term = divide_exact(coefficient_of(hat_v * power, "u", n), clearing)
-            rhs = rhs + MultiPoly.monomial(ctx, 1, t=j) * term
+def _reiner_rhs(ctx, r, n):
+    tcap = n + 1
+    hat_param = q_int(ctx, r - 1, "p")
+    plain = exp_series(ctx, "p", "u", n, p_var="p")
+    hatted = exp_series(ctx, "hat", "u", n, p_var="p", a_expr=hat_param)
+    shrink = MultiPoly.constant(ctx, 1) - MultiPoly.variable(ctx, "t")
+    scaled = shrink * MultiPoly.variable(ctx, "u")
+    plain_v = substitute(plain, "u", scaled)
+    hat_v = substitute(hatted, "u", scaled)
+    nfact = q_factorial(ctx, n, "p")
+    rhs = MultiPoly.zero(ctx)
+    power = MultiPoly.constant(ctx, 1)
+    clearing = MultiPoly.constant(ctx, 1)
+    for j in range(tcap + 1):
+        term = _coefficient_product(hat_v, power, "u", n)
+        rhs = rhs + MultiPoly.monomial(ctx, 1, t=j) * divide_exact(term, clearing)
+        if j < tcap:
             power = power * plain_v
             clearing = clearing * nfact
-        rhs = shrink * rhs
-        yield ("poly", f"r={r} n={n}", lhs, rhs)
+    return shrink * rhs
+
+
+def _reiner(max_elements, r, nmax):
+    for n in range(nmax + 1):
+        ctx = SeriesContext(("t", "p", "u"), (n + 1, None, n))
+        lhs = dist_polynomial(ctx, r, n, {"des": "t", "length": "p"},
+                              max_elements)
+        yield ("poly", f"r={r} n={n}", lhs, _reiner_rhs(ctx, r, n))
 
 
 def _brenti(max_elements, r, nmax):

@@ -406,12 +406,45 @@ def monomial_text(ctx, exps):
 # -- truncated-series operations ------------------------------------------
 
 
+def _slices(x, name):
+    """Terms of ``x`` grouped by their exponent of ``name``, that field cleared."""
+    shift, mask = x.ctx._fields[x.ctx.index(name)]
+    clear = ~(mask << shift)
+    by_exp = {}
+    for key, c in x._keys.items():
+        by_exp.setdefault((key >> shift) & mask, {})[key & clear] = c
+    return by_exp
+
+
 def coefficient_of(poly, name, exponent):
     """Polynomial coefficient of ``name**exponent`` (the variable is removed)."""
-    shift, mask = poly.ctx._fields[poly.ctx.index(name)]
-    clear = ~(mask << shift)
-    return _poly(poly.ctx, {key & clear: c for key, c in poly._keys.items()
-                            if (key >> shift) & mask == exponent})
+    return _poly(poly.ctx, _slices(poly, name).get(exponent, {}))
+
+
+# theorem_B, gessel_roselle, adin_roichman keep coefficient_of: a reciprocal needs every lower u^k.
+def _coefficient_product(a, b, name, exponent):
+    """``coefficient_of(a * b, name, exponent)`` without the rest of ``a * b``.
+
+    Only the slices of ``a`` and ``b`` whose exponents of ``name`` sum to
+    ``exponent`` are multiplied (a middle product).  The cleared slices no
+    longer see the cap on ``name``, so an exponent above it gives zero here.
+    """
+    a._check_ctx(b)
+    ctx = a.ctx
+    cap = ctx.cap(name)
+    result = _poly(ctx, {})
+    if cap is not None and exponent > cap:
+        return result
+    slices_b = _slices(b, name)
+    for e, terms_a in _slices(a, name).items():
+        terms_b = slices_b.get(exponent - e)
+        if terms_b is None:
+            continue
+        if exponent > MAX_EXPONENT:
+            raise ExponentOverflowError(
+                f"a product exponent exceeds the limit {MAX_EXPONENT}")
+        result = result + _poly(ctx, terms_a) * _poly(ctx, terms_b)
+    return result
 
 
 def reciprocal(x):
@@ -446,11 +479,7 @@ def substitute(x, name, value):
     ctx = x.ctx
     if value.ctx != ctx:
         raise ContextMismatchError("substitution value lives in a different context")
-    shift, mask = ctx._fields[ctx.index(name)]
-    clear = ~(mask << shift)
-    by_exp = {}
-    for key, c in x._keys.items():
-        by_exp.setdefault((key >> shift) & mask, {})[key & clear] = c
+    by_exp = _slices(x, name)
     result = MultiPoly.zero(ctx)
     power = MultiPoly.constant(ctx, 1)
     current = 0

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wreathstats.cli import main
+from wreathstats.identities import CATALOG
 
 
 def run(capsys, *argv):
@@ -266,25 +267,43 @@ class TestWarnings:
                        "invalid input: keylem: no case to check at n=3 parts_max=0 r=2\n")
 
 
-# Generated argv for the parsing commands: every input is either answered
-# or rejected in its exit class, with the error text on stderr only.
+# Generated argv for the parsing commands and for verify: every input is
+# either answered or rejected in its exit class, with the error text on
+# stderr only.
 _TEXT = st.text(alphabet="0123456789^, []", max_size=12)
 _WINDOW = st.one_of(_TEXT, _TEXT.map(lambda text: f"[{text}]"))
+_R = st.tuples(st.just("--r"), st.integers(-1, 4).map(str))
+
+
+def _flag(name, values):
+    return st.tuples(st.just(f"--{name}"), values.map(str))
+
+
+def _verify_argv(name):
+    """verify one entry, each of its parameters in -1..3, maybe budgeted."""
+    params = [_flag(key, st.integers(-1, 3)) for key in CATALOG[name][1]]
+    budgets = [st.one_of(st.just(()), _flag(flag, st.integers(0, 3000)))
+               for flag in ("max-elements", "max-terms")]
+    return st.tuples(st.just(("verify", "--identity", name)), *params, *budgets)
+
+
 _ARGV = st.one_of(
-    st.tuples(st.just("stats"), st.just("--window"), _WINDOW),
-    st.tuples(st.just("encode"), st.just("--f"), _TEXT),
-    st.tuples(st.just("decode"), st.just("--window"), _WINDOW, st.just("--partition"), _TEXT),
-    st.tuples(st.just("decompose"), st.just("--window"), _WINDOW, st.just("--J"), _TEXT),
-    st.tuples(st.just("biword"), st.just("--g"), _TEXT, st.just("--f"), _TEXT),
-)
+    st.tuples(st.just(("stats", "--window")), _WINDOW, _R),
+    st.tuples(st.just(("encode", "--f")), _TEXT, _R),
+    st.tuples(st.just(("decode", "--window")), _WINDOW, st.just("--partition"), _TEXT, _R),
+    st.tuples(st.just(("decompose", "--window")), _WINDOW, st.just("--J"), _TEXT, _R),
+    st.tuples(st.just(("biword", "--g")), _TEXT, st.just("--f"), _TEXT, _R),
+    st.sampled_from(sorted(CATALOG)).flatmap(_verify_argv),
+).map(lambda parts: [word for part in parts
+                     for word in ((part,) if isinstance(part, str) else part)])
 
 
 @settings(max_examples=300, deadline=None)
-@given(argv=_ARGV, r=st.integers(-1, 4))
-def test_generated_argv_lands_in_an_exit_class(argv, r):
+@given(argv=_ARGV)
+def test_generated_argv_lands_in_an_exit_class(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([*argv, "--r", str(r)])
+        code = main(argv)
     assert code in (0, 1, 2)
     if code:
         assert out.getvalue() == "" and err.getvalue() != ""

@@ -3,6 +3,7 @@ import warnings
 import pytest
 
 from reference_group import reference_dist_terms
+from reference_identities import reference_reiner_rhs, reference_theorem_A_rhs
 from wreathstats import identities
 from wreathstats.group import (
     BudgetExceededError,
@@ -166,6 +167,26 @@ class TestCatalogEntries:
         for name, (func, defaults) in CATALOG.items():
             report = verify_identity(name)
             assert report.passed, (name, report.mismatch)
+
+
+class TestCoefficientOnlyRightSides:
+    # r=1 is the right side gg1 checks.
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_theorem_A_matches_full_products(self, r):
+        for n in range(5):
+            for tmax in range(5):
+                ctx = SeriesContext(("t", "q", "p", "a", "u"),
+                                    (tmax, None, None, None, n))
+                got = identities._theorem_A_rhs(ctx, r, n, tmax)
+                want = reference_theorem_A_rhs(ctx, r, n, tmax)
+                assert got.to_lines() == want.to_lines(), (n, tmax)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_reiner_matches_full_products(self, r):
+        for n in range(5):
+            ctx = SeriesContext(("t", "p", "u"), (n + 1, None, n))
+            got = identities._reiner_rhs(ctx, r, n)
+            assert got.to_lines() == reference_reiner_rhs(ctx, r, n).to_lines(), n
 
 
 class TestInverseStatistics:

@@ -15,6 +15,7 @@ from wreathstats.qseries import (
     MultiPoly,
     NonUnitError,
     SeriesContext,
+    _coefficient_product,
     bracket_two_param,
     coefficient_of,
     divide_exact,
@@ -391,6 +392,25 @@ class TestExponentLimit:
             MultiPoly.monomial(ctx, 1, p=MAX_EXPONENT // 2 + 1) ** 2
         assert (top * MultiPoly.variable(ctx, "q")).terms == {(1, MAX_EXPONENT): 1}
 
+    def test_kept_slice_overflow_raises(self):
+        ctx = SeriesContext(("u", "p"), (2, None))
+        top = MultiPoly.monomial(ctx, 1, u=1, p=MAX_EXPONENT)
+        p = MultiPoly.monomial(ctx, 1, u=1, p=1)
+        with pytest.raises(ExponentOverflowError):
+            _coefficient_product(top, p, "u", 2)
+        # Only the slices whose u-exponents sum to 1 are multiplied: none.
+        assert _coefficient_product(top, p, "u", 1).is_zero
+        free = SeriesContext(("u",))
+        u_top = MultiPoly.monomial(free, 1, u=MAX_EXPONENT)
+        with pytest.raises(ExponentOverflowError):
+            _coefficient_product(u_top, MultiPoly.variable(free, "u"), "u", MAX_EXPONENT + 1)
+
+    def test_coefficient_product_context_mismatch(self):
+        x = MultiPoly.variable(SeriesContext(("u", "q"), (2, None)), "u")
+        y = MultiPoly.variable(SeriesContext(("u", "q"), (3, None)), "u")
+        with pytest.raises(ContextMismatchError):
+            _coefficient_product(x, y, "u", 2)
+
     def test_cap_too_large_rejected(self):
         with pytest.raises(ValueError):
             SeriesContext(("t",), (MAX_EXPONENT + 1,))
@@ -466,6 +486,29 @@ class TestReferenceOracle:
         exponent = data.draw(st.integers(0, 5))
         assert_same(coefficient_of(x, name, exponent),
                      ref.coefficient_of(rx, name, exponent))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_coefficient_product(self, data):
+        ctx = data.draw(oracle_contexts())
+        x, rx = both(ctx, data.draw(oracle_terms(ctx)))
+        y, ry = both(ctx, data.draw(oracle_terms(ctx)))
+        name = data.draw(st.sampled_from(ctx.variables))
+        cap = ctx.cap(name)
+        # An uncapped operand exponent is at most 4, so a product's at most 8.
+        for exponent in range((8 if cap is None else cap) + 3):
+            assert_same(_coefficient_product(x, y, name, exponent),
+                        ref.coefficient_of(rx * ry, name, exponent))
+
+    def test_coefficient_product_above_cap(self):
+        # The cleared slices do not see the cap on u; the product does.
+        ctx = SeriesContext(("u", "q"), (2, None))
+        x = MultiPoly(ctx, {(1, 0): 1, (2, 2): 1})
+        y = MultiPoly(ctx, {(2, 0): 1, (1, 0): 1})
+        for exponent in range(5):
+            assert _coefficient_product(x, y, "u", exponent) \
+                == coefficient_of(x * y, "u", exponent)
+        assert _coefficient_product(x, y, "u", 3).is_zero
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
