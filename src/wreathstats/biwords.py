@@ -18,12 +18,12 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .group import BudgetExceededError, order_key, skew_inverse
+from .group import BudgetExceededError, _descent_set, _skew, order_key
 from .encoding import (
     ColoredSequence,
     Partition,
-    is_compatible,
-    lambda_gamma,
+    _fits,
+    _push,
     multinomial,
     partitions_in_box,
     pi_of,
@@ -87,9 +87,10 @@ class Triple:
     def __post_init__(self):
         if self.gamma.n != self.lam.n or self.gamma.n != self.mu.n:
             raise ValueError("lengths do not agree")
-        if not is_compatible(self.lam, skew_inverse(self.gamma)):
+        sigma, colors = self.gamma.sigma, self.gamma.colors
+        if not _fits(self.lam.parts, _descent_set(*_skew(sigma, colors))):
             raise ValueError("first partition is not skew-inverse compatible")
-        if not is_compatible(self.mu, self.gamma):
+        if not _fits(self.mu.parts, _descent_set(sigma, colors)):
             raise ValueError("second partition is not compatible with the element")
 
 
@@ -103,7 +104,8 @@ def to_triple(b):
 def from_triple(t):
     """Rebuild the biword: top row is the first partition, bottom row is the
     second partition pushed through the skew inverse with colors riding along."""
-    f = lambda_gamma(t.mu, skew_inverse(t.gamma))
+    gamma = t.gamma
+    f = _push(t.mu, gamma.r, *_skew(gamma.sigma, gamma.colors))
     return Biword(g=t.lam, f=f)
 
 

@@ -21,8 +21,8 @@ from .group import (
     ParseError,
     _descent_set,
     _parse_entries,
+    _skew,
     order_key,
-    skew_inverse,
     statistics,
 )
 
@@ -151,14 +151,22 @@ def sequence_from(gamma, lam):
     """
     if gamma.n != lam.n:
         raise ValueError("lengths do not agree")
-    des_set = _descent_set(gamma.sigma, gamma.colors)
+    sigma, colors = gamma.sigma, gamma.colors
+    return _sequence_from(gamma.r, lam, _descent_set(sigma, colors),
+                          *_skew(sigma, colors))
+
+
+def _sequence_from(r, lam, des_set, skew_sigma, skew_colors):
+    """``sequence_from(gamma, lam)`` given gamma's descent set and the tuples
+    of its skew inverse, for callers that reuse them across many partitions;
+    ``lam`` must have gamma's length, which is not checked here."""
     mu = []
     count = 0
-    for i in range(gamma.n):
+    for i, part in enumerate(lam.parts):
         if i in des_set:
             count += 1
-        mu.append(lam.parts[i] + count)
-    return lambda_gamma(Partition(tuple(mu)), skew_inverse(gamma))
+        mu.append(part + count)
+    return _push(Partition(tuple(mu)), r, skew_sigma, skew_colors)
 
 
 def lambda_gamma(lam, gamma):
@@ -169,9 +177,13 @@ def lambda_gamma(lam, gamma):
     """
     if gamma.n != lam.n:
         raise ValueError("lengths do not agree")
-    return ColoredSequence(gamma.r,
-                           tuple(lam.parts[s - 1] for s in gamma.sigma),
-                           gamma.colors)
+    return _push(lam, gamma.r, gamma.sigma, gamma.colors)
+
+
+def _push(lam, r, sigma, colors):
+    """``lambda_gamma`` on the element's tuples, lengths already checked."""
+    parts = lam.parts
+    return ColoredSequence(r, tuple(parts[s - 1] for s in sigma), colors)
 
 
 def is_compatible(lam, gamma):
@@ -182,9 +194,17 @@ def is_compatible(lam, gamma):
     """
     if gamma.n != lam.n:
         raise ValueError("lengths do not agree")
-    des_set = _descent_set(gamma.sigma, gamma.colors)
-    padded = (0,) + lam.parts
-    return all(padded[i] < padded[i + 1] for i in des_set)
+    return _fits(lam.parts, _descent_set(gamma.sigma, gamma.colors))
+
+
+def _fits(parts, des_set):
+    """``is_compatible`` on a tuple of parts and the element's descent set,
+    for callers that test many partitions against one element."""
+    padded = (0,) + parts
+    for i in des_set:
+        if padded[i] >= padded[i + 1]:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -174,11 +174,16 @@ def inverse(gamma):
                               _inverse_colors(gamma.r, gamma.colors, inv_sigma))
 
 
+def _skew(sigma, colors):
+    """The skew inverse as ``(sigma, colors)`` tuples, for callers that only
+    read them: position sigma(i) holds i with the color c_i."""
+    inv_sigma = _inverse_sigma(sigma)
+    return inv_sigma, tuple(colors[s - 1] for s in inv_sigma)
+
+
 def skew_inverse(gamma):
     """Inverse permutation carrying the original, un-negated colors."""
-    inv_sigma = _inverse_sigma(gamma.sigma)
-    colors = tuple(gamma.colors[s - 1] for s in inv_sigma)
-    return ColoredPermutation(gamma.r, inv_sigma, colors)
+    return ColoredPermutation(gamma.r, *_skew(gamma.sigma, gamma.colors))
 
 
 @dataclass(frozen=True)

@@ -26,16 +26,17 @@ from .group import (
     _descent_set,
     _inverse_colors,
     _inverse_sigma,
+    _skew,
     enumerate_group,
     inverse,
     project_to_signed,
-    skew_inverse,
     statistics,
 )
 from .encoding import (
+    _fits,
     _residue,
+    _sequence_from,
     enumerate_sequences,
-    is_compatible,
     partitions_in_box,
     pi_of,
     sequence_from,
@@ -651,8 +652,9 @@ def _bijection_stats(max_elements, r, n, cap):
             yield ("fact", f"sum relation at {f}", False,
                    f"{total} vs {lam.weight} + {n}*{des} - {maj}")
             return
-        sorted_vals = [f.values[s - 1] for s in gamma.sigma]
-        if any(i and sorted_vals[i - 1] >= sorted_vals[i] for i in des_set):
+        # the sorted values grow strictly across every descent, a descent at
+        # 0 against the implicit zero
+        if not _fits(tuple(f.values[s - 1] for s in gamma.sigma), des_set):
             yield ("fact", f"descent forces growth at {f}", False, None)
             return
         checked += 1
@@ -661,9 +663,11 @@ def _bijection_stats(max_elements, r, n, cap):
     checked = 0
     boxes = list(partitions_in_box(n, cap))
     for gamma in enumerate_group(r, n, max_elements):
+        # gamma's descent set and skew inverse, built once for all its pairs
         des_set = _descent_set(gamma.sigma, gamma.colors)
+        skew = _skew(gamma.sigma, gamma.colors)
         for lam in boxes:
-            f = sequence_from(gamma, lam)
+            f = _sequence_from(r, lam, des_set, *skew)
             if not f.in_n0:
                 yield ("fact", f"image of ({gamma}, {lam})", False,
                        "left the zero-forces-uncolored set")
@@ -693,10 +697,11 @@ def _biword_count(max_elements, r, n, cap_f, cap_g):
     bottoms = list(partitions_in_box(n, cap_f))
     expected = set()
     for gamma in enumerate_group(r, n, max_elements):
-        skew = skew_inverse(gamma)
-        mus = [mu for mu in bottoms if is_compatible(mu, gamma)]
+        des_set = _descent_set(gamma.sigma, gamma.colors)
+        skew_des_set = _descent_set(*_skew(gamma.sigma, gamma.colors))
+        mus = [mu for mu in bottoms if _fits(mu.parts, des_set)]
         for lam in tops:
-            if is_compatible(lam, skew):
+            if _fits(lam.parts, skew_des_set):
                 expected.update((gamma, lam, mu) for mu in mus)
     yield ("fact", f"image is every compatible triple (r={r} n={n})",
            got == expected,

@@ -7,22 +7,24 @@ descent scan with the package.  ``reference_dist_terms`` is the loop
 ``dist_polynomial`` replaced: it lists the group with
 ``itertools.permutations`` times ``itertools.product`` and calls
 ``reference_statistics`` on every element, and on its true inverse for the
-inverse statistics.  The other functions are the encoding and quotient maps
-as they were written on top of a full statistics computation, reading their
-descents from ``reference_des_set``.  This module is imported only by the
-tests.
+inverse statistics.  ``reference_skew_inverse`` and ``reference_lambda_gamma``
+spell the skew inverse and the push of a partition through an element out
+from their definitions.  The other functions are the encoding and quotient
+maps as they were written on top of a full statistics computation, reading
+their descents from ``reference_des_set``.  This module is imported only by
+the tests.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from wreathstats.encoding import Partition, lambda_gamma, pi_of
+from wreathstats.encoding import ColoredSequence, Partition, pi_of
 from wreathstats.group import (
+    ColoredPermutation,
     _inverse_colors,
     _inverse_sigma,
     order_key,
-    skew_inverse,
 )
 
 _DIRECT_STATS = {"des": 3, "maj": 4, "length": 1, "col": 6, "fmaj": 5}
@@ -54,6 +56,23 @@ def reference_statistics(r, sigma, colors):
 
 def reference_des_set(gamma):
     return frozenset(reference_statistics(gamma.r, gamma.sigma, gamma.colors)[2])
+
+
+def reference_skew_inverse(gamma):
+    """Position sigma(i) holds i with the color c_i of position i."""
+    sigma = [0] * gamma.n
+    colors = [0] * gamma.n
+    for i, (s, c) in enumerate(zip(gamma.sigma, gamma.colors)):
+        sigma[s - 1] = i + 1
+        colors[s - 1] = c
+    return ColoredPermutation(gamma.r, tuple(sigma), tuple(colors))
+
+
+def reference_lambda_gamma(lam, gamma):
+    """Position i holds part sigma(i) of ``lam`` with color c_i."""
+    return ColoredSequence(gamma.r,
+                           tuple(lam.parts[s - 1] for s in gamma.sigma),
+                           gamma.colors)
 
 
 def reference_dist_terms(ctx, r, n, stats):
@@ -104,7 +123,8 @@ def reference_sequence_from(gamma, lam):
         if i in des_set:
             count += 1
         mu.append(lam.parts[i] + count)
-    return lambda_gamma(Partition(tuple(mu)), skew_inverse(gamma))
+    return reference_lambda_gamma(Partition(tuple(mu)),
+                                  reference_skew_inverse(gamma))
 
 
 def reference_is_compatible(lam, gamma):

@@ -6,10 +6,14 @@ position at a time; ``reference_enumerate_biwords`` filters the full product
 of top rows and bottom rows through ``reference_is_biword``, which spells
 the column rule out inline; ``reference_lambda_of`` and
 ``reference_sequence_from`` read their own descent sets, from
-``reference_group.reference_des_set``; the two catalog functions compute
-``pi_of`` and the descent set again for every map they call, and rescan
-every biword for each pair of caps.  This module is imported only by the
-tests.
+``reference_group.reference_des_set``; ``reference_to_triple``,
+``reference_from_triple`` and ``reference_check_triple`` are the biword
+bijection and the ``Triple`` check as they were written on a skew-inverse
+group element, here the one from ``reference_group.reference_skew_inverse``;
+the two catalog functions compute ``pi_of`` and the descent set again for
+every map they call, test compatibility one partition at a time, and
+rescan every biword for each pair of caps.  This module is imported only by
+the tests.
 """
 
 from __future__ import annotations
@@ -17,21 +21,22 @@ from __future__ import annotations
 import itertools
 import math
 
-from reference_group import reference_des_set
+from reference_group import (
+    reference_des_set,
+    reference_is_compatible,
+    reference_lambda_gamma,
+    reference_skew_inverse,
+)
 from wreathstats.biwords import (
     Biword,
     column_multiset,
     column_realization_count,
-    from_triple,
-    to_triple,
 )
 from wreathstats.encoding import (
     ColoredSequence,
     Partition,
     _distinct_permutations,
     enumerate_sequences,
-    is_compatible,
-    lambda_gamma,
     partitions_in_box,
     pi_of,
 )
@@ -39,7 +44,6 @@ from wreathstats.group import (
     BudgetExceededError,
     enumerate_group,
     order_key,
-    skew_inverse,
 )
 from wreathstats.identities import _theorem_B_rhs_term
 from wreathstats.qseries import MultiPoly, SeriesContext, substitute
@@ -110,7 +114,31 @@ def reference_sequence_from(gamma, lam):
         if i in des_set:
             count += 1
         mu.append(lam.parts[i] + count)
-    return lambda_gamma(Partition(tuple(mu)), skew_inverse(gamma))
+    return reference_lambda_gamma(Partition(tuple(mu)),
+                                  reference_skew_inverse(gamma))
+
+
+def reference_check_triple(gamma, lam, mu):
+    if gamma.n != lam.n or gamma.n != mu.n:
+        raise ValueError("lengths do not agree")
+    if not reference_is_compatible(lam, reference_skew_inverse(gamma)):
+        raise ValueError("first partition is not skew-inverse compatible")
+    if not reference_is_compatible(mu, gamma):
+        raise ValueError("second partition is not compatible with the element")
+
+
+def reference_to_triple(b):
+    """``(gamma, lam, mu)`` of ``to_triple(b)``, checked like a ``Triple``."""
+    gamma = pi_of(b.f)
+    mu = Partition(tuple(b.f.values[s - 1] for s in gamma.sigma))
+    reference_check_triple(gamma, b.g, mu)
+    return gamma, b.g, mu
+
+
+def reference_from_triple(gamma, lam, mu):
+    reference_check_triple(gamma, lam, mu)
+    f = reference_lambda_gamma(mu, reference_skew_inverse(gamma))
+    return Biword(g=lam, f=f)
 
 
 def reference_bijection_stats(max_elements, r, n, cap):
@@ -160,24 +188,24 @@ def reference_bijection_stats(max_elements, r, n, cap):
 def reference_biword_count(max_elements, r, n, cap_f, cap_g):
     words = list(reference_enumerate_biwords(r, n, cap_f, cap_g,
                                              max_elements=max_elements))
-    triples = [to_triple(b) for b in words]
-    if len(set((t.gamma, t.lam, t.mu) for t in triples)) != len(words):
+    triples = [reference_to_triple(b) for b in words]
+    if len(set(triples)) != len(words):
         yield ("fact", "injectivity", False, "two biwords shared a triple")
         return
     for b, t in zip(words, triples):
-        if from_triple(t) != b:
+        if reference_from_triple(*t) != b:
             yield ("fact", f"round trip of {b}", False, None)
             return
     expected = set()
     for gamma in enumerate_group(r, n, max_elements):
-        skew = skew_inverse(gamma)
+        skew = reference_skew_inverse(gamma)
         for lam in partitions_in_box(n, cap_g):
-            if not is_compatible(lam, skew):
+            if not reference_is_compatible(lam, skew):
                 continue
             for mu in partitions_in_box(n, cap_f):
-                if is_compatible(mu, gamma):
+                if reference_is_compatible(mu, gamma):
                     expected.add((gamma, lam, mu))
-    got = set((t.gamma, t.lam, t.mu) for t in triples)
+    got = set(triples)
     yield ("fact", f"image is every compatible triple (r={r} n={n})",
            got == expected,
            f"{len(got)} triples reached vs {len(expected)} expected")

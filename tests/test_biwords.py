@@ -80,9 +80,19 @@ class TestBijection:
         assert from_triple(triple) == word
 
     def test_triple_validation(self):
+        # [1^1] is its own skew inverse, with a descent at 0: a zero part
+        # fails either check, and lam is checked before mu
         gamma = parse_window("[1^1]", 2)
-        with pytest.raises(ValueError):
-            Triple(gamma=gamma, lam=Partition((1,)), mu=Partition((0,)))
+        zero, one = Partition((0,)), Partition((1,))
+        first = "first partition is not skew-inverse compatible"
+        second = "second partition is not compatible with the element"
+        for lam, mu, message in [(zero, one, first), (one, zero, second),
+                                 (zero, zero, first)]:
+            with pytest.raises(ValueError, match=message):
+                Triple(gamma=gamma, lam=lam, mu=mu)
+        with pytest.raises(ValueError, match="lengths do not agree"):
+            Triple(gamma=gamma, lam=Partition((1, 1)), mu=one)
+        assert Triple(gamma=gamma, lam=one, mu=one).lam == one
 
     @pytest.mark.parametrize("r,n,cap", [(2, 2, 2), (3, 2, 2), (2, 3, 2)])
     def test_exhaustive_bijectivity(self, r, n, cap):

@@ -109,8 +109,10 @@ class TestSequenceFrom:
         assert format_sequence(f) == "1^1"
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^lengths do not agree$"):
             sequence_from(identity_element(2, 2), Partition((0,)))
+        with pytest.raises(ValueError, match="^lengths do not agree$"):
+            sequence_from(identity_element(2, 1), Partition((0, 0)))
 
 
 class TestLambdaGamma:

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from reference_group import reference_statistics
+from reference_group import reference_skew_inverse, reference_statistics
 from wreathstats.group import (
     BudgetExceededError,
     _descent_set,
@@ -114,6 +114,11 @@ class TestInverses:
     def test_skew_inverse_is_involution(self):
         for gamma in enumerate_group(3, 3):
             assert skew_inverse(skew_inverse(gamma)) == gamma
+
+    @pytest.mark.parametrize("r,n", itertools.product((1, 2, 3), range(5)))
+    def test_skew_inverse_matches_definition(self, r, n):
+        for gamma in enumerate_group(r, n):
+            assert skew_inverse(gamma) == reference_skew_inverse(gamma)
 
 
 class TestStatistics:

@@ -5,6 +5,7 @@ import pytest
 from reference_group import reference_dist_terms
 from reference_identities import reference_reiner_rhs, reference_theorem_A_rhs
 from wreathstats import identities
+from wreathstats.encoding import ColoredSequence
 from wreathstats.group import (
     BudgetExceededError,
     enumerate_group,
@@ -187,6 +188,35 @@ class TestCoefficientOnlyRightSides:
             ctx = SeriesContext(("t", "p", "u"), (n + 1, None, n))
             got = identities._reiner_rhs(ctx, r, n)
             assert got.to_lines() == reference_reiner_rhs(ctx, r, n).to_lines(), n
+
+
+class _UncheckedResidue:
+    """A residue without the ``Partition`` check, so that a negative part
+    reaches the checks after it."""
+
+    def __init__(self, f, gamma, des_set):
+        count = 0
+        parts = []
+        for i, s in enumerate(gamma.sigma):
+            count += i in des_set
+            parts.append(f.values[s - 1] - count)
+        self.parts = tuple(parts)
+        self.n = len(parts)
+        self.max_part = max(parts, default=0)
+        self.weight = sum(parts)
+
+
+class TestBijectionStats:
+    def test_descent_at_zero_forces_growth(self, monkeypatch):
+        # A colored zero sorts to [1^1], a descent at 0 over the value 0.
+        # With the residue unchecked, the round trip and both bookkeeping
+        # relations still hold, so only the growth check can refuse it.
+        f = ColoredSequence(2, (0,), (1,))
+        monkeypatch.setattr(identities, "enumerate_sequences",
+                            lambda *args, **kwargs: iter([f]))
+        monkeypatch.setattr(identities, "_residue", _UncheckedResidue)
+        got = next(identities._bijection_stats(None, 2, 1, 0))
+        assert got == ("fact", "descent forces growth at 0^1", False, None)
 
 
 class TestInverseStatistics:

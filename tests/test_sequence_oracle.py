@@ -1,25 +1,35 @@
 """The sequence and biword side against its generate-and-test reference:
 the same sequences and biwords in the same order, the same residue for
-every sequence, and the same reports from the two catalog entries built on
-them."""
+every sequence, the same triple for every biword, and the same reports from
+the two catalog entries built on them."""
 
 import itertools
 
 import pytest
 
+from reference_group import reference_is_compatible
 from reference_sequences import (
     reference_biword_count,
     reference_bijection_stats,
+    reference_check_triple,
     reference_composition_sequences,
     reference_enumerate_biwords,
+    reference_from_triple,
     reference_lambda_of,
     reference_sequence_from,
+    reference_to_triple,
 )
 
 from wreathstats import identities
-from wreathstats.biwords import enumerate_biwords
+from wreathstats.biwords import (
+    Triple,
+    enumerate_biwords,
+    from_triple,
+    to_triple,
+)
 from wreathstats.encoding import (
     enumerate_sequences,
+    is_compatible,
     lambda_of,
     partitions_in_box,
     sequence_from,
@@ -60,6 +70,34 @@ def test_same_maps(r, n):
     for gamma in enumerate_group(r, n):
         for lam in boxes:
             assert sequence_from(gamma, lam) == reference_sequence_from(gamma, lam)
+            assert is_compatible(lam, gamma) == reference_is_compatible(lam, gamma)
+
+
+@pytest.mark.parametrize("r,n", _GRID)
+def test_same_triples(r, n):
+    for cap_f, cap_g in itertools.product(_caps(n), repeat=2):
+        for b in enumerate_biwords(r, n, cap_f, cap_g):
+            t = to_triple(b)
+            assert (t.gamma, t.lam, t.mu) == reference_to_triple(b), b
+            assert from_triple(t) == reference_from_triple(t.gamma, t.lam, t.mu) == b
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("r,n", _GRID)
+def test_same_triple_check(r, n):
+    boxes = list(partitions_in_box(n, 2 if n < 4 else 1))
+    for gamma in enumerate_group(r, n):
+        for lam, mu in itertools.product(boxes, repeat=2):
+            assert (_outcome(Triple, gamma, lam, mu)
+                    == _outcome(reference_check_triple, gamma, lam, mu)), \
+                (gamma, lam, mu)
 
 
 def _report(monkeypatch, name, func, params):
