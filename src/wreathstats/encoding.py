@@ -224,27 +224,13 @@ def seq_statistics(f):
 
 def _distinct_permutations(items):
     """Distinct orderings of a multiset, in lexicographic order."""
-    pool = sorted(items)
-    n = len(pool)
-    counts = {}
-    for x in pool:
-        counts[x] = counts.get(x, 0) + 1
-    keys = sorted(counts)
-    current = []
-
-    def rec():
-        if len(current) == n:
-            yield tuple(current)
-            return
-        for k in keys:
-            if counts[k]:
-                counts[k] -= 1
-                current.append(k)
-                yield from rec()
-                current.pop()
-                counts[k] += 1
-
-    yield from rec()
+    if not items:
+        yield ()
+    for first in sorted(set(items)):
+        rest = list(items)
+        rest.remove(first)
+        for tail in _distinct_permutations(rest):
+            yield (first,) + tail
 
 
 def multinomial(counts):

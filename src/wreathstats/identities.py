@@ -29,6 +29,7 @@ from .group import (
     _skew,
     enumerate_group,
     inverse,
+    order_key,
     project_to_signed,
     statistics,
 )
@@ -111,14 +112,15 @@ def _walk_group(r, n, weights):
     """
     wlen, wdes, wmaj, wcol, wides, wimaj, wicol = weights
     with_inverse = any(weights[4:])
-    # Each value's (color, rank, weight added) triples; the rank is the
-    # position of v^c in the colored-integer order: colored entries first,
-    # larger value and then larger color lower, then 0, then 1..n.
-    zero = n * (r - 1)
-    entries = [[(0, zero + v, 0)]
-               + [(c, (n - v) * (r - 1) + r - 1 - c, (v + c - 1) * wlen + c * wcol)
-                  for c in range(1, r)]
-               for v in range(n + 1)]
+    # Each value's (color, rank, weight added) triples, uncolored first; the
+    # rank is the position of v^c when the window's colored integers and the
+    # uncolored 0 are sorted by order_key.
+    alphabet = [(0, 0)] + [(v, c) for v in range(1, n + 1) for c in range(r)]
+    rank = {entry: k for k, entry in
+            enumerate(sorted(alphabet, key=lambda entry: order_key(*entry)))}
+    entries = {v: [(c, rank[v, c], (v + c - 1) * wlen + c * wcol if c else 0)
+                   for c in range(r)]
+               for v in range(1, n + 1)}
     descent = [wdes + i * wmaj for i in range(n)]
     sigma = [0] * n
     colors = [0] * n
@@ -157,7 +159,7 @@ def _walk_group(r, n, weights):
             tally[step] = tally.get(step, 0) + 1
 
     if n:
-        place(0, list(range(1, n + 1)), 0, zero, 0)
+        place(0, list(range(1, n + 1)), 0, rank[0, 0], 0)
     else:
         tally[0] = 1
     return tally
@@ -628,6 +630,15 @@ def _adin_roichman(max_elements, r, ucap, qcap):
         yield ("poly", f"r={r} n={n}", lhs, rhs)
 
 
+def _residue_fact(f, gamma, des_set):
+    """``(residue, None)``, or ``(None, failing fact)`` naming ``f`` when the
+    residue is no partition."""
+    try:
+        return _residue(f, gamma, des_set), None
+    except ValueError as exc:
+        return None, ("fact", f"residue of {f}", False, str(exc))
+
+
 def _bijection_stats(max_elements, r, n, cap):
     # Each sequence is sorted once: pi_of and its descent set serve the
     # residue and the bookkeeping identities, while sequence_from, the map
@@ -637,7 +648,15 @@ def _bijection_stats(max_elements, r, n, cap):
                                  max_elements=max_elements):
         gamma = pi_of(f)
         des_set = _descent_set(gamma.sigma, gamma.colors)
-        lam = _residue(f, gamma, des_set)
+        # the sorted values grow strictly across every descent, a descent at
+        # 0 against the implicit zero
+        if not _fits(tuple(f.values[s - 1] for s in gamma.sigma), des_set):
+            yield ("fact", f"descent forces growth at {f}", False, None)
+            return
+        lam, failure = _residue_fact(f, gamma, des_set)
+        if failure:
+            yield failure
+            return
         des, maj = len(des_set), sum(des_set)
         back = sequence_from(gamma, lam)
         if back != f:
@@ -651,11 +670,6 @@ def _bijection_stats(max_elements, r, n, cap):
         if total != lam.weight + n * des - maj:
             yield ("fact", f"sum relation at {f}", False,
                    f"{total} vs {lam.weight} + {n}*{des} - {maj}")
-            return
-        # the sorted values grow strictly across every descent, a descent at
-        # 0 against the implicit zero
-        if not _fits(tuple(f.values[s - 1] for s in gamma.sigma), des_set):
-            yield ("fact", f"descent forces growth at {f}", False, None)
             return
         checked += 1
     yield ("fact", f"sequence side r={r} n={n} cap={cap} ({checked} sequences)",
@@ -673,7 +687,12 @@ def _bijection_stats(max_elements, r, n, cap):
                        "left the zero-forces-uncolored set")
                 return
             # once pi_of(f) is gamma, lambda_of(f) reads gamma's descent set
-            if pi_of(f) != gamma or _residue(f, gamma, des_set) != lam:
+            back, failure = (_residue_fact(f, gamma, des_set) if pi_of(f) == gamma
+                             else (None, None))
+            if failure:
+                yield failure
+                return
+            if back != lam:
                 yield ("fact", f"round trip of ({gamma}, {lam})", False, None)
                 return
             checked += 1
@@ -684,7 +703,13 @@ def _bijection_stats(max_elements, r, n, cap):
 def _biword_count(max_elements, r, n, cap_f, cap_g):
     words = list(enumerate_biwords(r, n, cap_f, cap_g,
                                    max_elements=max_elements))
-    triples = [to_triple(b) for b in words]
+    triples = []
+    for b in words:
+        try:
+            triples.append(to_triple(b))
+        except ValueError as exc:
+            yield ("fact", f"triple of {b}", False, str(exc))
+            return
     got = set((t.gamma, t.lam, t.mu) for t in triples)
     if len(got) != len(words):
         yield ("fact", "injectivity", False, "two biwords shared a triple")

@@ -3,13 +3,14 @@
 A subset J of the generator positions [0, n-1] cuts the window into blocks
 at the complementary positions.  Every element factors uniquely as
 ``tau * delta`` where tau (the quotient representative) has descents only
-at the complementary positions and delta lies in the parabolic subgroup;
+at the complementary positions and delta is the cofactor ``tau^-1 * gamma``;
 length and color weight are additive across the factorization.
 
-When 0 is in J the subgroup keeps colors inside the first block, so delta's
-first block is the order- and color-preserving reduction of the original
-first block (absolute values replaced by their in-block ranks, colors left
-in place); otherwise delta is a plain uncolored block permutation.
+delta lies in the parabolic subgroup, whose shape ``is_in_parabolic`` tests:
+every block maps onto itself, and colors stay only in the first block and
+only when 0 is in J, where delta's first block is the order- and
+color-preserving reduction of gamma's (absolute values replaced by their
+in-block ranks, colors left in place).
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .group import (
     ColoredPermutation,
     _descent_set,
     enumerate_group,
+    inverse,
+    multiply,
     order_key,
 )
 
@@ -75,38 +78,21 @@ def decompose(gamma, cls):
     """Unique factorization ``gamma = tau * delta`` along a descent class.
 
     tau carries each block rearranged increasingly (first block by absolute
-    value, colors dropped, when the subgroup is colored there); delta
-    records the block positions that sort back, keeping first-block colors
-    in place in the colored case.
+    value, colors dropped, when the subgroup is colored there); delta is
+    the cofactor ``tau^-1 * gamma``, which ``is_in_parabolic`` accepts.
     """
     _check(gamma, cls)
-    n = cls.n
-    tau_sigma = [0] * n
-    tau_colors = [0] * n
-    delta_sigma = [0] * n
-    delta_colors = [0] * n
+    tau_sigma = [0] * cls.n
+    tau_colors = [0] * cls.n
     for bi, (start, stop) in enumerate(cls.blocks()):
-        block = list(range(start, stop))
         if bi == 0 and cls.first_block_colored:
-            ordered = sorted(block, key=lambda i: gamma.sigma[i])
-            for slot, i in enumerate(ordered):
-                tau_sigma[start + slot] = gamma.sigma[i]
-            rank = {gamma.sigma[i]: slot + 1 for slot, i in enumerate(ordered)}
-            for i in block:
-                delta_sigma[i] = start + rank[gamma.sigma[i]]
-                delta_colors[i] = gamma.colors[i]
+            tau_sigma[start:stop] = sorted(gamma.sigma[start:stop])
         else:
-            ordered = sorted(block,
-                             key=lambda i: order_key(gamma.sigma[i], gamma.colors[i]))
-            for slot, i in enumerate(ordered):
-                tau_sigma[start + slot] = gamma.sigma[i]
-                tau_colors[start + slot] = gamma.colors[i]
-            position = {i: start + slot + 1 for slot, i in enumerate(ordered)}
-            for i in block:
-                delta_sigma[i] = position[i]
+            block = sorted(zip(gamma.sigma[start:stop], gamma.colors[start:stop]),
+                           key=lambda entry: order_key(*entry))
+            tau_sigma[start:stop], tau_colors[start:stop] = zip(*block)
     tau = ColoredPermutation(gamma.r, tuple(tau_sigma), tuple(tau_colors))
-    delta = ColoredPermutation(gamma.r, tuple(delta_sigma), tuple(delta_colors))
-    return tau, delta
+    return tau, multiply(inverse(tau), gamma)
 
 
 def is_in_quotient(gamma, cls):

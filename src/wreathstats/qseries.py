@@ -32,7 +32,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from operator import or_
+from itertools import accumulate, repeat, takewhile
+from operator import mul, or_
 
 ALLOWED_VARIABLES = ("u", "t", "q", "p", "a", "b", "t1", "t2", "q1", "q2")
 
@@ -576,17 +577,29 @@ def _as_poly(ctx, base):
     raise TypeError("base must be a variable name or a MultiPoly")
 
 
+def _factor_run(a, b, n, leg="first"):
+    """The factors ``a, a*b, a*b^2, ...``, each built when it is read: ``n``
+    of them (none for ``n <= 0``), or for ``n`` None, an infinite leg, those
+    before the first one that is zero within the caps.  An infinite leg with
+    ``a`` nonzero needs a capped variable in every monomial of ``b``; that
+    is checked at once, before any factor is read."""
+    factors = accumulate(repeat(b), mul, initial=a)
+    if n is not None:
+        return (factor for _, factor in zip(range(n), factors))
+    if not a.is_zero and not all(key & b.ctx._capped_mask for key in b._keys):
+        raise ValueError(f"infinite {leg} leg needs finite caps on its base variables")
+    return takewhile(lambda factor: not factor.is_zero, factors)
+
+
 def pochhammer(ctx, a_expr, base, n):
     """Product ``(1 - a) (1 - a*b) ... (1 - a*b^(n-1))`` for ``b = base``."""
     if n < 0:
         raise ValueError("pochhammer length must be nonnegative")
     b = _as_poly(ctx, base)
     a = _as_poly(ctx, a_expr) if isinstance(a_expr, str) else a_expr
-    result = MultiPoly.constant(ctx, 1)
-    scale = a
-    for _ in range(n):
-        result = result * (MultiPoly.constant(ctx, 1) - scale)
-        scale = scale * b
+    result = one = MultiPoly.constant(ctx, 1)
+    for factor in _factor_run(a, b, n):
+        result = result * (one - factor)
     return result
 
 
@@ -600,31 +613,13 @@ def double_pochhammer(ctx, a_expr, p_base, q_base, n, m):
     pb = _as_poly(ctx, p_base)
     qb = _as_poly(ctx, q_base)
     a = _as_poly(ctx, a_expr) if isinstance(a_expr, str) else a_expr
-    if not a.is_zero:
-        for leg, b in (("first", pb), ("second", qb)) if (n is None or m is None) else ():
-            if (leg == "first" and n is None) or (leg == "second" and m is None):
-                for key in b._keys:
-                    if not key & ctx._capped_mask:
-                        raise ValueError(
-                            f"infinite {leg} leg needs finite caps on its base variables")
-    if n == 0 or m == 0:
-        return MultiPoly.constant(ctx, 1)
-    result = MultiPoly.constant(ctx, 1)
-    row = a
-    i = 0
-    while n is None or i < n:
-        if row.is_zero:
-            break
-        term = row
-        j = 0
-        while m is None or j < m:
-            if term.is_zero:
-                break
-            result = result * (MultiPoly.constant(ctx, 1) - term)
-            term = term * qb
-            j += 1
-        row = row * pb
-        i += 1
+    rows = _factor_run(a, pb, n, "first")
+    # the second leg is checked on a itself, so also when there is no row
+    _factor_run(a, qb, m, "second")
+    result = one = MultiPoly.constant(ctx, 1)
+    for row in rows:
+        for term in _factor_run(row, qb, m, "second"):
+            result = result * (one - term)
     return result
 
 
@@ -633,12 +628,7 @@ def q_int(ctx, n, base):
     if n < 0:
         raise ValueError("q-integer of a negative integer")
     b = _as_poly(ctx, base)
-    result = MultiPoly.zero(ctx)
-    power = MultiPoly.constant(ctx, 1)
-    for _ in range(n):
-        result = result + power
-        power = power * b
-    return result
+    return sum(_factor_run(MultiPoly.constant(ctx, 1), b, n), MultiPoly.zero(ctx))
 
 
 def q_factorial(ctx, n, base):

@@ -11,8 +11,10 @@ inverse statistics.  ``reference_skew_inverse`` and ``reference_lambda_gamma``
 spell the skew inverse and the push of a partition through an element out
 from their definitions.  The other functions are the encoding and quotient
 maps as they were written on top of a full statistics computation, reading
-their descents from ``reference_des_set``.  This module is imported only by
-the tests.
+their descents from ``reference_des_set``.  ``reference_decompose`` is the
+parabolic factorization as it was written before delta became ``tau^-1 *
+gamma``: it assembles delta block by block from the sorting of each block.
+This module is imported only by the tests.
 """
 
 from __future__ import annotations
@@ -134,3 +136,34 @@ def reference_is_compatible(lam, gamma):
 
 def reference_is_in_quotient(gamma, cls):
     return reference_des_set(gamma) <= set(cls.complement)
+
+
+def reference_decompose(gamma, cls):
+    """``(tau, delta)`` with delta read off each block's sorting."""
+    n = cls.n
+    tau_sigma = [0] * n
+    tau_colors = [0] * n
+    delta_sigma = [0] * n
+    delta_colors = [0] * n
+    for bi, (start, stop) in enumerate(cls.blocks()):
+        block = list(range(start, stop))
+        if bi == 0 and cls.first_block_colored:
+            ordered = sorted(block, key=lambda i: gamma.sigma[i])
+            for slot, i in enumerate(ordered):
+                tau_sigma[start + slot] = gamma.sigma[i]
+            rank = {gamma.sigma[i]: slot + 1 for slot, i in enumerate(ordered)}
+            for i in block:
+                delta_sigma[i] = start + rank[gamma.sigma[i]]
+                delta_colors[i] = gamma.colors[i]
+        else:
+            ordered = sorted(block,
+                             key=lambda i: order_key(gamma.sigma[i], gamma.colors[i]))
+            for slot, i in enumerate(ordered):
+                tau_sigma[start + slot] = gamma.sigma[i]
+                tau_colors[start + slot] = gamma.colors[i]
+            position = {i: start + slot + 1 for slot, i in enumerate(ordered)}
+            for i in block:
+                delta_sigma[i] = position[i]
+    tau = ColoredPermutation(gamma.r, tuple(tau_sigma), tuple(tau_colors))
+    delta = ColoredPermutation(gamma.r, tuple(delta_sigma), tuple(delta_colors))
+    return tau, delta

@@ -6,14 +6,23 @@ to bucketing on the capped-exponent profile for large operands), and exact
 division repeatedly divides out the smallest remaining term.  It shares
 ``SeriesContext`` with the package, so a reference polynomial and a packed
 one built from the same terms can be compared by ``terms`` and
-``to_lines()``.  It is imported only by the tests.
+``to_lines()``.  ``reference_pochhammer``, ``reference_double_pochhammer``
+and ``reference_q_int`` are the q-analogue constructors as they were written
+before they shared one factor run, each with its own loop and the double
+product with its own leg check; they build on the package's ``MultiPoly``.
+It is imported only by the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from wreathstats.qseries import InexactDivisionError, NonUnitError
+from wreathstats.qseries import (
+    InexactDivisionError,
+    MultiPoly,
+    NonUnitError,
+    _as_poly,
+)
 
 _DIVISION_STEP_LIMIT = 10**6
 
@@ -219,3 +228,60 @@ def divide_exact(num, den):
             else:
                 rem.pop(target, None)
     raise InexactDivisionError("division did not terminate")
+
+
+def reference_pochhammer(ctx, a_expr, base, n):
+    if n < 0:
+        raise ValueError("pochhammer length must be nonnegative")
+    b = _as_poly(ctx, base)
+    a = _as_poly(ctx, a_expr) if isinstance(a_expr, str) else a_expr
+    result = MultiPoly.constant(ctx, 1)
+    scale = a
+    for _ in range(n):
+        result = result * (MultiPoly.constant(ctx, 1) - scale)
+        scale = scale * b
+    return result
+
+
+def reference_double_pochhammer(ctx, a_expr, p_base, q_base, n, m):
+    pb = _as_poly(ctx, p_base)
+    qb = _as_poly(ctx, q_base)
+    a = _as_poly(ctx, a_expr) if isinstance(a_expr, str) else a_expr
+    if not a.is_zero:
+        for leg, b in (("first", pb), ("second", qb)) if (n is None or m is None) else ():
+            if (leg == "first" and n is None) or (leg == "second" and m is None):
+                for key in b._keys:
+                    if not key & ctx._capped_mask:
+                        raise ValueError(
+                            f"infinite {leg} leg needs finite caps on its base variables")
+    if n == 0 or m == 0:
+        return MultiPoly.constant(ctx, 1)
+    result = MultiPoly.constant(ctx, 1)
+    row = a
+    i = 0
+    while n is None or i < n:
+        if row.is_zero:
+            break
+        term = row
+        j = 0
+        while m is None or j < m:
+            if term.is_zero:
+                break
+            result = result * (MultiPoly.constant(ctx, 1) - term)
+            term = term * qb
+            j += 1
+        row = row * pb
+        i += 1
+    return result
+
+
+def reference_q_int(ctx, n, base):
+    if n < 0:
+        raise ValueError("q-integer of a negative integer")
+    b = _as_poly(ctx, base)
+    result = MultiPoly.zero(ctx)
+    power = MultiPoly.constant(ctx, 1)
+    for _ in range(n):
+        result = result + power
+        power = power * b
+    return result

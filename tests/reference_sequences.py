@@ -2,7 +2,8 @@
 side, the differential oracles for the enumeration layer.
 
 ``reference_composition_sequences`` places each arrangement's colors one
-position at a time; ``reference_enumerate_biwords`` filters the full product
+position at a time, over the arrangements of
+``reference_distinct_permutations``, a counter recursion; ``reference_enumerate_biwords`` filters the full product
 of top rows and bottom rows through ``reference_is_biword``, which spells
 the column rule out inline; ``reference_lambda_of`` and
 ``reference_sequence_from`` read their own descent sets, from
@@ -35,7 +36,6 @@ from wreathstats.biwords import (
 from wreathstats.encoding import (
     ColoredSequence,
     Partition,
-    _distinct_permutations,
     enumerate_sequences,
     partitions_in_box,
     pi_of,
@@ -49,9 +49,34 @@ from wreathstats.identities import _theorem_B_rhs_term
 from wreathstats.qseries import MultiPoly, SeriesContext, substitute
 
 
+def reference_distinct_permutations(items):
+    """Distinct orderings of a multiset, in lexicographic order."""
+    pool = sorted(items)
+    n = len(pool)
+    counts = {}
+    for x in pool:
+        counts[x] = counts.get(x, 0) + 1
+    keys = sorted(counts)
+    current = []
+
+    def rec():
+        if len(current) == n:
+            yield tuple(current)
+            return
+        for k in keys:
+            if counts[k]:
+                counts[k] -= 1
+                current.append(k)
+                yield from rec()
+                current.pop()
+                counts[k] += 1
+
+    yield from rec()
+
+
 def reference_composition_sequences(r, n, composition):
     values = [j for j, mult in enumerate(composition) for _ in range(mult)]
-    for arrangement in _distinct_permutations(values):
+    for arrangement in reference_distinct_permutations(values):
         live = [i for i, v in enumerate(arrangement) if v]
         for combo in itertools.product(range(r), repeat=len(live)):
             colors = [0] * n

@@ -4,13 +4,17 @@ import pytest
 
 from reference_group import reference_dist_terms
 from reference_identities import reference_reiner_rhs, reference_theorem_A_rhs
-from wreathstats import identities
+from wreathstats import biwords, identities
+from wreathstats.cli import main
 from wreathstats.encoding import ColoredSequence
 from wreathstats.group import (
     BudgetExceededError,
+    ColoredPermutation,
     enumerate_group,
     group_order,
+    identity_element,
     inverse,
+    order_key,
     skew_inverse,
     statistics,
 )
@@ -190,33 +194,68 @@ class TestCoefficientOnlyRightSides:
             assert got.to_lines() == reference_reiner_rhs(ctx, r, n).to_lines(), n
 
 
-class _UncheckedResidue:
-    """A residue without the ``Partition`` check, so that a negative part
-    reaches the checks after it."""
-
-    def __init__(self, f, gamma, des_set):
-        count = 0
-        parts = []
-        for i, s in enumerate(gamma.sigma):
-            count += i in des_set
-            parts.append(f.values[s - 1] - count)
-        self.parts = tuple(parts)
-        self.n = len(parts)
-        self.max_part = max(parts, default=0)
-        self.weight = sum(parts)
-
-
 class TestBijectionStats:
     def test_descent_at_zero_forces_growth(self, monkeypatch):
         # A colored zero sorts to [1^1], a descent at 0 over the value 0.
-        # With the residue unchecked, the round trip and both bookkeeping
-        # relations still hold, so only the growth check can refuse it.
+        # Its residue would have the negative part -1, but the growth check
+        # comes before the residue's Partition check and names it.
         f = ColoredSequence(2, (0,), (1,))
         monkeypatch.setattr(identities, "enumerate_sequences",
                             lambda *args, **kwargs: iter([f]))
-        monkeypatch.setattr(identities, "_residue", _UncheckedResidue)
         got = next(identities._bijection_stats(None, 2, 1, 0))
         assert got == ("fact", "descent forces growth at 0^1", False, None)
+
+    def test_sequence_side_residue_failure_is_a_fact(self, monkeypatch):
+        # An identity "sort" of 1,0 has no descent to grow across, so the
+        # residue 1,0 reaches its Partition check.
+        f = ColoredSequence(1, (1, 0), (0, 0))
+        monkeypatch.setattr(identities, "enumerate_sequences",
+                            lambda *args, **kwargs: iter([f]))
+        monkeypatch.setattr(identities, "pi_of",
+                            lambda f: identity_element(f.r, f.n))
+        got = next(identities._bijection_stats(None, 1, 2, 1))
+        assert got == ("fact", "residue of 1,0", False, "parts must be nondecreasing")
+
+    def test_pair_side_residue_failure_is_a_fact(self, monkeypatch):
+        def refuse(f, gamma, des_set):
+            raise ValueError("parts must be nonnegative")
+
+        monkeypatch.setattr(identities, "enumerate_sequences",
+                            lambda *args, **kwargs: iter([]))
+        monkeypatch.setattr(identities, "_residue", refuse)
+        facts = list(identities._bijection_stats(None, 1, 1, 0))
+        assert facts[-1] == ("fact", "residue of 0", False,
+                             "parts must be nonnegative")
+
+
+def _reversed_pi_of(f):
+    """pi_of with the value sort reversed: a faulty map under test."""
+    values, colors = f.values, f.colors
+    order = sorted(range(1, f.n + 1),
+                   key=lambda i: (values[i - 1], order_key(i, colors[i - 1])),
+                   reverse=True)
+    return ColoredPermutation(f.r, tuple(order), tuple(colors[i - 1] for i in order))
+
+
+class TestFaultyMapReportsFail:
+    @pytest.fixture(autouse=True)
+    def reversed_sort(self, monkeypatch):
+        monkeypatch.setattr(identities, "pi_of", _reversed_pi_of)
+        monkeypatch.setattr(biwords, "pi_of", _reversed_pi_of)
+
+    def test_biword_triple_failure_names_the_biword(self):
+        facts = list(identities._biword_count(None, 2, 2, 2, 2))
+        label, detail = facts[-1][1], facts[-1][3]
+        assert label.startswith("triple of Biword(")
+        assert detail == "first partition is not skew-inverse compatible"
+
+    @pytest.mark.parametrize("name", ["bijection_stats", "biword_count"])
+    def test_cli_prints_fail_not_invalid_input(self, capsys, name):
+        code = main(["verify", "--identity", name])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert f"{name} " in out and " FAIL" in out
+        assert "invalid input" not in out + err
 
 
 class TestInverseStatistics:

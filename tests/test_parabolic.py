@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from reference_group import reference_is_in_quotient
+from reference_group import reference_decompose, reference_is_in_quotient
 
 from wreathstats.group import (
     enumerate_group,
@@ -127,3 +127,13 @@ def test_quotient_membership_matches_statistics_reference(r, n):
     for gamma in enumerate_group(r, n):
         for cls in classes:
             assert is_in_quotient(gamma, cls) == reference_is_in_quotient(gamma, cls)
+
+
+@pytest.mark.parametrize("r,n", itertools.product((1, 2, 3), range(5)))
+def test_decompose_matches_block_by_block_reference(r, n):
+    classes = [cls_of(r, n, members) for size in range(n + 1)
+               for members in itertools.combinations(range(n), size)]
+    for gamma in enumerate_group(r, n):
+        for cls in classes:
+            assert decompose(gamma, cls) == reference_decompose(gamma, cls), \
+                (gamma, cls.members)

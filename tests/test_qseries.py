@@ -405,6 +405,14 @@ class TestExponentLimit:
         with pytest.raises(ExponentOverflowError):
             _coefficient_product(u_top, MultiPoly.variable(free, "u"), "u", MAX_EXPONENT + 1)
 
+    def test_no_power_beyond_the_last_factor(self):
+        # (q^MAX; q)_1 and [1] with base q^MAX never form q^(MAX+1).
+        ctx = SeriesContext(("q",))
+        top = MultiPoly.monomial(ctx, 1, q=MAX_EXPONENT)
+        assert pochhammer(ctx, top, "q", 1) == 1 - top
+        assert double_pochhammer(ctx, top, "q", "q", 1, 1) == 1 - top
+        assert q_int(ctx, 1, top) == 1
+
     def test_coefficient_product_context_mismatch(self):
         x = MultiPoly.variable(SeriesContext(("u", "q"), (2, None)), "u")
         y = MultiPoly.variable(SeriesContext(("u", "q"), (3, None)), "u")
@@ -550,3 +558,48 @@ class TestReferenceOracle:
         quotient = divide_exact(x * y, y)
         assert_same(quotient, ref.divide_exact(rx * ry, ry))
         assert quotient == x
+
+
+# -- differential oracle: the q-analogue constructors against their loops ----
+
+# u and p capped, q not; the bases cover capped, uncapped, mixed and zero
+# monomials, and the lengths finite, zero, negative and infinite legs.
+_PQ_CTX = SeriesContext(("u", "p", "q"), (3, 4, None))
+_PQ_BASES = ("p", "q", "u",
+             MultiPoly.monomial(_PQ_CTX, 1, p=1, q=1),
+             MultiPoly.variable(_PQ_CTX, "p") + MultiPoly.variable(_PQ_CTX, "q"),
+             MultiPoly.zero(_PQ_CTX))
+_PQ_FACTORS = ("u", "p", "q", MultiPoly.constant(_PQ_CTX, 1),
+               -MultiPoly.monomial(_PQ_CTX, 2, u=1, q=1), MultiPoly.zero(_PQ_CTX))
+_PQ_LENGTHS = (None, -1, 0, 1, 2, 3)
+
+
+def _constructed(build, *args):
+    """The polynomial's text lines, or the error's type and message."""
+    try:
+        return build(*args).to_lines()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestConstructorOracle:
+    def test_pochhammer_and_q_int(self):
+        # the public products also take a scalar a, and refuse a float length
+        for base in _PQ_BASES:
+            for n in _PQ_LENGTHS + (2.0,):
+                assert _constructed(q_int, _PQ_CTX, n, base) \
+                    == _constructed(ref.reference_q_int, _PQ_CTX, n, base), (base, n)
+                for a in _PQ_FACTORS + (2,):
+                    args = (_PQ_CTX, a, base, n)
+                    assert _constructed(pochhammer, *args) \
+                        == _constructed(ref.reference_pochhammer, *args), args
+
+    @pytest.mark.parametrize("p_base", _PQ_BASES)
+    def test_double_pochhammer(self, p_base):
+        for q_base in _PQ_BASES:
+            for a in _PQ_FACTORS:
+                for n in _PQ_LENGTHS:
+                    for m in _PQ_LENGTHS:
+                        args = (_PQ_CTX, a, p_base, q_base, n, m)
+                        assert _constructed(double_pochhammer, *args) \
+                            == _constructed(ref.reference_double_pochhammer, *args), args

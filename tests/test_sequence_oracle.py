@@ -13,6 +13,7 @@ from reference_sequences import (
     reference_bijection_stats,
     reference_check_triple,
     reference_composition_sequences,
+    reference_distinct_permutations,
     reference_enumerate_biwords,
     reference_from_triple,
     reference_lambda_of,
@@ -28,6 +29,7 @@ from wreathstats.biwords import (
     to_triple,
 )
 from wreathstats.encoding import (
+    _distinct_permutations,
     enumerate_sequences,
     is_compatible,
     lambda_of,
@@ -51,6 +53,15 @@ def test_same_biwords_in_the_same_order(r, n):
         got = list(enumerate_biwords(r, n, cap_f, cap_g))
         assert got == list(reference_enumerate_biwords(r, n, cap_f, cap_g)), \
             (cap_f, cap_g)
+
+
+def test_same_arrangements_in_the_same_order():
+    # every multiset of size <= 7 over 4 values, handed over in both orders
+    for size in range(8):
+        for multiset in itertools.combinations_with_replacement(range(4), size):
+            want = list(reference_distinct_permutations(multiset))
+            for items in (list(multiset), list(reversed(multiset))):
+                assert list(_distinct_permutations(items)) == want, items
 
 
 @pytest.mark.parametrize("r,n", _GRID)
