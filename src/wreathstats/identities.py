@@ -10,6 +10,12 @@ monomial in the context's lexicographic order.
 Infinite sums are handled by grading: both sides of every identity are
 graded by the truncation variables (powers of t, or the extracted power of
 u), so a capped comparison checks each retained coefficient completely.
+The u-graded right sides never expand a whole series to read one
+coefficient.  The u^n coefficient of a product of p-exponentials is a sum
+over Gaussian binomials ``[m choose j]_p`` of smaller such coefficients
+(``_exponential_sum``); the substitution u -> (1 - t)u scales the u^n
+coefficient by ``(1 - t)^n``; and the reciprocal of a double Pochhammer
+product is the product of its factors' reciprocals.
 """
 
 from __future__ import annotations
@@ -53,10 +59,10 @@ from .qseries import (
     MultiPoly,
     SeriesContext,
     _coefficient_product,
+    _gaussian_rows,
+    _reciprocal_double_pochhammer,
     bracket_two_param,
     coefficient_of,
-    divide_exact,
-    double_pochhammer,
     exp_series,
     hat_factorial,
     hat_multinomial,
@@ -438,23 +444,42 @@ def _keylem(max_elements, r, n, parts_max=4):
             yield ("poly", f"composition {comp} (r={r})", lhs, rhs)
 
 
-def _theorem_A_rhs(ctx, r, n, tmax):
-    twist = _color_twist(ctx, r)
-    plain = exp_series(ctx, "p", "u", n, p_var="p")
-    hatted = exp_series(ctx, "hat", "u", n, p_var="p", a_expr=twist)
-    nfact = q_factorial(ctx, n, "p")
-    rhs = MultiPoly.zero(ctx)
-    clearing = MultiPoly.constant(ctx, 1)
-    # running = prod_{i<k} plain(q^i u), extended by one factor per k
-    running = MultiPoly.constant(ctx, 1)
-    for k in range(tmax + 1):
-        qk = MultiPoly.monomial(ctx, 1, q=k, u=1)
-        term = _coefficient_product(substitute(hatted, "u", qk), running, "u", n)
-        rhs = rhs + MultiPoly.monomial(ctx, 1, t=k) * divide_exact(term, clearing)
-        if k < tmax:
-            clearing = clearing * nfact
-            running = running * substitute(plain, "u", qk)
+def _exponential_sum(ctx, n, x, kmax, shift=None):
+    """``sum_k t^k [n]_p! [u^n] E_x(s^k u) prod_{i<k} e_p(s^i u)``, k <= kmax.
+
+    ``e_p`` is the p-exponential, ``E_x`` the hatted one, whose u^m
+    coefficient is ``prod_{i=m+1..n} (1 + x p^i) / [m]_p!`` once the
+    clearing factor ``[n]_p!`` is divided out, and ``s`` is the variable
+    ``shift``, or 1 when it is None.  No clearing factor is ever formed:
+    ``running[m]``, ``[m]_p!`` times the u^m coefficient of the product of
+    the first k plain factors, is a polynomial with ``running = [1, 0, ...]``
+    at k = 0 and ``sum_j s^(kj) [m choose j]_p running[m-j]`` one factor on.
+    """
+    binomials = _gaussian_rows(ctx, n, "p")
+    one = MultiPoly.constant(ctx, 1)
+    zero = MultiPoly.zero(ctx)
+    # tails[n - m] = prod_{i=m+1..n} (1 + x p^i)
+    tails = [one]
+    for i in range(n, 0, -1):
+        tails.append(tails[-1] * (one + x * MultiPoly.monomial(ctx, 1, p=i)))
+    hats = [binomials[n][m] * tails[n - m] for m in range(n + 1)]
+    running = [one] + [zero] * n
+    rhs = zero
+    for k in range(kmax + 1):
+        weights = [MultiPoly.monomial(ctx, 1, **{shift: k * j}) if shift else one
+                   for j in range(n + 1)]
+        term = sum((hats[m] * weights[m] * running[n - m] for m in range(n + 1)),
+                   zero)
+        rhs = rhs + MultiPoly.monomial(ctx, 1, t=k) * term
+        if k < kmax:
+            running = [sum((weights[j] * binomials[m][j] * running[m - j]
+                            for j in range(m + 1)), zero)
+                       for m in range(n + 1)]
     return rhs
+
+
+def _theorem_A_rhs(ctx, r, n, tmax):
+    return _exponential_sum(ctx, n, _color_twist(ctx, r), tmax, "q")
 
 
 def _theorem_A_cases(max_elements, r, n, tmax):
@@ -473,11 +498,11 @@ def _theorem_A(max_elements, r, n, tmax):
 
 def _theorem_B_rhs_term(ctx, r, n, k1, k2):
     u = MultiPoly.variable(ctx, "u")
-    first = double_pochhammer(ctx, u, "q1", "q2", k1 + 1, k2 + 1)
+    inv_first = _reciprocal_double_pochhammer(ctx, u, "q1", "q2", k1 + 1, k2 + 1)
     marked = MultiPoly.monomial(ctx, 1, a=1, b=1) \
         * bracket_two_param(ctx, r - 1, "a", "b") * u
-    second = double_pochhammer(ctx, marked, "q1", "q2", k1, k2)
-    return coefficient_of(reciprocal(first * second), "u", n)
+    inv_second = _reciprocal_double_pochhammer(ctx, marked, "q1", "q2", k1, k2)
+    return _coefficient_product(inv_first, inv_second, "u", n)
 
 
 def _theorem_B_cases(max_elements, r, n, t1max, t2max):
@@ -548,25 +573,9 @@ def _carlitz(max_elements, r, n, tmax):
 
 
 def _reiner_rhs(ctx, r, n):
-    tcap = n + 1
-    hat_param = q_int(ctx, r - 1, "p")
-    plain = exp_series(ctx, "p", "u", n, p_var="p")
-    hatted = exp_series(ctx, "hat", "u", n, p_var="p", a_expr=hat_param)
+    # the u^n coefficient of F((1 - t)u) is (1 - t)^n times that of F(u)
     shrink = MultiPoly.constant(ctx, 1) - MultiPoly.variable(ctx, "t")
-    scaled = shrink * MultiPoly.variable(ctx, "u")
-    plain_v = substitute(plain, "u", scaled)
-    hat_v = substitute(hatted, "u", scaled)
-    nfact = q_factorial(ctx, n, "p")
-    rhs = MultiPoly.zero(ctx)
-    power = MultiPoly.constant(ctx, 1)
-    clearing = MultiPoly.constant(ctx, 1)
-    for j in range(tcap + 1):
-        term = _coefficient_product(hat_v, power, "u", n)
-        rhs = rhs + MultiPoly.monomial(ctx, 1, t=j) * divide_exact(term, clearing)
-        if j < tcap:
-            power = power * plain_v
-            clearing = clearing * nfact
-    return shrink * rhs
+    return shrink ** (n + 1) * _exponential_sum(ctx, n, q_int(ctx, r - 1, "p"), n + 1)
 
 
 def _reiner(max_elements, r, nmax):
@@ -600,7 +609,7 @@ def _brenti(max_elements, r, nmax):
 def _gessel_roselle(max_elements, r, ucap, pcap, qcap):
     ctx = SeriesContext(("u", "p", "q"), (ucap, pcap, qcap))
     u = MultiPoly.variable(ctx, "u")
-    series = reciprocal(double_pochhammer(ctx, u, "p", "q", None, None))
+    series = _reciprocal_double_pochhammer(ctx, u, "p", "q", None, None)
     p = MultiPoly.variable(ctx, "p")
     for n in range(ucap + 1):
         lhs = dist_polynomial(ctx, r, n, {"maj": "q", "length": "p"},
@@ -617,11 +626,10 @@ def _adin_roichman(max_elements, r, ucap, qcap):
     u = MultiPoly.variable(ctx, "u")
     b1 = MultiPoly.monomial(ctx, 1, q1=r)
     b2 = MultiPoly.monomial(ctx, 1, q2=r)
-    first = double_pochhammer(ctx, u, b1, b2, None, None)
     marked = MultiPoly.monomial(ctx, 1, q1=1, q2=1) \
         * bracket_two_param(ctx, r - 1, "q1", "q2") * u
-    second = double_pochhammer(ctx, marked, b1, b2, None, None)
-    series = reciprocal(first * second)
+    series = _reciprocal_double_pochhammer(ctx, u, b1, b2, None, None) \
+        * _reciprocal_double_pochhammer(ctx, marked, b1, b2, None, None)
     for n in range(ucap + 1):
         lhs = dist_polynomial(ctx, r, n, {"fmaj": "q1", "ifmaj": "q2"},
                               max_elements)

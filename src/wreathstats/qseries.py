@@ -422,7 +422,8 @@ def coefficient_of(poly, name, exponent):
     return _poly(poly.ctx, _slices(poly, name).get(exponent, {}))
 
 
-# theorem_B, gessel_roselle, adin_roichman keep coefficient_of: a reciprocal needs every lower u^k.
+# theorem_B reads one u^n coefficient, of the product of two reciprocals; gessel_roselle
+# and adin_roichman read every u^n up to the cap of one series, so they keep coefficient_of.
 def _coefficient_product(a, b, name, exponent):
     """``coefficient_of(a * b, name, exponent)`` without the rest of ``a * b``.
 
@@ -603,6 +604,19 @@ def pochhammer(ctx, a_expr, base, n):
     return result
 
 
+def _double_terms(ctx, a_expr, p_base, q_base, n, m):
+    """The terms ``a * p^i * q^j`` of a double Pochhammer product, rows
+    outside and columns inside, each built when it is read.  Both legs are
+    checked at once, before any term is read."""
+    pb = _as_poly(ctx, p_base)
+    qb = _as_poly(ctx, q_base)
+    a = _as_poly(ctx, a_expr) if isinstance(a_expr, str) else a_expr
+    rows = _factor_run(a, pb, n, "first")
+    # the second leg is checked on a itself, so also when there is no row
+    _factor_run(a, qb, m, "second")
+    return (term for row in rows for term in _factor_run(row, qb, m, "second"))
+
+
 def double_pochhammer(ctx, a_expr, p_base, q_base, n, m):
     """Double product ``prod_{1<=i<=n, 1<=j<=m} (1 - a * p^(i-1) * q^(j-1))``.
 
@@ -610,16 +624,19 @@ def double_pochhammer(ctx, a_expr, p_base, q_base, n, m):
     included until they are identically 1 within the caps.  ``n == 0`` or
     ``m == 0`` gives 1.
     """
-    pb = _as_poly(ctx, p_base)
-    qb = _as_poly(ctx, q_base)
-    a = _as_poly(ctx, a_expr) if isinstance(a_expr, str) else a_expr
-    rows = _factor_run(a, pb, n, "first")
-    # the second leg is checked on a itself, so also when there is no row
-    _factor_run(a, qb, m, "second")
     result = one = MultiPoly.constant(ctx, 1)
-    for row in rows:
-        for term in _factor_run(row, qb, m, "second"):
-            result = result * (one - term)
+    for term in _double_terms(ctx, a_expr, p_base, q_base, n, m):
+        result = result * (one - term)
+    return result
+
+
+def _reciprocal_double_pochhammer(ctx, a_expr, p_base, q_base, n, m):
+    """``reciprocal(double_pochhammer(...))`` built as the product of the
+    factors' reciprocals, each a short geometric series, so no reciprocal of
+    the whole product is expanded."""
+    result = one = MultiPoly.constant(ctx, 1)
+    for term in _double_terms(ctx, a_expr, p_base, q_base, n, m):
+        result = result * reciprocal(one - term)
     return result
 
 
@@ -629,6 +646,19 @@ def q_int(ctx, n, base):
         raise ValueError("q-integer of a negative integer")
     b = _as_poly(ctx, base)
     return sum(_factor_run(MultiPoly.constant(ctx, 1), b, n), MultiPoly.zero(ctx))
+
+
+def _gaussian_rows(ctx, n, base):
+    """Rows ``0..n`` of the Gaussian binomials ``[m choose j]`` in base ``b``,
+    by Pascal's rule ``[m choose j] = [m-1 choose j-1] + b^j [m-1 choose j]``."""
+    one = MultiPoly.constant(ctx, 1)
+    powers = list(_factor_run(one, _as_poly(ctx, base), n))
+    rows = [[one]]
+    for m in range(1, n + 1):
+        prev = rows[-1]
+        rows.append([one] + [prev[j - 1] + powers[j] * prev[j]
+                             for j in range(1, m)] + [one])
+    return rows
 
 
 def q_factorial(ctx, n, base):

@@ -1,23 +1,32 @@
 """Full-product right sides, the differential oracles for the u-graded
-right sides of ``theorem_A`` and ``reiner``.
+right sides of ``theorem_A``, ``reiner`` and ``theorem_B``.
 
-These are the builders ``identities`` used before its coefficient-only
-products: each step forms the whole product up to u^n, takes its u^n
-coefficient with ``coefficient_of``, and extends the running product and
-the clearing factor on every step, including the last.  They take the same
-arguments and context as ``identities._theorem_A_rhs`` and
-``identities._reiner_rhs``.  This module is imported only by the tests.
+``reference_theorem_A_rhs`` and ``reference_reiner_rhs`` are the builders
+``identities`` used before its coefficient-only products: each step forms
+the whole product of the cleared exponential series up to u^n (substituted
+u -> q^k u, or u -> (1 - t)u), takes its u^n coefficient with
+``coefficient_of``, divides out the clearing factor with ``divide_exact``,
+and extends the running product and the clearing factor on every step,
+including the last.  ``reference_theorem_B_rhs_term`` takes the u^n
+coefficient of the reciprocal of the whole product of the two double
+Pochhammer products.  They take the same arguments and context as
+``identities._theorem_A_rhs``, ``identities._reiner_rhs`` and
+``identities._theorem_B_rhs_term``.  This module is imported only by the
+tests.
 """
 
 from __future__ import annotations
 
 from wreathstats.qseries import (
     MultiPoly,
+    bracket_two_param,
     coefficient_of,
     divide_exact,
+    double_pochhammer,
     exp_series,
     q_factorial,
     q_int,
+    reciprocal,
     substitute,
 )
 
@@ -62,3 +71,12 @@ def reference_reiner_rhs(ctx, r, n):
         power = power * plain_v
         clearing = clearing * nfact
     return shrink * rhs
+
+
+def reference_theorem_B_rhs_term(ctx, r, n, k1, k2):
+    u = MultiPoly.variable(ctx, "u")
+    first = double_pochhammer(ctx, u, "q1", "q2", k1 + 1, k2 + 1)
+    marked = MultiPoly.monomial(ctx, 1, a=1, b=1) \
+        * bracket_two_param(ctx, r - 1, "a", "b") * u
+    second = double_pochhammer(ctx, marked, "q1", "q2", k1, k2)
+    return coefficient_of(reciprocal(first * second), "u", n)

@@ -13,8 +13,9 @@ bijection and the ``Triple`` check as they were written on a skew-inverse
 group element, here the one from ``reference_group.reference_skew_inverse``;
 the two catalog functions compute ``pi_of`` and the descent set again for
 every map they call, test compatibility one partition at a time, and
-rescan every biword for each pair of caps.  This module is imported only by
-the tests.
+rescan every biword for each pair of caps, whose predicted counts come from
+``reference_identities.reference_theorem_B_rhs_term``.  This module is
+imported only by the tests.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from reference_group import (
     reference_lambda_gamma,
     reference_skew_inverse,
 )
+from reference_identities import reference_theorem_B_rhs_term
 from wreathstats.biwords import (
     Biword,
     column_multiset,
@@ -45,7 +47,6 @@ from wreathstats.group import (
     enumerate_group,
     order_key,
 )
-from wreathstats.identities import _theorem_B_rhs_term
 from wreathstats.qseries import MultiPoly, SeriesContext, substitute
 
 
@@ -253,7 +254,7 @@ def reference_biword_count(max_elements, r, n, cap_f, cap_g):
             actual = sum(1 for b in words
                          if max(b.f.values, default=0) <= k1
                          and b.g.max_part <= k2)
-            term = _theorem_B_rhs_term(ctx, r, n, k1, k2)
+            term = reference_theorem_B_rhs_term(ctx, r, n, k1, k2)
             for var in ("q1", "q2", "a", "b"):
                 term = substitute(term, var, one)
             predicted = term.constant_term

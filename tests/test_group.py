@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -40,6 +41,17 @@ class TestColoredOrder:
         assert items == [ci(7, 2), ci(2, 1), ci(1, 2)]
         assert compare_colored(ci(7, 2), ci(2, 1), 4) == -1
         assert compare_colored(ci(2, 1), ci(1, 2), 4) == -1
+
+    def test_larger_color_is_smaller_on_a_tie(self):
+        # the tie between two colors of one value, spelled out by hand
+        assert compare_colored(ci(2, 2), ci(2, 1), 3) == -1
+        assert compare_colored(ci(2, 1), ci(2, 2), 3) == 1
+        assert compare_colored(ci(5, 3), ci(5, 1), 4) == -1
+        assert compare_colored(ci(2, 1), ci(2, 1), 3) == 0
+        # {2^1, 2^2, 3^1} sorts to (3^1, 2^2, 2^1)
+        items = [ci(2, 1), ci(2, 2), ci(3, 1)]
+        items.sort(key=functools.cmp_to_key(lambda x, y: compare_colored(x, y, 3)))
+        assert items == [ci(3, 1), ci(2, 2), ci(2, 1)]
 
     def test_total_order_on_small_alphabet(self):
         r, n = 3, 4

@@ -3,7 +3,11 @@ import warnings
 import pytest
 
 from reference_group import reference_dist_terms
-from reference_identities import reference_reiner_rhs, reference_theorem_A_rhs
+from reference_identities import (
+    reference_reiner_rhs,
+    reference_theorem_A_rhs,
+    reference_theorem_B_rhs_term,
+)
 from wreathstats import biwords, identities
 from wreathstats.cli import main
 from wreathstats.encoding import ColoredSequence
@@ -186,12 +190,26 @@ class TestCoefficientOnlyRightSides:
                 want = reference_theorem_A_rhs(ctx, r, n, tmax)
                 assert got.to_lines() == want.to_lines(), (n, tmax)
 
-    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_reiner_matches_full_products(self, r):
-        for n in range(5):
+        for n in range(6):
             ctx = SeriesContext(("t", "p", "u"), (n + 1, None, n))
             got = identities._reiner_rhs(ctx, r, n)
             assert got.to_lines() == reference_reiner_rhs(ctx, r, n).to_lines(), n
+
+    # r=1 is the right side gg2 checks; the second context is biword_count's.
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_theorem_B_terms_match_whole_reciprocals(self, r):
+        for n in range(4):
+            for ctx in (SeriesContext(("t1", "t2", "q1", "q2", "a", "b", "u"),
+                                      (3, 3, None, None, None, None, n)),
+                        SeriesContext(("q1", "q2", "a", "b", "u"),
+                                      (None, None, None, None, n))):
+                for k1 in range(4):
+                    for k2 in range(4):
+                        got = identities._theorem_B_rhs_term(ctx, r, n, k1, k2)
+                        want = reference_theorem_B_rhs_term(ctx, r, n, k1, k2)
+                        assert got.to_lines() == want.to_lines(), (n, k1, k2)
 
 
 class TestBijectionStats:

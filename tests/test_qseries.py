@@ -16,6 +16,8 @@ from wreathstats.qseries import (
     NonUnitError,
     SeriesContext,
     _coefficient_product,
+    _gaussian_rows,
+    _reciprocal_double_pochhammer,
     bracket_two_param,
     coefficient_of,
     divide_exact,
@@ -185,11 +187,77 @@ class TestDoublePochhammer:
             double_pochhammer(ctx, u, "p", "q", None, 2)
 
 
+class TestReciprocalDoublePochhammer:
+    """The product of the factors' reciprocals against the reciprocal of the
+    whole double product."""
+
+    CTX = SeriesContext(("u", "p", "q", "a"), (3, 4, 4, None))
+    LEGS = (0, 1, 2, 3, None)
+
+    @pytest.mark.parametrize("p_base", ["p", "q"])
+    def test_matches_whole_reciprocal(self, p_base):
+        ctx = self.CTX
+        u = MultiPoly.variable(ctx, "u")
+        q2 = MultiPoly.monomial(ctx, 1, q=2)
+        for a in (u, u * MultiPoly.variable(ctx, "p"),
+                  -(u * MultiPoly.variable(ctx, "a")), u + u * u * 3):
+            for q_base in ("q", q2):
+                for n in self.LEGS:
+                    for m in self.LEGS:
+                        args = (ctx, a, p_base, q_base, n, m)
+                        want = reciprocal(double_pochhammer(*args))
+                        got = _reciprocal_double_pochhammer(*args)
+                        assert got.to_lines() == want.to_lines(), (a, q_base, n, m)
+
+    @pytest.mark.parametrize("n,m,leg", [(None, 2, "first"), (2, None, "second"),
+                                         (0, None, "second"), (None, 0, "first")])
+    def test_infinite_leg_error(self, n, m, leg):
+        # "a" is uncapped; with no row at all the second leg is still checked
+        ctx = SeriesContext(("u", "p", "a"), (2, 2, None))
+        u = MultiPoly.variable(ctx, "u")
+        first, second = ("a", "p") if leg == "first" else ("p", "a")
+        message = f"infinite {leg} leg needs finite caps on its base variables"
+        for build in (lambda: reciprocal(double_pochhammer(ctx, u, first, second, n, m)),
+                      lambda: _reciprocal_double_pochhammer(ctx, u, first, second, n, m)):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert type(info.value) is ValueError and str(info.value) == message
+
+    def test_uncapped_factor_is_not_a_unit(self):
+        # u is uncapped, so the factor (1 - u) has no geometric expansion
+        ctx = SeriesContext(("u", "p", "q"), (None, 2, 2))
+        u = MultiPoly.variable(ctx, "u")
+        message = ("reciprocal does not terminate: term u^1 has no finitely "
+                   "capped variable")
+        for build in (lambda: reciprocal(double_pochhammer(ctx, u, "p", "q", 1, 1)),
+                      lambda: _reciprocal_double_pochhammer(ctx, u, "p", "q", 1, 1)):
+            with pytest.raises(NonUnitError) as info:
+                build()
+            assert str(info.value) == message
+        # with more factors the helper names the first factor's term, the
+        # whole product another term of the same kind
+        for build in (lambda: reciprocal(double_pochhammer(ctx, u, "p", "q", 2, 2)),
+                      lambda: _reciprocal_double_pochhammer(ctx, u, "p", "q", 2, 2)):
+            with pytest.raises(NonUnitError, match="has no finitely capped variable"):
+                build()
+
+
 class TestQAnalogues:
     def test_q_int(self):
         ctx = SeriesContext(("p",))
         assert q_int(ctx, 3, "p") == expand(ctx, [({}, 1), ({"p": 1}, 1), ({"p": 2}, 1)])
         assert q_int(ctx, 0, "p").is_zero
+
+    def test_gaussian_rows(self):
+        ctx = SeriesContext(("p", "q"))
+        for base in ("p", MultiPoly.monomial(ctx, 1, p=1, q=2)):
+            rows = _gaussian_rows(ctx, 5, base)
+            assert [len(row) for row in rows] == [1, 2, 3, 4, 5, 6]
+            for m, row in enumerate(rows):
+                for j, binomial in enumerate(row):
+                    assert binomial * q_factorial(ctx, j, base) \
+                        * q_factorial(ctx, m - j, base) == q_factorial(ctx, m, base)
+        assert _gaussian_rows(ctx, 0, "p") == [[1]]
 
     def test_hat_factorial_base_case(self):
         ctx = SeriesContext(("a", "p"))
