@@ -6,6 +6,12 @@ positions themselves, produces a colored permutation; subtracting the
 running descent count from the sorted values leaves a partition.  The two
 maps are mutually inverse, which is what the round-trip tests pin down.
 
+The sort and the enumeration each have one tuple core that the public
+function wraps: ``_sort`` gives ``pi_of``'s window as ``(sigma, colors)``
+tuples and ``_sequences`` yields ``enumerate_sequences``' sequences as
+``(values, colors)`` tuples, for callers that read only the tuples and need
+no checked value object.
+
 Partitions are kept in nondecreasing order throughout.
 """
 
@@ -20,10 +26,10 @@ from .group import (
     ColoredPermutation,
     ParseError,
     _descent_set,
+    _length,
     _parse_entries,
     _skew,
     order_key,
-    statistics,
 )
 
 __all__ = [
@@ -108,13 +114,19 @@ def pi_of(f):
 
     Positions are ordered by their value; positions holding equal values are
     arranged increasingly as colored integers.  Accepts any colored
-    sequence, including those with colored zeros.
+    sequence, including those with colored zeros.  The window comes from
+    the tuple core ``_sort``.
     """
-    values, colors = f.values, f.colors
-    order = sorted(range(1, f.n + 1),
-                   key=lambda i: (values[i - 1], order_key(i, colors[i - 1])))
-    return ColoredPermutation(f.r, tuple(order),
-                              tuple(colors[i - 1] for i in order))
+    return ColoredPermutation(f.r, *_sort(f.values, f.colors))
+
+
+def _sort(values, colors):
+    """``pi_of``'s window on a sequence's tuples, as ``(sigma, colors)``:
+    sigma lists the positions 1..n in sorted order and each position keeps
+    its color."""
+    order = tuple(sorted(range(1, len(values) + 1),
+                         key=lambda i: (values[i - 1], order_key(i, colors[i - 1]))))
+    return order, tuple(colors[i - 1] for i in order)
 
 
 def lambda_of(f):
@@ -217,9 +229,9 @@ class SequenceStats:
 
 def seq_statistics(f):
     """Maximum, sum, and the length/color weight of the sorted permutation."""
-    rec = statistics(pi_of(f))
-    return SequenceStats(max=max(f.values, default=0), sum=sum(f.values),
-                         inv=rec.length, col=rec.col)
+    values, colors = f.values, f.colors
+    return SequenceStats(max=max(values, default=0), sum=sum(values),
+                         inv=_length(*_sort(values, colors)), col=sum(colors))
 
 
 def _distinct_permutations(items):
@@ -248,8 +260,18 @@ def enumerate_sequences(r, n, max_cap=None, restrict_n0=True, composition=None,
     ``restrict_n0`` zero values carry only color 0.  Composition mode lists
     the sequences whose value-multiplicity profile equals ``composition``
     (entry j gives the multiplicity of value j); zeros are uncolored there
-    by definition of the profile's domain.
+    by definition of the profile's domain.  The tuples come from the core
+    ``_sequences``, whose checks run when the first sequence is asked for.
     """
+    for values, colors in _sequences(r, n, max_cap, restrict_n0, composition,
+                                     max_elements):
+        yield ColoredSequence(r, values, colors)
+
+
+def _sequences(r, n, max_cap=None, restrict_n0=True, composition=None,
+               max_elements=None):
+    """``enumerate_sequences`` as ``(values, colors)`` tuples, same order,
+    same checks and budget."""
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
     if composition is not None:
@@ -269,7 +291,7 @@ def enumerate_sequences(r, n, max_cap=None, restrict_n0=True, composition=None,
             # zeros stay uncolored; every other value takes each color
             palettes = [range(r) if v else (0,) for v in arrangement]
             for colors in itertools.product(*palettes):
-                yield ColoredSequence(r, arrangement, colors)
+                yield arrangement, colors
         return
     if max_cap is None or max_cap < 0:
         raise ValueError("plain enumeration needs a nonnegative max_cap")
@@ -279,8 +301,9 @@ def enumerate_sequences(r, n, max_cap=None, restrict_n0=True, composition=None,
         raise BudgetExceededError(
             f"{len(alphabet) ** n} sequences exceed budget {max_elements}")
     for entries in itertools.product(alphabet, repeat=n):
-        yield ColoredSequence(r, tuple(v for v, _ in entries),
-                              tuple(c for _, c in entries))
+        # zip splits the (value, color) pairs; the empty sequence has none
+        values, colors = zip(*entries) if n else ((), ())
+        yield values, colors
 
 
 def partitions_in_box(n, cap):

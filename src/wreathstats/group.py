@@ -217,17 +217,41 @@ def _descent_set(sigma, colors):
     return frozenset(out)
 
 
-def statistics(gamma):
-    """The StatRecord of ``gamma``; O(n^2) in the window length."""
-    sigma, colors = gamma.sigma, gamma.colors
+def _inversions(sigma, colors):
+    """Pairs of window positions whose entries are out of order as colored
+    integers; O(n^2) in the window length."""
     keys = list(map(order_key, sigma, colors))
-    inv = sum(itertools.starmap(operator.gt, itertools.combinations(keys, 2)))
+    return sum(itertools.starmap(operator.gt, itertools.combinations(keys, 2)))
+
+
+def _color_weight(sigma, colors):
+    """What the colors add to the length: ``v + c - 1`` for each entry
+    ``v^c`` with ``c > 0``."""
+    return sum(v + c - 1 for v, c in zip(sigma, colors) if c)
+
+
+def _length(sigma, colors):
+    """The length of the element with window tuples ``(sigma, colors)``,
+    ``_inversions`` plus ``_color_weight``: the length of ``statistics``,
+    for callers that hold only the tuples."""
+    return _inversions(sigma, colors) + _color_weight(sigma, colors)
+
+
+def statistics(gamma):
+    """The StatRecord of ``gamma``; O(n^2) in the window length.
+
+    The length is ``_length``'s sum of two tuple cores, taken apart here
+    because the record also keeps the inversions; the descents come from
+    ``_descent_set``.
+    """
+    sigma, colors = gamma.sigma, gamma.colors
+    inv = _inversions(sigma, colors)
     des_set = _descent_set(sigma, colors)
     maj = sum(des_set)
     col = sum(colors)
     # Positional, in field order: keyword arguments would make the record
     # cost about half as much again.
-    return StatRecord(inv, inv + sum(v + c - 1 for v, c in zip(sigma, colors) if c),
+    return StatRecord(inv, inv + _color_weight(sigma, colors),
                       des_set, len(des_set), maj, gamma.r * maj + col, col, colors)
 
 

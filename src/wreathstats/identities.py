@@ -32,6 +32,7 @@ from .group import (
     _descent_set,
     _inverse_colors,
     _inverse_sigma,
+    _length,
     _skew,
     enumerate_group,
     inverse,
@@ -43,6 +44,8 @@ from .encoding import (
     _fits,
     _residue,
     _sequence_from,
+    _sequences,
+    _sort,
     enumerate_sequences,
     partitions_in_box,
     pi_of,
@@ -408,17 +411,22 @@ def _projection(max_elements, r, n):
         yield ("poly", label, lhs, rhs)
 
 
+def _desmaj_tally(max_elements, r, n, tmax):
+    """For each window ``(sigma, colors)``, the counts of ``(max, n*max -
+    sum)`` over the sequences with entries up to ``tmax`` that sort to it."""
+    buckets = {}
+    for values, colors in _sequences(r, n, max_cap=tmax, restrict_n0=True,
+                                     max_elements=max_elements):
+        top = max(values, default=0)
+        exps = (top, top * n - sum(values))
+        entry = buckets.setdefault(_sort(values, colors), {})
+        entry[exps] = entry.get(exps, 0) + 1
+    return buckets
+
+
 def _desmaj(max_elements, r, n, tmax):
     ctx = SeriesContext(("t", "q"), (tmax, None))
-    buckets = {}
-    for f in enumerate_sequences(r, n, max_cap=tmax, restrict_n0=True,
-                                 max_elements=max_elements):
-        gamma = pi_of(f)
-        key = (gamma.sigma, gamma.colors)
-        top = max(f.values, default=0)
-        exps = (top, top * n - sum(f.values))
-        entry = buckets.setdefault(key, {})
-        entry[exps] = entry.get(exps, 0) + 1
+    buckets = _desmaj_tally(max_elements, r, n, tmax)
     t = MultiPoly.variable(ctx, "t")
     denom = reciprocal(pochhammer(ctx, t, "q", n))
     for gamma in enumerate_group(r, n, max_elements):
@@ -428,18 +436,23 @@ def _desmaj(max_elements, r, n, tmax):
         yield ("poly", f"sequences sorting to {gamma} (r={r})", lhs, rhs)
 
 
+def _keylem_tally(max_elements, r, n, comp):
+    """Counts of ``(length, col)`` of the sorted windows of the sequences
+    with multiplicity profile ``comp``."""
+    acc = {}
+    for values, colors in _sequences(r, n, composition=comp,
+                                     max_elements=max_elements):
+        exps = (_length(*_sort(values, colors)), sum(colors))
+        acc[exps] = acc.get(exps, 0) + 1
+    return acc
+
+
 def _keylem(max_elements, r, n, parts_max=4):
     ctx = SeriesContext(("p", "a"))
     twist = _color_twist(ctx, r)
     for nparts in range(1, parts_max + 1):
         for comp in _weak_compositions(n, nparts):
-            acc = {}
-            for f in enumerate_sequences(r, n, composition=comp,
-                                          max_elements=max_elements):
-                rec = statistics(pi_of(f))
-                exps = (rec.length, rec.col)
-                acc[exps] = acc.get(exps, 0) + 1
-            lhs = MultiPoly(ctx, acc)
+            lhs = MultiPoly(ctx, _keylem_tally(max_elements, r, n, comp))
             rhs = hat_multinomial(ctx, comp, twist, "p")
             yield ("poly", f"composition {comp} (r={r})", lhs, rhs)
 

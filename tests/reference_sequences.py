@@ -14,7 +14,11 @@ group element, here the one from ``reference_group.reference_skew_inverse``;
 the two catalog functions compute ``pi_of`` and the descent set again for
 every map they call, test compatibility one partition at a time, and
 rescan every biword for each pair of caps, whose predicted counts come from
-``reference_identities.reference_theorem_B_rhs_term``.  This module is
+``reference_identities.reference_theorem_B_rhs_term``;
+``reference_keylem_tally`` and ``reference_desmaj_tally`` are the left sides
+of ``keylem`` and ``desmaj`` as they were written on checked value objects,
+a ``ColoredSequence`` and ``pi_of``'s ``ColoredPermutation`` for every
+sequence and, for ``keylem``, its full ``statistics`` record.  This module is
 imported only by the tests.
 """
 
@@ -46,6 +50,7 @@ from wreathstats.group import (
     BudgetExceededError,
     enumerate_group,
     order_key,
+    statistics,
 )
 from wreathstats.qseries import MultiPoly, SeriesContext, substitute
 
@@ -260,3 +265,26 @@ def reference_biword_count(max_elements, r, n, cap_f, cap_g):
             predicted = term.constant_term
             yield ("fact", f"count at caps ({k1},{k2})", actual == predicted,
                    f"{actual} biwords vs coefficient {predicted}")
+
+
+def reference_keylem_tally(max_elements, r, n, comp):
+    acc = {}
+    for f in enumerate_sequences(r, n, composition=comp,
+                                 max_elements=max_elements):
+        rec = statistics(pi_of(f))
+        exps = (rec.length, rec.col)
+        acc[exps] = acc.get(exps, 0) + 1
+    return acc
+
+
+def reference_desmaj_tally(max_elements, r, n, tmax):
+    buckets = {}
+    for f in enumerate_sequences(r, n, max_cap=tmax, restrict_n0=True,
+                                 max_elements=max_elements):
+        gamma = pi_of(f)
+        key = (gamma.sigma, gamma.colors)
+        top = max(f.values, default=0)
+        exps = (top, top * n - sum(f.values))
+        entry = buckets.setdefault(key, {})
+        entry[exps] = entry.get(exps, 0) + 1
+    return buckets

@@ -276,6 +276,28 @@ class TestFaultyMapReportsFail:
         assert "invalid input" not in out + err
 
 
+def _reversed_sort(values, colors):
+    """_sort with the order reversed: a faulty sort under test."""
+    order = tuple(sorted(range(1, len(values) + 1),
+                         key=lambda i: (values[i - 1], order_key(i, colors[i - 1])),
+                         reverse=True))
+    return order, tuple(colors[i - 1] for i in order)
+
+
+def _colorblind_sort(values, colors):
+    """_sort with ties broken by position alone, ignoring colors."""
+    order = tuple(sorted(range(1, len(values) + 1), key=lambda i: (values[i - 1], i)))
+    return order, tuple(colors[i - 1] for i in order)
+
+
+class TestFaultySortReportsFail:
+    @pytest.mark.parametrize("fault", [_reversed_sort, _colorblind_sort])
+    @pytest.mark.parametrize("name", ["keylem", "desmaj"])
+    def test_catalog_default_fails(self, monkeypatch, name, fault):
+        monkeypatch.setattr(identities, "_sort", fault)
+        assert not verify_identity(name).passed
+
+
 class TestInverseStatistics:
     def test_skew_inverse_shares_descents_not_colors(self):
         swap_safe = True

@@ -1,21 +1,24 @@
 """The sequence and biword side against its generate-and-test reference:
 the same sequences and biwords in the same order, the same residue for
-every sequence, the same triple for every biword, and the same reports from
-the two catalog entries built on them."""
+every sequence, the same triple for every biword, the same reports from
+the two catalog entries built on them, and the same tallies from the tuple
+cores behind ``keylem`` and ``desmaj``."""
 
 import itertools
 
 import pytest
 
-from reference_group import reference_is_compatible
+from reference_group import reference_is_compatible, reference_statistics
 from reference_sequences import (
     reference_biword_count,
     reference_bijection_stats,
     reference_check_triple,
     reference_composition_sequences,
+    reference_desmaj_tally,
     reference_distinct_permutations,
     reference_enumerate_biwords,
     reference_from_triple,
+    reference_keylem_tally,
     reference_lambda_of,
     reference_sequence_from,
     reference_to_triple,
@@ -30,13 +33,21 @@ from wreathstats.biwords import (
 )
 from wreathstats.encoding import (
     _distinct_permutations,
+    _sequences,
+    _sort,
     enumerate_sequences,
     is_compatible,
     lambda_of,
     partitions_in_box,
+    pi_of,
     sequence_from,
 )
-from wreathstats.group import enumerate_group
+from wreathstats.group import (
+    BudgetExceededError,
+    _length,
+    enumerate_group,
+    statistics,
+)
 from wreathstats.identities import _weak_compositions
 
 # (r, n) pairs: r <= 3 and n <= 3, with caps <= 3; plus r=2, n=4 with caps 2.
@@ -45,6 +56,10 @@ _GRID = list(itertools.product((1, 2, 3), range(4))) + [(2, 4)]
 
 def _caps(n):
     return (2,) if n == 4 else range(4)
+
+
+# r <= 3 and n <= 4 for the tuple cores
+_CORE_GRID = list(itertools.product((1, 2, 3), range(5)))
 
 
 @pytest.mark.parametrize("r,n", _GRID)
@@ -136,3 +151,63 @@ def test_biword_count_reports(monkeypatch, r, n):
         new = _report(monkeypatch, "biword_count", identities._biword_count, params)
         old = _report(monkeypatch, "biword_count", reference_biword_count, params)
         assert new == old
+
+
+@pytest.mark.parametrize("r,n", _CORE_GRID)
+def test_sort_is_pi_of_window(r, n):
+    for cap in range(3):
+        for f in enumerate_sequences(r, n, max_cap=cap, restrict_n0=False):
+            gamma = pi_of(f)
+            assert _sort(f.values, f.colors) == (gamma.sigma, gamma.colors), f
+
+
+@pytest.mark.parametrize("r,n", _CORE_GRID)
+def test_same_sequence_tuples_in_the_same_order(r, n):
+    for cap, restrict in itertools.product(range(3), (True, False)):
+        got = list(_sequences(r, n, max_cap=cap, restrict_n0=restrict))
+        want = [(f.values, f.colors) for f in
+                enumerate_sequences(r, n, max_cap=cap, restrict_n0=restrict)]
+        assert got == want, (cap, restrict)
+    for parts in range(1, 5):
+        for comp in _weak_compositions(n, parts):
+            got = list(_sequences(r, n, composition=comp))
+            want = [(f.values, f.colors) for f in
+                    reference_composition_sequences(r, n, comp)]
+            assert got == want, comp
+
+
+def test_sequence_tuples_check_lazily():
+    # like enumerate_sequences, the checks and the budget run on the first next()
+    for kwargs in ({"max_cap": 2, "max_elements": 8},
+                   {"composition": (1, 2), "max_elements": 8},
+                   {"composition": (1, 1)}, {"max_cap": -1}):
+        core, public = _sequences(2, 3, **kwargs), enumerate_sequences(2, 3, **kwargs)
+        with pytest.raises((BudgetExceededError, ValueError)) as core_exc:
+            next(core)
+        with pytest.raises((BudgetExceededError, ValueError)) as public_exc:
+            next(public)
+        assert type(core_exc.value) is type(public_exc.value)
+        assert str(core_exc.value) == str(public_exc.value)
+
+
+@pytest.mark.parametrize("r,n", _CORE_GRID)
+def test_length_is_statistics_length(r, n):
+    for g in enumerate_group(r, n):
+        length = _length(g.sigma, g.colors)
+        assert length == statistics(g).length, g
+        assert length == reference_statistics(r, g.sigma, g.colors)[1], g
+
+
+@pytest.mark.parametrize("r,n", _CORE_GRID)
+def test_same_keylem_tallies(r, n):
+    for parts in range(1, 5):
+        for comp in _weak_compositions(n, parts):
+            got = identities._keylem_tally(None, r, n, comp)
+            assert got == reference_keylem_tally(None, r, n, comp), comp
+
+
+@pytest.mark.parametrize("r,n", _CORE_GRID)
+def test_same_desmaj_tallies(r, n):
+    for tmax in range(4):
+        got = identities._desmaj_tally(None, r, n, tmax)
+        assert got == reference_desmaj_tally(None, r, n, tmax), tmax
