@@ -10,6 +10,18 @@ Sorting the bottom row yields a colored permutation together with two
 partitions, one compatible with the skew inverse and one with the element
 itself; that triple determines the biword and gives the bijection both
 directions implement.
+
+The tuple cores serve callers that read only the tuples and need no
+checked value object.  ``_biwords`` yields ``enumerate_biwords``' biwords
+as ``(top parts, values, colors)`` and ``_is_biword`` is ``is_biword`` on
+those tuples; both public functions wrap them.  ``_to_triple`` and
+``_from_triple`` map a biword's tuples to its triple's ``(sigma, colors,
+lam, mu)`` and back, reading each element's descent sets and skew inverse
+from a table of ``_window`` entries and raising ``Triple``'s messages.
+``to_triple`` and ``from_triple`` do not call them, since the ``Triple``
+or ``Biword`` they build checks once already; they share ``_sort``
+(through ``pi_of``), ``_window``, ``_check_triple`` and ``_push`` with
+them.
 """
 
 from __future__ import annotations
@@ -18,12 +30,21 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .group import BudgetExceededError, _descent_set, _skew, order_key
+from .group import (
+    BudgetExceededError,
+    ColoredPermutation,
+    _descent_set,
+    _skew,
+    order_key,
+)
 from .encoding import (
     ColoredSequence,
     Partition,
+    _check_parts,
     _fits,
+    _in_n0,
     _push,
+    _sort,
     multinomial,
     partitions_in_box,
     pi_of,
@@ -54,10 +75,15 @@ def is_biword(g, f):
     """Validity of a partition-over-sequence pair, boundary column included."""
     if g.n != f.n:
         raise ValueError("rows must have equal length")
-    if not f.in_n0:
+    return _is_biword(g.parts, f.values, f.colors)
+
+
+def _is_biword(parts, values, colors):
+    """``is_biword`` on the rows' tuples, lengths already checked."""
+    if not _in_n0(values, colors):
         return False
     prev_g, prev_v, prev_c = 0, 0, 0
-    for gi, v, c in zip(g.parts, f.values, f.colors):
+    for gi, v, c in zip(parts, values, colors):
         if gi == prev_g and not _may_follow(prev_v, prev_c, v, c):
             return False
         prev_g, prev_v, prev_c = gi, v, c
@@ -87,11 +113,25 @@ class Triple:
     def __post_init__(self):
         if self.gamma.n != self.lam.n or self.gamma.n != self.mu.n:
             raise ValueError("lengths do not agree")
-        sigma, colors = self.gamma.sigma, self.gamma.colors
-        if not _fits(self.lam.parts, _descent_set(*_skew(sigma, colors))):
-            raise ValueError("first partition is not skew-inverse compatible")
-        if not _fits(self.mu.parts, _descent_set(sigma, colors)):
-            raise ValueError("second partition is not compatible with the element")
+        des_set, skew_des_set, _ = _window(self.gamma.sigma, self.gamma.colors)
+        _check_triple(self.lam.parts, self.mu.parts, des_set, skew_des_set)
+
+
+def _window(sigma, colors):
+    """What the triple check and the push read of the element with window
+    tuples ``(sigma, colors)``: ``(des_set, skew_des_set, skew)``, its
+    descent set, that of its skew inverse and the skew inverse's tuples."""
+    skew = _skew(sigma, colors)
+    return _descent_set(sigma, colors), _descent_set(*skew), skew
+
+
+def _check_triple(lam, mu, des_set, skew_des_set):
+    """``Triple``'s two compatibility checks on parts tuples, given the
+    element's descent set and that of its skew inverse."""
+    if not _fits(lam, skew_des_set):
+        raise ValueError("first partition is not skew-inverse compatible")
+    if not _fits(mu, des_set):
+        raise ValueError("second partition is not compatible with the element")
 
 
 def to_triple(b):
@@ -101,12 +141,40 @@ def to_triple(b):
     return Triple(gamma=gamma, lam=b.g, mu=mu)
 
 
+def _to_triple(r, lam, values, colors, windows):
+    """``to_triple`` on a biword's tuples: ``(sigma, colors, lam, mu)``.
+
+    ``windows`` maps each element's window tuples to its ``_window``.  The
+    checks are those of ``to_triple``, in its order: a sorted window that
+    is no element raises ``ColoredPermutation``'s error, sorted values that
+    are no partition ``Partition``'s, and an incompatible pair ``Triple``'s.
+    """
+    window = _sort(values, colors)
+    if window not in windows:
+        # no element has this window; its own check says why
+        ColoredPermutation(r, *window)
+    des_set, skew_des_set, _ = windows[window]
+    mu = tuple(values[s - 1] for s in window[0])
+    _check_parts(mu)
+    _check_triple(lam, mu, des_set, skew_des_set)
+    return (*window, lam, mu)
+
+
 def from_triple(t):
     """Rebuild the biword: top row is the first partition, bottom row is the
     second partition pushed through the skew inverse with colors riding along."""
     gamma = t.gamma
-    f = _push(t.mu, gamma.r, *_skew(gamma.sigma, gamma.colors))
-    return Biword(g=t.lam, f=f)
+    values, colors = _push(t.mu.parts, *_skew(gamma.sigma, gamma.colors))
+    return Biword(g=t.lam, f=ColoredSequence(gamma.r, values, colors))
+
+
+def _from_triple(sigma, colors, lam, mu, windows):
+    """``from_triple`` on a triple's tuples: the biword's ``(lam, values,
+    colors)``.  ``windows`` is ``_to_triple``'s table and must hold the
+    element; an incompatible pair raises ``Triple``'s error."""
+    des_set, skew_des_set, skew = windows[sigma, colors]
+    _check_triple(lam, mu, des_set, skew_des_set)
+    return (lam, *_push(mu, *skew))
 
 
 def enumerate_biwords(r, n, cap_f, cap_g, max_elements=None):
@@ -118,8 +186,16 @@ def enumerate_biwords(r, n, cap_f, cap_g, max_elements=None):
     follow the previous one, so no invalid row is ever formed.  Zero values
     are uncolored.  Deterministic order: lexicographic in the top row, then
     in the bottom row entries.  The budget bounds the candidate count, the
-    top rows times every bottom row, before any is built.
+    top rows times every bottom row, before any is built.  The rows come
+    from the tuple core ``_biwords``.
     """
+    for lam, values, colors in _biwords(r, n, cap_f, cap_g, max_elements):
+        yield Biword(g=Partition(lam), f=ColoredSequence(r, values, colors))
+
+
+def _biwords(r, n, cap_f, cap_g, max_elements=None):
+    """``enumerate_biwords`` as ``(top parts, values, colors)`` tuples, same
+    order, same budget, still raised when the first biword is asked for."""
     if max_elements is not None:
         tops = math.comb(cap_g + n, n)
         bottoms = (1 + cap_f * r) ** n
@@ -131,21 +207,27 @@ def enumerate_biwords(r, n, cap_f, cap_g, max_elements=None):
     after = {entry: [e for e in alphabet if _may_follow(*entry, *e)]
              for entry in alphabet}
     for g in partitions_in_box(n, cap_g):
+        lam = g.parts
         # (values, colors, last entry) of each bottom row built so far
         rows = [((), (), (0, 0))]
         prev = 0
-        for top in g.parts:
+        for top in lam:
             rows = [(values + (v,), colors + (c,), (v, c))
                     for values, colors, last in rows
                     for v, c in (after[last] if top == prev else alphabet)]
             prev = top
         for values, colors, _ in rows:
-            yield Biword(g=g, f=ColoredSequence(r, values, colors))
+            yield lam, values, colors
 
 
 def column_multiset(b):
     """Canonical multiset of (top, value, color) columns."""
-    return tuple(sorted(zip(b.g.parts, b.f.values, b.f.colors)))
+    return _columns(b.g.parts, b.f.values, b.f.colors)
+
+
+def _columns(lam, values, colors):
+    """``column_multiset`` on a biword's tuples."""
+    return tuple(sorted(zip(lam, values, colors)))
 
 
 def column_realization_count(columns, r):

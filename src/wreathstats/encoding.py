@@ -6,11 +6,13 @@ positions themselves, produces a colored permutation; subtracting the
 running descent count from the sorted values leaves a partition.  The two
 maps are mutually inverse, which is what the round-trip tests pin down.
 
-The sort and the enumeration each have one tuple core that the public
-function wraps: ``_sort`` gives ``pi_of``'s window as ``(sigma, colors)``
-tuples and ``_sequences`` yields ``enumerate_sequences``' sequences as
-``(values, colors)`` tuples, for callers that read only the tuples and need
-no checked value object.
+Each map has one tuple core that the public function wraps, for callers
+that read only the tuples and need no checked value object: ``_sort`` gives
+``pi_of``'s window as ``(sigma, colors)`` tuples, ``_residue`` the parts of
+``lambda_of``, ``_sequence_from`` the ``(values, colors)`` of
+``sequence_from`` and ``_sequences`` those of ``enumerate_sequences``'
+sequences.  ``_in_n0`` and ``_check_parts`` are the checks of
+``ColoredSequence.in_n0`` and ``Partition`` on tuples.
 
 Partitions are kept in nondecreasing order throughout.
 """
@@ -57,10 +59,7 @@ class Partition:
     parts: tuple
 
     def __post_init__(self):
-        if self.parts and min(self.parts) < 0:
-            raise ValueError("parts must be nonnegative")
-        if sorted(self.parts) != list(self.parts):
-            raise ValueError("parts must be nondecreasing")
+        _check_parts(self.parts)
 
     @property
     def n(self):
@@ -76,6 +75,14 @@ class Partition:
 
     def __str__(self):
         return ",".join(str(p) for p in self.parts)
+
+
+def _check_parts(parts):
+    """``Partition``'s checks on a tuple of parts."""
+    if parts and min(parts) < 0:
+        raise ValueError("parts must be nonnegative")
+    if sorted(parts) != list(parts):
+        raise ValueError("parts must be nondecreasing")
 
 
 @dataclass(frozen=True)
@@ -103,10 +110,15 @@ class ColoredSequence:
     @property
     def in_n0(self):
         """True when every zero value is uncolored (recomputed, never stored)."""
-        return all(c == 0 for v, c in zip(self.values, self.colors) if v == 0)
+        return _in_n0(self.values, self.colors)
 
     def __str__(self):
         return format_sequence(self)
+
+
+def _in_n0(values, colors):
+    """``ColoredSequence.in_n0`` on a sequence's tuples."""
+    return all(c == 0 for v, c in zip(values, colors) if v == 0)
 
 
 def pi_of(f):
@@ -134,51 +146,54 @@ def lambda_of(f):
 
     Sorted values minus the running descent count of the sorted
     permutation.  Requires every zero value to be uncolored, otherwise the
-    first part could go negative.
+    first part could go negative.  The parts come from the tuple core
+    ``_residue``.
     """
     if not f.in_n0:
         raise ValueError("sequence has a colored zero entry")
-    gamma = pi_of(f)
-    return _residue(f, gamma, _descent_set(gamma.sigma, gamma.colors))
+    sigma, colors = _sort(f.values, f.colors)
+    return Partition(_residue(f.values, sigma, _descent_set(sigma, colors)))
 
 
-def _residue(f, gamma, des_set):
-    """``lambda_of(f)`` given ``gamma = pi_of(f)`` and its descent set, for
-    callers that already hold both."""
-    values = f.values
+def _residue(values, sigma, des_set):
+    """``lambda_of``'s parts, unchecked, given the sequence's values, the
+    positions ``sigma`` of its sorted window and that window's descent
+    set."""
     parts = []
     count = 0
-    for i, s in enumerate(gamma.sigma):
+    for i, s in enumerate(sigma):
         if i in des_set:
             count += 1
         parts.append(values[s - 1] - count)
-    return Partition(tuple(parts))
+    return tuple(parts)
 
 
 def sequence_from(gamma, lam):
     """Inverse of the ``(pi_of, lambda_of)`` pair.
 
     Adds the running descent count back onto the partition and permutes the
-    result through the skew inverse, colors riding along.
+    result through the skew inverse, colors riding along.  The tuples come
+    from the core ``_sequence_from``.
     """
     if gamma.n != lam.n:
         raise ValueError("lengths do not agree")
     sigma, colors = gamma.sigma, gamma.colors
-    return _sequence_from(gamma.r, lam, _descent_set(sigma, colors),
-                          *_skew(sigma, colors))
+    return ColoredSequence(gamma.r, *_sequence_from(
+        lam.parts, _descent_set(sigma, colors), *_skew(sigma, colors)))
 
 
-def _sequence_from(r, lam, des_set, skew_sigma, skew_colors):
-    """``sequence_from(gamma, lam)`` given gamma's descent set and the tuples
-    of its skew inverse, for callers that reuse them across many partitions;
-    ``lam`` must have gamma's length, which is not checked here."""
+def _sequence_from(parts, des_set, skew_sigma, skew_colors):
+    """``sequence_from`` as ``(values, colors)`` tuples, given the parts of
+    the partition, gamma's descent set and the tuples of its skew inverse,
+    for callers that reuse them across many partitions; the parts must be
+    as many as gamma's letters, which is not checked here."""
     mu = []
     count = 0
-    for i, part in enumerate(lam.parts):
+    for i, part in enumerate(parts):
         if i in des_set:
             count += 1
         mu.append(part + count)
-    return _push(Partition(tuple(mu)), r, skew_sigma, skew_colors)
+    return _push(mu, skew_sigma, skew_colors)
 
 
 def lambda_gamma(lam, gamma):
@@ -189,13 +204,13 @@ def lambda_gamma(lam, gamma):
     """
     if gamma.n != lam.n:
         raise ValueError("lengths do not agree")
-    return _push(lam, gamma.r, gamma.sigma, gamma.colors)
+    return ColoredSequence(gamma.r, *_push(lam.parts, gamma.sigma, gamma.colors))
 
 
-def _push(lam, r, sigma, colors):
-    """``lambda_gamma`` on the element's tuples, lengths already checked."""
-    parts = lam.parts
-    return ColoredSequence(r, tuple(parts[s - 1] for s in sigma), colors)
+def _push(parts, sigma, colors):
+    """``lambda_gamma`` as ``(values, colors)`` tuples, lengths already
+    checked."""
+    return tuple(parts[s - 1] for s in sigma), colors
 
 
 def is_compatible(lam, gamma):

@@ -41,7 +41,10 @@ from .group import (
     statistics,
 )
 from .encoding import (
+    ColoredSequence,
+    Partition,
     _fits,
+    _in_n0,
     _residue,
     _sequence_from,
     _sequences,
@@ -52,11 +55,14 @@ from .encoding import (
     sequence_from,
 )
 from .biwords import (
-    column_multiset,
+    Biword,
+    _biwords,
+    _columns,
+    _from_triple,
+    _is_biword,
+    _to_triple,
+    _window,
     column_realization_count,
-    enumerate_biwords,
-    from_triple,
-    to_triple,
 )
 from .qseries import (
     MultiPoly,
@@ -651,19 +657,22 @@ def _adin_roichman(max_elements, r, ucap, qcap):
         yield ("poly", f"r={r} n={n}", lhs, rhs)
 
 
-def _residue_fact(f, gamma, des_set):
-    """``(residue, None)``, or ``(None, failing fact)`` naming ``f`` when the
-    residue is no partition."""
+def _residue_fact(r, values, colors, sigma, des_set, build):
+    """``(build(residue parts), None)``, or ``(None, failing fact)`` naming
+    the sequence when ``_residue`` or ``build`` refuses the parts; the
+    sequence side builds a checked ``Partition``, the pair side a tuple."""
     try:
-        return _residue(f, gamma, des_set), None
+        return build(_residue(values, sigma, des_set)), None
     except ValueError as exc:
+        f = ColoredSequence(r, values, colors)
         return None, ("fact", f"residue of {f}", False, str(exc))
 
 
 def _bijection_stats(max_elements, r, n, cap):
     # Each sequence is sorted once: pi_of and its descent set serve the
     # residue and the bookkeeping identities, while sequence_from, the map
-    # under test, reads its own.
+    # under test, reads its own.  The pair side runs the maps on tuples and
+    # builds the objects its fact names only when a check fails.
     checked = 0
     for f in enumerate_sequences(r, n, max_cap=cap, restrict_n0=True,
                                  max_elements=max_elements):
@@ -674,7 +683,8 @@ def _bijection_stats(max_elements, r, n, cap):
         if not _fits(tuple(f.values[s - 1] for s in gamma.sigma), des_set):
             yield ("fact", f"descent forces growth at {f}", False, None)
             return
-        lam, failure = _residue_fact(f, gamma, des_set)
+        lam, failure = _residue_fact(r, f.values, f.colors, gamma.sigma,
+                                     des_set, Partition)
         if failure:
             yield failure
             return
@@ -699,62 +709,88 @@ def _bijection_stats(max_elements, r, n, cap):
     boxes = list(partitions_in_box(n, cap))
     for gamma in enumerate_group(r, n, max_elements):
         # gamma's descent set and skew inverse, built once for all its pairs
-        des_set = _descent_set(gamma.sigma, gamma.colors)
-        skew = _skew(gamma.sigma, gamma.colors)
+        sigma = gamma.sigma
+        window = sigma, gamma.colors
+        des_set = _descent_set(*window)
+        skew = _skew(*window)
         for lam in boxes:
-            f = _sequence_from(r, lam, des_set, *skew)
-            if not f.in_n0:
+            values, colors = _sequence_from(lam.parts, des_set, *skew)
+            if not _in_n0(values, colors):
                 yield ("fact", f"image of ({gamma}, {lam})", False,
                        "left the zero-forces-uncolored set")
                 return
-            # once pi_of(f) is gamma, lambda_of(f) reads gamma's descent set
-            back, failure = (_residue_fact(f, gamma, des_set) if pi_of(f) == gamma
-                             else (None, None))
-            if failure:
-                yield failure
-                return
-            if back != lam:
-                yield ("fact", f"round trip of ({gamma}, {lam})", False, None)
-                return
-            checked += 1
+            # once the sort gives gamma back, the residue reads gamma's
+            # descent set; a residue other than lam is named as lambda_of
+            # would name it when it is no partition
+            if _sort(values, colors) == window:
+                parts, failure = _residue_fact(r, values, colors, sigma,
+                                               des_set, tuple)
+                if parts == lam.parts:
+                    checked += 1
+                    continue
+                if not failure:
+                    _, failure = _residue_fact(r, values, colors, sigma,
+                                               des_set, Partition)
+                if failure:
+                    yield failure
+                    return
+            yield ("fact", f"round trip of ({gamma}, {lam})", False, None)
+            return
     yield ("fact", f"pair side r={r} n={n} cap={cap} ({checked} pairs)",
            True, None)
 
 
+def _biword(r, word):
+    """The ``Biword`` of a biword's tuples, for the fact that names it."""
+    lam, values, colors = word
+    return Biword(g=Partition(lam), f=ColoredSequence(r, values, colors))
+
+
 def _biword_count(max_elements, r, n, cap_f, cap_g):
-    words = list(enumerate_biwords(r, n, cap_f, cap_g,
-                                   max_elements=max_elements))
-    triples = []
-    for b in words:
-        try:
-            triples.append(to_triple(b))
-        except ValueError as exc:
-            yield ("fact", f"triple of {b}", False, str(exc))
+    # Every biword is checked on its tuples; the Biword object its fact names
+    # is built only when a check fails.
+    words = list(_biwords(r, n, cap_f, cap_g, max_elements))
+    for word in words:
+        if not _is_biword(*word):
+            lam, values, colors = word
+            yield ("fact", f"biword {Partition(lam)} over "
+                   f"{ColoredSequence(r, values, colors)}", False,
+                   "rows do not form a valid biword")
             return
-    got = set((t.gamma, t.lam, t.mu) for t in triples)
+    # The group walk of the expected set also fills the table of each
+    # element's descent sets and skew inverse that both triple maps read.
+    tops = [lam.parts for lam in partitions_in_box(n, cap_g)]
+    bottoms = [mu.parts for mu in partitions_in_box(n, cap_f)]
+    windows = {}
+    expected = set()
+    for gamma in enumerate_group(r, n, max_elements):
+        window = gamma.sigma, gamma.colors
+        des_set, skew_des_set, _ = windows[window] = _window(*window)
+        mus = [mu for mu in bottoms if _fits(mu, des_set)]
+        for lam in tops:
+            if _fits(lam, skew_des_set):
+                expected.update((*window, lam, mu) for mu in mus)
+    triples = []
+    for word in words:
+        try:
+            triples.append(_to_triple(r, *word, windows))
+        except ValueError as exc:
+            yield ("fact", f"triple of {_biword(r, word)}", False, str(exc))
+            return
+    got = set(triples)
     if len(got) != len(words):
         yield ("fact", "injectivity", False, "two biwords shared a triple")
         return
-    for b, t in zip(words, triples):
-        if from_triple(t) != b:
-            yield ("fact", f"round trip of {b}", False, None)
+    for word, triple in zip(words, triples):
+        if _from_triple(*triple, windows) != word:
+            yield ("fact", f"round trip of {_biword(r, word)}", False, None)
             return
-    tops = list(partitions_in_box(n, cap_g))
-    bottoms = list(partitions_in_box(n, cap_f))
-    expected = set()
-    for gamma in enumerate_group(r, n, max_elements):
-        des_set = _descent_set(gamma.sigma, gamma.colors)
-        skew_des_set = _descent_set(*_skew(gamma.sigma, gamma.colors))
-        mus = [mu for mu in bottoms if _fits(mu.parts, des_set)]
-        for lam in tops:
-            if _fits(lam.parts, skew_des_set):
-                expected.update((gamma, lam, mu) for mu in mus)
     yield ("fact", f"image is every compatible triple (r={r} n={n})",
            got == expected,
            f"{len(got)} triples reached vs {len(expected)} expected")
     groups = {}
-    for b in words:
-        key = column_multiset(b)
+    for word in words:
+        key = _columns(*word)
         groups[key] = groups.get(key, 0) + 1
     for key, count in sorted(groups.items()):
         want = column_realization_count(key, r)
@@ -764,8 +800,8 @@ def _biword_count(max_elements, r, n, cap_f, cap_g):
             return
     yield ("fact", f"column multiset counts (r={r} n={n})", True, None)
     tally = {}
-    for b in words:
-        key = (max(b.f.values, default=0), b.g.max_part)
+    for lam, values, _ in words:
+        key = (max(values, default=0), max(lam, default=0))
         tally[key] = tally.get(key, 0) + 1
     # within[k1][k2] counts the biwords with max f <= k1 and max g <= k2, the
     # 2-D prefix sums of the tally; index -1 reads the spare zero row or column

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import pytest
@@ -10,7 +11,7 @@ from reference_identities import (
 )
 from wreathstats import biwords, identities
 from wreathstats.cli import main
-from wreathstats.encoding import ColoredSequence
+from wreathstats.encoding import ColoredSequence, partitions_in_box
 from wreathstats.group import (
     BudgetExceededError,
     ColoredPermutation,
@@ -19,6 +20,7 @@ from wreathstats.group import (
     identity_element,
     inverse,
     order_key,
+    _skew,
     skew_inverse,
     statistics,
 )
@@ -260,6 +262,9 @@ class TestFaultyMapReportsFail:
     def reversed_sort(self, monkeypatch):
         monkeypatch.setattr(identities, "pi_of", _reversed_pi_of)
         monkeypatch.setattr(biwords, "pi_of", _reversed_pi_of)
+        # the checkers' tuple paths sort with _sort, bound in both modules
+        monkeypatch.setattr(identities, "_sort", _reversed_sort)
+        monkeypatch.setattr(biwords, "_sort", _reversed_sort)
 
     def test_biword_triple_failure_names_the_biword(self):
         facts = list(identities._biword_count(None, 2, 2, 2, 2))
@@ -296,6 +301,120 @@ class TestFaultySortReportsFail:
     def test_catalog_default_fails(self, monkeypatch, name, fault):
         monkeypatch.setattr(identities, "_sort", fault)
         assert not verify_identity(name).passed
+
+
+def _countless_sequence_from(parts, des_set, skew_sigma, skew_colors):
+    """_sequence_from without the running descent count: a faulty core."""
+    return tuple(parts[s - 1] for s in skew_sigma), skew_colors
+
+
+def _colorless_skew(sigma, colors):
+    """_skew with every color dropped: a faulty core."""
+    return _skew(sigma, colors)[0], (0,) * len(sigma)
+
+
+def _lax_biwords(r, n, cap_f, cap_g, max_elements=None):
+    """_biwords whose column rule also lets a colored copy follow an equal
+    uncolored bottom entry where the top row stalls: a faulty enumerator."""
+    alphabet = [(v, c) for v in range(cap_f + 1) for c in range(r) if v or not c]
+    for g in partitions_in_box(n, cap_g):
+        for entries in itertools.product(alphabet, repeat=n):
+            columns = zip((0,) + g.parts, ((0, 0),) + entries, g.parts, entries)
+            if all(top != prev_top or v == prev_v
+                   or biwords._may_follow(prev_v, prev_c, v, c)
+                   for prev_top, (prev_v, prev_c), top, (v, c) in columns):
+                yield (g.parts, tuple(v for v, _ in entries),
+                       tuple(c for _, c in entries))
+
+
+def _flat_sort(values, colors):
+    """_sort that puts position 1 everywhere: its window is no element."""
+    return (1,) * len(values), colors
+
+
+class TestFaultyCoreReportsFail:
+    @pytest.mark.parametrize("module,core,fault,name", [
+        (identities, "_sequence_from", _countless_sequence_from, "bijection_stats"),
+        (biwords, "_skew", _colorless_skew, "biword_count"),
+        (identities, "_biwords", _lax_biwords, "biword_count"),
+    ])
+    def test_cli_prints_fail_not_invalid_input(self, monkeypatch, capsys,
+                                               module, core, fault, name):
+        monkeypatch.setattr(module, core, fault)
+        code = main(["verify", "--identity", name])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert f"{name} " in out and " FAIL" in out
+        assert "invalid input" not in out + err
+
+
+# The one biword of r=2, n=2 with both caps 0.
+_ZERO_BIWORD = ("Biword(g=Partition(parts=(0, 0)), "
+                "f=ColoredSequence(r=2, values=(0, 0), colors=(0, 0)))")
+
+
+class TestFailureLabels:
+    """The first failing fact of each checker path, fed one faulty pair or
+    biword, reads as the objects name it."""
+
+    @staticmethod
+    def pair_side(monkeypatch, r, n, cap):
+        monkeypatch.setattr(identities, "enumerate_sequences",
+                            lambda *args, **kwargs: iter([]))
+        return list(identities._bijection_stats(None, r, n, cap))[-1]
+
+    def test_image_of_a_pair(self, monkeypatch):
+        # ([1], 0) passes; ([1^1], 0) without its descent count is 0^1
+        monkeypatch.setattr(identities, "_sequence_from", _countless_sequence_from)
+        assert self.pair_side(monkeypatch, 2, 1, 0) == (
+            "fact", "image of ([1^1], 0)", False, "left the zero-forces-uncolored set")
+
+    def test_round_trip_of_a_pair_sorted_wrong(self, monkeypatch):
+        monkeypatch.setattr(identities, "_sort", _reversed_sort)
+        assert self.pair_side(monkeypatch, 1, 2, 0) == (
+            "fact", "round trip of ([1,2], 0,0)", False, None)
+
+    @pytest.mark.parametrize("shift,fact", [
+        (-1, ("fact", "residue of 0", False, "parts must be nonnegative")),
+        (1, ("fact", "round trip of ([1], 0)", False, None)),
+    ])
+    def test_pair_residue_other_than_the_partition(self, monkeypatch, shift, fact):
+        monkeypatch.setattr(identities, "_residue", lambda values, sigma, des_set:
+                            tuple(v + shift for v in values))
+        assert self.pair_side(monkeypatch, 1, 1, 0) == fact
+
+    @pytest.mark.parametrize("fault,detail", [
+        (_reversed_sort, "first partition is not skew-inverse compatible"),
+        (_flat_sort, "sigma is not a permutation of 1..n"),
+    ])
+    def test_triple_of_a_biword(self, monkeypatch, fault, detail):
+        monkeypatch.setattr(biwords, "_sort", fault)
+        facts = list(identities._biword_count(None, 2, 2, 0, 0))
+        assert facts[-1] == ("fact", f"triple of {_ZERO_BIWORD}", False, detail)
+
+    def test_triple_of_a_biword_with_unsorted_values(self, monkeypatch):
+        # reversed, the values 0,1 read 1,0, which is no partition
+        monkeypatch.setattr(biwords, "_sort", _reversed_sort)
+        monkeypatch.setattr(identities, "_biwords",
+                            lambda *args: iter([((0, 1), (0, 1), (0, 0))]))
+        facts = list(identities._biword_count(None, 1, 2, 1, 1))
+        assert facts[-1] == (
+            "fact", "triple of Biword(g=Partition(parts=(0, 1)), "
+            "f=ColoredSequence(r=1, values=(0, 1), colors=(0, 0)))", False,
+            "parts must be nondecreasing")
+
+    def test_round_trip_of_a_biword(self, monkeypatch):
+        monkeypatch.setattr(identities, "_from_triple",
+                            lambda sigma, colors, lam, mu, windows: (lam, (1, 1), (0, 0)))
+        facts = list(identities._biword_count(None, 2, 2, 0, 0))
+        assert facts[-1] == ("fact", f"round trip of {_ZERO_BIWORD}", False, None)
+
+    def test_invalid_biword(self, monkeypatch):
+        monkeypatch.setattr(identities, "_biwords",
+                            lambda *args: iter([((0, 0), (1, 1), (0, 1))]))
+        facts = list(identities._biword_count(None, 2, 2, 1, 0))
+        assert facts[-1] == ("fact", "biword 0,0 over 1,1^1", False,
+                             "rows do not form a valid biword")
 
 
 class TestInverseStatistics:

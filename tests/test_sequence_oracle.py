@@ -2,7 +2,8 @@
 the same sequences and biwords in the same order, the same residue for
 every sequence, the same triple for every biword, the same reports from
 the two catalog entries built on them, and the same tallies from the tuple
-cores behind ``keylem`` and ``desmaj``."""
+cores behind ``keylem`` and ``desmaj``.  The tuple cores behind
+``bijection_stats`` and ``biword_count`` meet the same references."""
 
 import itertools
 
@@ -27,12 +28,18 @@ from reference_sequences import (
 from wreathstats import identities
 from wreathstats.biwords import (
     Triple,
+    _biwords,
+    _from_triple,
+    _to_triple,
+    _window,
     enumerate_biwords,
     from_triple,
     to_triple,
 )
 from wreathstats.encoding import (
     _distinct_permutations,
+    _residue,
+    _sequence_from,
     _sequences,
     _sort,
     enumerate_sequences,
@@ -44,7 +51,9 @@ from wreathstats.encoding import (
 )
 from wreathstats.group import (
     BudgetExceededError,
+    _descent_set,
     _length,
+    _skew,
     enumerate_group,
     statistics,
 )
@@ -211,3 +220,71 @@ def test_same_desmaj_tallies(r, n):
     for tmax in range(4):
         got = identities._desmaj_tally(None, r, n, tmax)
         assert got == reference_desmaj_tally(None, r, n, tmax), tmax
+
+
+@pytest.mark.parametrize("r,n", _GRID)
+def test_same_biword_tuples_in_the_same_order(r, n):
+    for cap_f, cap_g in itertools.product(_caps(n), repeat=2):
+        got = list(_biwords(r, n, cap_f, cap_g))
+        want = [(b.g.parts, b.f.values, b.f.colors)
+                for b in enumerate_biwords(r, n, cap_f, cap_g)]
+        assert got == want, (cap_f, cap_g)
+
+
+def test_biword_tuples_check_lazily():
+    # like enumerate_biwords, the budget is raised on the first next()
+    core, public = _biwords(2, 3, 2, 2, 50), enumerate_biwords(2, 3, 2, 2, 50)
+    with pytest.raises(BudgetExceededError) as core_exc:
+        next(core)
+    with pytest.raises(BudgetExceededError) as public_exc:
+        next(public)
+    assert str(core_exc.value) == str(public_exc.value)
+
+
+@pytest.mark.parametrize("r,n", _GRID)
+def test_same_residue_and_sequence_tuples(r, n):
+    cap = max(_caps(n))
+    for f in enumerate_sequences(r, n, max_cap=cap):
+        sigma, colors = _sort(f.values, f.colors)
+        parts = _residue(f.values, sigma, _descent_set(sigma, colors))
+        assert parts == reference_lambda_of(f).parts, f
+    boxes = list(partitions_in_box(n, cap))
+    for gamma in enumerate_group(r, n):
+        des_set = _descent_set(gamma.sigma, gamma.colors)
+        skew = _skew(gamma.sigma, gamma.colors)
+        for lam in boxes:
+            want = reference_sequence_from(gamma, lam)
+            assert (_sequence_from(lam.parts, des_set, *skew)
+                    == (want.values, want.colors)), (gamma, lam)
+
+
+def _windows(r, n):
+    return {(g.sigma, g.colors): _window(g.sigma, g.colors)
+            for g in enumerate_group(r, n)}
+
+
+def _result(check, *args):
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("r,n", _GRID)
+def test_same_triple_tuples(r, n):
+    windows = _windows(r, n)
+    cap = 2 if n < 4 else 1
+    for b in enumerate_biwords(r, n, cap, cap):
+        gamma, lam, mu = reference_to_triple(b)
+        assert (_to_triple(r, b.g.parts, b.f.values, b.f.colors, windows)
+                == (gamma.sigma, gamma.colors, lam.parts, mu.parts)), b
+    # every pair of partitions, compatible or not, over every element
+    boxes = list(partitions_in_box(n, cap))
+    for gamma in enumerate_group(r, n):
+        for lam, mu in itertools.product(boxes, repeat=2):
+            want = _result(reference_from_triple, gamma, lam, mu)
+            if not isinstance(want, str):
+                want = (want.g.parts, want.f.values, want.f.colors)
+            got = _result(_from_triple, gamma.sigma, gamma.colors, lam.parts,
+                          mu.parts, windows)
+            assert got == want, (gamma, lam, mu)
