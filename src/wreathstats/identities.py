@@ -10,11 +10,12 @@ monomial in the context's lexicographic order.
 Infinite sums are handled by grading: both sides of every identity are
 graded by the truncation variables (powers of t, or the extracted power of
 u), so a capped comparison checks each retained coefficient completely.
-The u-graded right sides never expand a whole series to read one
-coefficient.  The u^n coefficient of a product of p-exponentials is a sum
-over Gaussian binomials ``[m choose j]_p`` of smaller such coefficients
-(``_exponential_sum``); the substitution u -> (1 - t)u scales the u^n
-coefficient by ``(1 - t)^n``; and the reciprocal of a double Pochhammer
+No right side divides: a hatted multinomial is a hatted Pochhammer tail
+times Gaussian binomials, and the u-graded right sides never expand a whole
+series to read one coefficient.  The u^n coefficient of a product of
+p-exponentials sums Gaussian binomials ``[m choose j]_p`` times smaller such
+coefficients and hatted multinomials (``_exponential_sum``); u -> (1 - t)u
+scales it by ``(1 - t)^n``; and the reciprocal of a double Pochhammer
 product is the product of its factors' reciprocals.
 """
 
@@ -77,7 +78,6 @@ from .qseries import (
     hat_multinomial,
     monomial_text,
     pochhammer,
-    q_factorial,
     q_int,
     reciprocal,
     substitute,
@@ -376,13 +376,8 @@ def _length_gf(max_elements, r, n):
 
 def _ell_col(max_elements, r, n):
     ctx = SeriesContext(("p", "a"))
-    lhs = dist_polynomial(ctx, r, n, {"length": "p", "col": "a"},
-                          max_elements)
-    rhs = q_factorial(ctx, n, "p")
-    one = MultiPoly.constant(ctx, 1)
-    twist = _color_twist(ctx, r)
-    for i in range(1, n + 1):
-        rhs = rhs * (one + MultiPoly.monomial(ctx, 1, p=i) * twist)
+    lhs = dist_polynomial(ctx, r, n, {"length": "p", "col": "a"}, max_elements)
+    rhs = hat_factorial(ctx, n, _color_twist(ctx, r), "p")
     yield ("poly", f"r={r} n={n}", lhs, rhs)
 
 
@@ -469,19 +464,17 @@ def _exponential_sum(ctx, n, x, kmax, shift=None):
     ``e_p`` is the p-exponential, ``E_x`` the hatted one, whose u^m
     coefficient is ``prod_{i=m+1..n} (1 + x p^i) / [m]_p!`` once the
     clearing factor ``[n]_p!`` is divided out, and ``s`` is the variable
-    ``shift``, or 1 when it is None.  No clearing factor is ever formed:
-    ``running[m]``, ``[m]_p!`` times the u^m coefficient of the product of
-    the first k plain factors, is a polynomial with ``running = [1, 0, ...]``
-    at k = 0 and ``sum_j s^(kj) [m choose j]_p running[m-j]`` one factor on.
+    ``shift``, or 1 when it is None; ``hats[m]``, the hatted multinomial of
+    ``(m, n - m)``, is that coefficient times ``[n]_p! / [n-m]_p!``.  No
+    clearing factor is ever formed: ``running[m]``, ``[m]_p!`` times the u^m
+    coefficient of the product of the first k plain factors, is a polynomial
+    with ``running = [1, 0, ...]`` at k = 0 and ``sum_j s^(kj) [m choose j]_p
+    running[m-j]`` one factor on.
     """
     binomials = _gaussian_rows(ctx, n, "p")
     one = MultiPoly.constant(ctx, 1)
     zero = MultiPoly.zero(ctx)
-    # tails[n - m] = prod_{i=m+1..n} (1 + x p^i)
-    tails = [one]
-    for i in range(n, 0, -1):
-        tails.append(tails[-1] * (one + x * MultiPoly.monomial(ctx, 1, p=i)))
-    hats = [binomials[n][m] * tails[n - m] for m in range(n + 1)]
+    hats = [hat_multinomial(ctx, (m, n - m), x, "p") for m in range(n + 1)]
     running = [one] + [zero] * n
     rhs = zero
     for k in range(kmax + 1):
@@ -808,16 +801,13 @@ def _biword_count(max_elements, r, n, cap_f, cap_g):
     within = [[0] * (cap_g + 2) for _ in range(cap_f + 2)]
     ctx = SeriesContext(("q1", "q2", "a", "b", "u"),
                         (None, None, None, None, n))
-    one = MultiPoly.constant(ctx, 1)
     for k1 in range(cap_f + 1):
         for k2 in range(cap_g + 1):
             actual = within[k1][k2] = (
                 tally.get((k1, k2), 0) + within[k1 - 1][k2]
                 + within[k1][k2 - 1] - within[k1 - 1][k2 - 1])
-            term = _theorem_B_rhs_term(ctx, r, n, k1, k2)
-            for var in ("q1", "q2", "a", "b"):
-                term = substitute(term, var, one)
-            predicted = term.constant_term
+            # the coefficient's value at q1 = q2 = a = b = 1
+            predicted = sum(_theorem_B_rhs_term(ctx, r, n, k1, k2).terms.values())
             yield ("fact", f"count at caps ({k1},{k2})", actual == predicted,
                    f"{actual} biwords vs coefficient {predicted}")
 

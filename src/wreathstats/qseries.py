@@ -302,9 +302,12 @@ class MultiPoly:
 
     # -- ring operations ---------------------------------------------------
 
+    # A foreign operand (a float, say) gets NotImplemented, so it raises TypeError.
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.ctx, other)
+        elif not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check_ctx(other)
         keys = dict(self._keys)
         get = keys.get
@@ -318,11 +321,13 @@ class MultiPoly:
         return _poly(self.ctx, {key: -c for key, c in self._keys.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.ctx, other)
+        if not isinstance(other, (MultiPoly, int, Fraction)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
@@ -331,6 +336,8 @@ class MultiPoly:
             if not other:
                 return MultiPoly.zero(ctx)
             return _poly(ctx, _clean({key: c * other for key, c in self._keys.items()}))
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check_ctx(other)
         a, b = self._keys, other._keys
         out = {}
@@ -672,7 +679,7 @@ def q_factorial(ctx, n, base):
 def hat_factorial(ctx, n, a_expr, p_var):
     """Hatted factorial ``(-a*p; p)_n`` times the q-factorial of ``n``."""
     p = _as_poly(ctx, p_var)
-    shifted = -(a_expr * p)
+    shifted = -(_as_poly(ctx, a_expr) * p)
     return pochhammer(ctx, shifted, p, n) * q_factorial(ctx, n, p_var)
 
 
@@ -691,20 +698,22 @@ def bracket_two_param(ctx, m, a_var, b_var):
 def hat_multinomial(ctx, parts, a_expr, p_var):
     """Hatted multinomial coefficient for the composition ``parts``.
 
-    The first part carries the hat: the hatted factorial of the total is
-    divided by the hatted factorial of ``parts[0]`` and the plain
-    q-factorials of the remaining parts.  The division is exact; a
-    remainder would be an internal bug.
+    The first part ``k`` carries the hat: the hatted factorial of the total
+    ``n`` over that of ``k`` and the q-factorials of the other parts, built
+    with no division as ``(-a*p^(k+1); p)_(n-k)`` times the Gaussian
+    binomials ``[m_j choose parts[j]]``, ``m_j`` the running totals.
     """
     parts = tuple(parts)
-    if any(p < 0 for p in parts):
+    if any(part < 0 for part in parts):
         raise ValueError("composition parts must be nonnegative")
-    total = sum(parts)
-    num = hat_factorial(ctx, total, a_expr, p_var)
-    den = hat_factorial(ctx, parts[0], a_expr, p_var) if parts else MultiPoly.constant(ctx, 1)
-    for p in parts[1:]:
-        den = den * q_factorial(ctx, p, p_var)
-    return divide_exact(num, den)
+    p = _as_poly(ctx, p_var)
+    head, total = (parts[0] if parts else 0), sum(parts)
+    rows = _gaussian_rows(ctx, total, p)
+    shifted = -(_as_poly(ctx, a_expr) * p ** (head + 1))
+    result = pochhammer(ctx, shifted, p, total - head)
+    for m, part in zip(accumulate(parts), parts):
+        result = result * rows[m][part]
+    return result
 
 
 def exp_series(ctx, kind, u_var, cap_u, p_var=None, a_expr=None):

@@ -9,7 +9,7 @@ from reference_identities import (
     reference_theorem_A_rhs,
     reference_theorem_B_rhs_term,
 )
-from wreathstats import biwords, identities
+from wreathstats import biwords, identities, qseries
 from wreathstats.cli import main
 from wreathstats.encoding import ColoredSequence, partitions_in_box
 from wreathstats.group import (
@@ -178,6 +178,21 @@ class TestCatalogEntries:
         for name, (func, defaults) in CATALOG.items():
             report = verify_identity(name)
             assert report.passed, (name, report.mismatch)
+
+
+class TestNoDivision:
+    @pytest.fixture(autouse=True)
+    def refuse_division(self, monkeypatch):
+        def refuse(num, den):
+            raise AssertionError("a catalog path divided")
+        monkeypatch.setattr(qseries, "divide_exact", refuse)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog_default(self, name):
+        assert verify_identity(name).passed
+
+    def test_keylem_beyond_the_defaults(self):
+        assert verify_identity("keylem", r=3, n=4).passed
 
 
 class TestCoefficientOnlyRightSides:

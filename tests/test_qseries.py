@@ -1,3 +1,4 @@
+import operator
 import signal
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_qseries as ref
+from wreathstats.identities import _color_twist, _weak_compositions
 from wreathstats.qseries import (
     ALLOWED_VARIABLES,
     MAX_EXPONENT,
@@ -63,6 +65,18 @@ class TestTruncatedProduct:
         b = MultiPoly.variable(SeriesContext(("t",), (3,)), "t")
         with pytest.raises(ContextMismatchError):
             a * b
+
+    @pytest.mark.parametrize("other", [1.5, "a", None])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_foreign_operand_is_refused(self, op, other):
+        x = MultiPoly.variable(SeriesContext(("t",), (2,)), "t")
+        with pytest.raises(TypeError):
+            op(x, other)
+        with pytest.raises(TypeError):
+            op(other, x)
+        for method in ("__add__", "__radd__", "__sub__", "__rsub__",
+                       "__mul__", "__rmul__"):
+            assert getattr(x, method)(other) is NotImplemented, method
 
 
 class TestReciprocal:
@@ -294,14 +308,34 @@ class TestHatMultinomial:
         assert got == (1 + a * p ** 2) * (1 + p)
 
     def test_division_witness(self):
+        # keylem's inputs: every color twist up to r = 4 and every weak
+        # composition of n <= 5 into 1..4 parts
+        ctx = SeriesContext(("a", "p"))
+        twists = [MultiPoly.variable(ctx, "a")] \
+            + [_color_twist(ctx, r) for r in range(1, 5)]
+        compositions = [(2, 1), (1, 2), (0, 2, 1), (2, 0, 3), ()] \
+            + [comp for n in range(6) for nparts in range(1, 5)
+               for comp in _weak_compositions(n, nparts)]
+        for a in twists:
+            for parts in compositions:
+                quotient = hat_multinomial(ctx, parts, a, "p")
+                den = hat_factorial(ctx, parts[0] if parts else 0, a, "p")
+                for part in parts[1:]:
+                    den = den * q_factorial(ctx, part, "p")
+                assert quotient * den == hat_factorial(ctx, sum(parts), a, "p"), parts
+
+    def test_a_may_be_a_name(self):
         ctx = SeriesContext(("a", "p"))
         a = MultiPoly.variable(ctx, "a")
-        for parts in ((2, 1), (1, 2), (0, 2, 1), (2, 0, 3)):
-            quotient = hat_multinomial(ctx, parts, a, "p")
-            den = hat_factorial(ctx, parts[0], a, "p")
-            for part in parts[1:]:
-                den = den * q_factorial(ctx, part, "p")
-            assert quotient * den == hat_factorial(ctx, sum(parts), a, "p")
+        assert hat_factorial(ctx, 3, "a", "p") == hat_factorial(ctx, 3, a, "p")
+        assert hat_multinomial(ctx, (1, 0, 2), "a", "p") \
+            == hat_multinomial(ctx, (1, 0, 2), a, "p")
+        foreign = MultiPoly.variable(SeriesContext(("a", "p"), (2, None)), "a")
+        for build in (lambda: hat_factorial(ctx, 3, foreign, "p"),
+                      lambda: hat_multinomial(ctx, (1, 0, 2), foreign, "p"),
+                      lambda: hat_multinomial(ctx, (), foreign, "p")):
+            with pytest.raises(ContextMismatchError):
+                build()
 
     def test_inexact_division_raises(self):
         # A division that loses its termination check would run forever;
