@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from .group import (
     BudgetExceededError,
     ColoredPermutation,
+    _count_text,
     _descent_set,
     _skew,
     order_key,
@@ -200,8 +201,8 @@ def _biwords(r, n, cap_f, cap_g, max_elements=None):
         tops = math.comb(cap_g + n, n)
         bottoms = (1 + cap_f * r) ** n
         if tops * bottoms > max_elements:
-            raise BudgetExceededError(
-                f"{tops * bottoms} candidate biwords exceed budget {max_elements}")
+            raise BudgetExceededError(f"{_count_text(tops * bottoms)} candidate "
+                                      f"biwords exceed budget {max_elements}")
     alphabet = [(v, c) for v in range(cap_f + 1) for c in range(r)
                 if not (v == 0 and c > 0)]
     after = {entry: [e for e in alphabet if _may_follow(*entry, *e)]

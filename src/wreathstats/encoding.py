@@ -27,6 +27,7 @@ from .group import (
     BudgetExceededError,
     ColoredPermutation,
     ParseError,
+    _count_text,
     _descent_set,
     _length,
     _parse_entries,
@@ -301,7 +302,7 @@ def _sequences(r, n, max_cap=None, restrict_n0=True, composition=None,
             total = multinomial(composition) * r ** colored_positions
             if total > max_elements:
                 raise BudgetExceededError(
-                    f"{total} sequences exceed budget {max_elements}")
+                    f"{_count_text(total)} sequences exceed budget {max_elements}")
         for arrangement in _distinct_permutations(values):
             # zeros stay uncolored; every other value takes each color
             palettes = [range(r) if v else (0,) for v in arrangement]
@@ -313,8 +314,8 @@ def _sequences(r, n, max_cap=None, restrict_n0=True, composition=None,
     alphabet = [(v, c) for v in range(max_cap + 1) for c in range(r)
                 if not (v == 0 and c > 0 and restrict_n0)]
     if max_elements is not None and len(alphabet) ** n > max_elements:
-        raise BudgetExceededError(
-            f"{len(alphabet) ** n} sequences exceed budget {max_elements}")
+        raise BudgetExceededError(f"{_count_text(len(alphabet) ** n)} sequences "
+                                  f"exceed budget {max_elements}")
     for entries in itertools.product(alphabet, repeat=n):
         # zip splits the (value, color) pairs; the empty sequence has none
         values, colors = zip(*entries) if n else ((), ())

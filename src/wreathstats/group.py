@@ -263,11 +263,19 @@ def project_to_signed(gamma):
                               tuple(1 if c else 0 for c in gamma.colors))
 
 
+def _count_text(count):
+    """``count`` in decimal, or as a power of two past Python's digit limit."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"2^{count.bit_length() - 1} or more"
+
+
 def _check_group_budget(r, n, max_elements):
     """Refuse a walk of the whole group when its order exceeds the budget."""
     if max_elements is not None and group_order(r, n) > max_elements:
-        raise BudgetExceededError(
-            f"group of order {group_order(r, n)} exceeds budget {max_elements}")
+        raise BudgetExceededError(f"group of order {_count_text(group_order(r, n))} "
+                                  f"exceeds budget {max_elements}")
 
 
 def enumerate_group(r, n, max_elements=None):

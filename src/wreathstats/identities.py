@@ -15,8 +15,8 @@ times Gaussian binomials, and the u-graded right sides never expand a whole
 series to read one coefficient.  The u^n coefficient of a product of
 p-exponentials sums Gaussian binomials ``[m choose j]_p`` times smaller such
 coefficients and hatted multinomials (``_exponential_sum``); u -> (1 - t)u
-scales it by ``(1 - t)^n``; and the reciprocal of a double Pochhammer
-product is the product of its factors' reciprocals.
+scales it by ``(1 - t)^n``; and that of the reciprocal of a double
+Pochhammer product in ``x u`` is the complete homogeneous sum h_n of the x's.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from math import factorial
 
 from .group import (
@@ -68,11 +69,10 @@ from .biwords import (
 from .qseries import (
     MultiPoly,
     SeriesContext,
-    _coefficient_product,
+    _double_terms,
     _gaussian_rows,
-    _reciprocal_double_pochhammer,
+    _homogeneous,
     bracket_two_param,
-    coefficient_of,
     exp_series,
     hat_factorial,
     hat_multinomial,
@@ -495,7 +495,7 @@ def _theorem_A_rhs(ctx, r, n, tmax):
 
 
 def _theorem_A_cases(max_elements, r, n, tmax):
-    ctx = SeriesContext(("t", "q", "p", "a", "u"), (tmax, None, None, None, n))
+    ctx = SeriesContext(("t", "q", "p", "a"), (tmax, None, None, None))
     dist = dist_polynomial(ctx, r, n,
                            {"des": "t", "maj": "q", "length": "p", "col": "a"},
                            max_elements)
@@ -509,17 +509,17 @@ def _theorem_A(max_elements, r, n, tmax):
 
 
 def _theorem_B_rhs_term(ctx, r, n, k1, k2):
-    u = MultiPoly.variable(ctx, "u")
-    inv_first = _reciprocal_double_pochhammer(ctx, u, "q1", "q2", k1 + 1, k2 + 1)
     marked = MultiPoly.monomial(ctx, 1, a=1, b=1) \
-        * bracket_two_param(ctx, r - 1, "a", "b") * u
-    inv_second = _reciprocal_double_pochhammer(ctx, marked, "q1", "q2", k1, k2)
-    return _coefficient_product(inv_first, inv_second, "u", n)
+        * bracket_two_param(ctx, r - 1, "a", "b")
+    terms = chain(
+        _double_terms(ctx, MultiPoly.constant(ctx, 1), "q1", "q2", k1 + 1, k2 + 1),
+        _double_terms(ctx, marked, "q1", "q2", k1, k2))
+    return next(islice(_homogeneous(ctx, terms), n, None))
 
 
 def _theorem_B_cases(max_elements, r, n, t1max, t2max):
-    ctx = SeriesContext(("t1", "t2", "q1", "q2", "a", "b", "u"),
-                        (t1max, t2max, None, None, None, None, n))
+    ctx = SeriesContext(("t1", "t2", "q1", "q2", "a", "b"),
+                        (t1max, t2max, None, None, None, None))
     dist = dist_polynomial(ctx, r, n,
                            {"des": "t1", "ides": "t2", "maj": "q1",
                             "imaj": "q2", "col": "a", "icol": "b"},
@@ -592,7 +592,7 @@ def _reiner_rhs(ctx, r, n):
 
 def _reiner(max_elements, r, nmax):
     for n in range(nmax + 1):
-        ctx = SeriesContext(("t", "p", "u"), (n + 1, None, n))
+        ctx = SeriesContext(("t", "p"), (n + 1, None))
         lhs = dist_polynomial(ctx, r, n, {"des": "t", "length": "p"},
                               max_elements)
         yield ("poly", f"r={r} n={n}", lhs, _reiner_rhs(ctx, r, n))
@@ -619,9 +619,11 @@ def _brenti(max_elements, r, nmax):
 
 
 def _gessel_roselle(max_elements, r, ucap, pcap, qcap):
-    ctx = SeriesContext(("u", "p", "q"), (ucap, pcap, qcap))
-    u = MultiPoly.variable(ctx, "u")
-    series = _reciprocal_double_pochhammer(ctx, u, "p", "q", None, None)
+    for n in range(ucap + 1):  # refuse at the first group over budget, before any walk
+        _check_group_budget(r, n, max_elements)
+    ctx = SeriesContext(("p", "q"), (pcap, qcap))
+    series = _homogeneous(
+        ctx, _double_terms(ctx, MultiPoly.constant(ctx, 1), "p", "q", None, None))
     p = MultiPoly.variable(ctx, "p")
     for n in range(ucap + 1):
         lhs = dist_polynomial(ctx, r, n, {"maj": "q", "length": "p"},
@@ -629,24 +631,26 @@ def _gessel_roselle(max_elements, r, ucap, pcap, qcap):
         clear = pochhammer(ctx, MultiPoly.variable(ctx, "q"), "q", n) \
             * pochhammer(ctx, -(p * q_int(ctx, r - 1, "p")), "p", n) \
             * pochhammer(ctx, p, "p", n)
-        rhs = coefficient_of(series, "u", n) * clear
+        rhs = next(series) * clear
         yield ("poly", f"r={r} n={n}", lhs, rhs)
 
 
 def _adin_roichman(max_elements, r, ucap, qcap):
-    ctx = SeriesContext(("u", "q1", "q2"), (ucap, qcap, qcap))
-    u = MultiPoly.variable(ctx, "u")
+    for n in range(ucap + 1):  # refuse at the first group over budget, before any walk
+        _check_group_budget(r, n, max_elements)
+    ctx = SeriesContext(("q1", "q2"), (qcap, qcap))
     b1 = MultiPoly.monomial(ctx, 1, q1=r)
     b2 = MultiPoly.monomial(ctx, 1, q2=r)
     marked = MultiPoly.monomial(ctx, 1, q1=1, q2=1) \
-        * bracket_two_param(ctx, r - 1, "q1", "q2") * u
-    series = _reciprocal_double_pochhammer(ctx, u, b1, b2, None, None) \
-        * _reciprocal_double_pochhammer(ctx, marked, b1, b2, None, None)
+        * bracket_two_param(ctx, r - 1, "q1", "q2")
+    series = _homogeneous(ctx, chain(
+        _double_terms(ctx, MultiPoly.constant(ctx, 1), b1, b2, None, None),
+        _double_terms(ctx, marked, b1, b2, None, None)))
     for n in range(ucap + 1):
         lhs = dist_polynomial(ctx, r, n, {"fmaj": "q1", "ifmaj": "q2"},
                               max_elements)
         clear = pochhammer(ctx, b1, b1, n) * pochhammer(ctx, b2, b2, n)
-        rhs = coefficient_of(series, "u", n) * clear
+        rhs = next(series) * clear
         yield ("poly", f"r={r} n={n}", lhs, rhs)
 
 
@@ -799,8 +803,7 @@ def _biword_count(max_elements, r, n, cap_f, cap_g):
     # within[k1][k2] counts the biwords with max f <= k1 and max g <= k2, the
     # 2-D prefix sums of the tally; index -1 reads the spare zero row or column
     within = [[0] * (cap_g + 2) for _ in range(cap_f + 2)]
-    ctx = SeriesContext(("q1", "q2", "a", "b", "u"),
-                        (None, None, None, None, n))
+    ctx = SeriesContext(("q1", "q2", "a", "b"))
     for k1 in range(cap_f + 1):
         for k2 in range(cap_g + 1):
             actual = within[k1][k2] = (

@@ -429,33 +429,6 @@ def coefficient_of(poly, name, exponent):
     return _poly(poly.ctx, _slices(poly, name).get(exponent, {}))
 
 
-# theorem_B reads one u^n coefficient, of the product of two reciprocals; gessel_roselle
-# and adin_roichman read every u^n up to the cap of one series, so they keep coefficient_of.
-def _coefficient_product(a, b, name, exponent):
-    """``coefficient_of(a * b, name, exponent)`` without the rest of ``a * b``.
-
-    Only the slices of ``a`` and ``b`` whose exponents of ``name`` sum to
-    ``exponent`` are multiplied (a middle product).  The cleared slices no
-    longer see the cap on ``name``, so an exponent above it gives zero here.
-    """
-    a._check_ctx(b)
-    ctx = a.ctx
-    cap = ctx.cap(name)
-    result = _poly(ctx, {})
-    if cap is not None and exponent > cap:
-        return result
-    slices_b = _slices(b, name)
-    for e, terms_a in _slices(a, name).items():
-        terms_b = slices_b.get(exponent - e)
-        if terms_b is None:
-            continue
-        if exponent > MAX_EXPONENT:
-            raise ExponentOverflowError(
-                f"a product exponent exceeds the limit {MAX_EXPONENT}")
-        result = result + _poly(ctx, terms_a) * _poly(ctx, terms_b)
-    return result
-
-
 def reciprocal(x):
     """Multiplicative inverse of ``x`` within the context's caps.
 
@@ -637,14 +610,22 @@ def double_pochhammer(ctx, a_expr, p_base, q_base, n, m):
     return result
 
 
-def _reciprocal_double_pochhammer(ctx, a_expr, p_base, q_base, n, m):
-    """``reciprocal(double_pochhammer(...))`` built as the product of the
-    factors' reciprocals, each a short geometric series, so no reciprocal of
-    the whole product is expanded."""
-    result = one = MultiPoly.constant(ctx, 1)
-    for term in _double_terms(ctx, a_expr, p_base, q_base, n, m):
-        result = result * reciprocal(one - term)
-    return result
+def _homogeneous(ctx, terms):
+    """The complete homogeneous sums ``h_0, h_1, ...`` of ``terms``, one per
+    degree, without end.  ``h_m`` is the u^m coefficient of the product of
+    the ``1 / (1 - x u)`` over the terms ``x``, each sum read off the one
+    below by ``h_m(x_1..x_j) = h_m(x_1..x_(j-1)) + x_j h_(m-1)(x_1..x_j)``."""
+    terms = list(terms)
+    # row[j] is the current h over the first j terms
+    row = [MultiPoly.constant(ctx, 1)] * (len(terms) + 1)
+    yield row[-1]
+    while True:
+        h = MultiPoly.zero(ctx)
+        below, row = row, [h]
+        for x, prev in zip(terms, below[1:]):
+            h = h + x * prev
+            row.append(h)
+        yield h
 
 
 def q_int(ctx, n, base):
@@ -744,6 +725,10 @@ def exp_series(ctx, kind, u_var, cap_u, p_var=None, a_expr=None):
     if p_var is None:
         raise ValueError("q-analogue exponentials need p_var")
     p = _as_poly(ctx, p_var)
+    if kind == "hat":
+        if a_expr is None:
+            raise ValueError("hat exponential needs a_expr")
+        a = _as_poly(ctx, a_expr)
     # suffix[m] = factor for degrees m+1 .. cap_u, so coefficient of u^m is
     # the clearing factor divided by the degree-m factorial, with no division.
     coeff = one
@@ -751,9 +736,7 @@ def exp_series(ctx, kind, u_var, cap_u, p_var=None, a_expr=None):
     for m in range(cap_u, 0, -1):
         step = q_int(ctx, m, p_var)
         if kind == "hat":
-            if a_expr is None:
-                raise ValueError("hat exponential needs a_expr")
-            step = step * (one + a_expr * p ** m)
+            step = step * (one + a * p ** m)
         coeff = coeff * step
         result = result + coeff * MultiPoly.monomial(ctx, 1, **{u_var: m - 1})
     return result

@@ -1,5 +1,6 @@
 """Full-product right sides, the differential oracles for the u-graded
-right sides of ``theorem_A``, ``reiner`` and ``theorem_B``.
+right sides of ``theorem_A``, ``reiner``, ``theorem_B``, ``gessel_roselle``
+and ``adin_roichman``.
 
 ``reference_theorem_A_rhs`` and ``reference_reiner_rhs`` are the builders
 ``identities`` used before its coefficient-only products: each step forms
@@ -9,21 +10,29 @@ u -> q^k u, or u -> (1 - t)u), takes its u^n coefficient with
 and extends the running product and the clearing factor on every step,
 including the last.  ``reference_theorem_B_rhs_term`` takes the u^n
 coefficient of the reciprocal of the whole product of the two double
-Pochhammer products.  They take the same arguments and context as
+Pochhammer products.  They take the same arguments as
 ``identities._theorem_A_rhs``, ``identities._reiner_rhs`` and
-``identities._theorem_B_rhs_term``.  This module is imported only by the
-tests.
+``identities._theorem_B_rhs_term``, in a context that also has ``u``,
+capped at n.  ``reference_gessel_roselle_rhs`` and
+``reference_adin_roichman_rhs`` are the right-side loops of those entries
+before the complete homogeneous sums: the product of the reciprocals of
+the double product's factors, each a geometric series in a context with
+``u``, read with ``coefficient_of``.  They return the right sides for
+n = 0..ucap.  This module is imported only by the tests.
 """
 
 from __future__ import annotations
 
 from wreathstats.qseries import (
     MultiPoly,
+    SeriesContext,
+    _double_terms,
     bracket_two_param,
     coefficient_of,
     divide_exact,
     double_pochhammer,
     exp_series,
+    pochhammer,
     q_factorial,
     q_int,
     reciprocal,
@@ -80,3 +89,40 @@ def reference_theorem_B_rhs_term(ctx, r, n, k1, k2):
         * bracket_two_param(ctx, r - 1, "a", "b") * u
     second = double_pochhammer(ctx, marked, "q1", "q2", k1, k2)
     return coefficient_of(reciprocal(first * second), "u", n)
+
+
+def _reciprocal_double_pochhammer(ctx, a_expr, p_base, q_base, n, m):
+    result = one = MultiPoly.constant(ctx, 1)
+    for term in _double_terms(ctx, a_expr, p_base, q_base, n, m):
+        result = result * reciprocal(one - term)
+    return result
+
+
+def reference_gessel_roselle_rhs(r, ucap, pcap, qcap):
+    ctx = SeriesContext(("u", "p", "q"), (ucap, pcap, qcap))
+    u = MultiPoly.variable(ctx, "u")
+    series = _reciprocal_double_pochhammer(ctx, u, "p", "q", None, None)
+    p = MultiPoly.variable(ctx, "p")
+    rhs = []
+    for n in range(ucap + 1):
+        clear = pochhammer(ctx, MultiPoly.variable(ctx, "q"), "q", n) \
+            * pochhammer(ctx, -(p * q_int(ctx, r - 1, "p")), "p", n) \
+            * pochhammer(ctx, p, "p", n)
+        rhs.append(coefficient_of(series, "u", n) * clear)
+    return rhs
+
+
+def reference_adin_roichman_rhs(r, ucap, qcap):
+    ctx = SeriesContext(("u", "q1", "q2"), (ucap, qcap, qcap))
+    u = MultiPoly.variable(ctx, "u")
+    b1 = MultiPoly.monomial(ctx, 1, q1=r)
+    b2 = MultiPoly.monomial(ctx, 1, q2=r)
+    marked = MultiPoly.monomial(ctx, 1, q1=1, q2=1) \
+        * bracket_two_param(ctx, r - 1, "q1", "q2") * u
+    series = _reciprocal_double_pochhammer(ctx, u, b1, b2, None, None) \
+        * _reciprocal_double_pochhammer(ctx, marked, b1, b2, None, None)
+    rhs = []
+    for n in range(ucap + 1):
+        clear = pochhammer(ctx, b1, b1, n) * pochhammer(ctx, b2, b2, n)
+        rhs.append(coefficient_of(series, "u", n) * clear)
+    return rhs

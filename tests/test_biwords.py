@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from wreathstats.biwords import (
@@ -20,6 +22,7 @@ from wreathstats.encoding import (
     pi_of,
 )
 from wreathstats.group import (
+    BudgetExceededError,
     enumerate_group,
     format_window,
     identity_element,
@@ -134,6 +137,14 @@ class TestEnumeration:
         a = list(enumerate_biwords(2, 2, 2, 2))
         b = list(enumerate_biwords(2, 2, 2, 2))
         assert a == b
+
+    def test_budget_names_a_count_too_long_for_text(self):
+        # 7^6000 bottom rows: more digits than int-to-str converts
+        count = math.comb(6002, 6000) * 7 ** 6000
+        with pytest.raises(BudgetExceededError) as info:
+            next(enumerate_biwords(3, 6000, 2, 2, max_elements=10))
+        assert str(info.value) == (f"2^{count.bit_length() - 1} or more "
+                                   "candidate biwords exceed budget 10")
 
 
 class TestColumnMultisets:

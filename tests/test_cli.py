@@ -241,6 +241,19 @@ class TestUsage:
     ("verify --identity gg1 --r 3", 2, "'r'"),
     ("verify --identity length_gf --n x", 2, "--n"),
     ("table --r 2 --n 3 --max-elements 1", 2, "budget"),
+    # counts with more digits than int-to-str converts are named by a power of 2
+    ("table --r 2 --n 2000", 2, "budget exceeded: group of order 2^"),
+    ("verify --identity length_gf --n 2000", 2, "budget exceeded: group of order 2^"),
+    ("verify --identity desmaj --n 6000", 2, "or more sequences exceed budget"),
+    ("verify --identity theorem_A --n 70000", 2, "budget exceeded: group of order 2^"),
+    ("verify --identity theorem_B --n 70000", 2, "budget exceeded: group of order 2^"),
+    # the graded entries refuse at their first group over the budget, before any walk
+    ("verify --identity gessel_roselle --ucap 70000", 2,
+     "budget exceeded: group of order 10321920 exceeds budget 10000000"),
+    ("verify --identity adin_roichman --ucap 70000", 2,
+     "budget exceeded: group of order 10321920 exceeds budget 10000000"),
+    ("verify --identity gessel_roselle --r 2 --ucap 9", 2,
+     "budget exceeded: group of order 10321920 exceeds budget 10000000"),
     ("encode --r 2 --f 0^1", 1, "colored zero"),
     ("encode --r 0 --f 1", 1, "r must be a positive integer"),
     ("decode --r 2 --window [1,2] --partition 0,1,2", 1, "lengths"),

@@ -25,6 +25,7 @@ from wreathstats.encoding import (
     sequence_from,
 )
 from wreathstats.group import (
+    BudgetExceededError,
     enumerate_group,
     format_window,
     identity_element,
@@ -190,6 +191,17 @@ class TestEnumeration:
         got = [format_sequence(f)
                for f in enumerate_sequences(2, 2, composition=(1, 1))]
         assert got == ["0,1", "0,1^1", "1,0", "1^1,0"]
+
+    @pytest.mark.parametrize("kwargs,base", [
+        ({"composition": (0, 6000)}, 6),
+        ({"max_cap": 1}, 7),
+    ])
+    def test_budget_names_a_count_too_long_for_text(self, kwargs, base):
+        count = base ** 6000  # more digits than int-to-str converts
+        with pytest.raises(BudgetExceededError) as info:
+            next(enumerate_sequences(6, 6000, max_elements=10, **kwargs))
+        assert str(info.value) == (f"2^{count.bit_length() - 1} or more "
+                                   "sequences exceed budget 10")
 
     def test_composition_validation(self):
         with pytest.raises(ValueError):

@@ -225,8 +225,16 @@ class TestEnumeration:
         assert first[0] == "[1,2]"
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError,
+                           match="^group of order 29160 exceeds budget 100$"):
             list(enumerate_group(3, 5, max_elements=100))
+
+    def test_budget_names_an_order_too_long_for_text(self):
+        order = group_order(2, 2000)
+        with pytest.raises(BudgetExceededError) as info:
+            next(enumerate_group(2, 2000, max_elements=100))
+        assert str(info.value) == (f"group of order 2^{order.bit_length() - 1} "
+                                   "or more exceeds budget 100")
 
     def test_empty_window(self):
         assert list(enumerate_group(4, 0)) == [identity_element(4, 0)]

@@ -5,6 +5,8 @@ import pytest
 
 from reference_group import reference_dist_terms
 from reference_identities import (
+    reference_adin_roichman_rhs,
+    reference_gessel_roselle_rhs,
     reference_reiner_rhs,
     reference_theorem_A_rhs,
     reference_theorem_B_rhs_term,
@@ -196,37 +198,63 @@ class TestNoDivision:
 
 
 class TestCoefficientOnlyRightSides:
+    """Each right side in its catalog context, which has no u, against the
+    reference in a context with u capped at n; u never appears in either
+    result, so their texts are the same."""
+
     # r=1 is the right side gg1 checks.
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_theorem_A_matches_full_products(self, r):
         for n in range(5):
             for tmax in range(5):
-                ctx = SeriesContext(("t", "q", "p", "a", "u"),
-                                    (tmax, None, None, None, n))
+                ctx = SeriesContext(("t", "q", "p", "a"), (tmax, None, None, None))
+                with_u = SeriesContext(("t", "q", "p", "a", "u"),
+                                       (tmax, None, None, None, n))
                 got = identities._theorem_A_rhs(ctx, r, n, tmax)
-                want = reference_theorem_A_rhs(ctx, r, n, tmax)
+                want = reference_theorem_A_rhs(with_u, r, n, tmax)
                 assert got.to_lines() == want.to_lines(), (n, tmax)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_reiner_matches_full_products(self, r):
         for n in range(6):
-            ctx = SeriesContext(("t", "p", "u"), (n + 1, None, n))
+            ctx = SeriesContext(("t", "p"), (n + 1, None))
+            with_u = SeriesContext(("t", "p", "u"), (n + 1, None, n))
             got = identities._reiner_rhs(ctx, r, n)
-            assert got.to_lines() == reference_reiner_rhs(ctx, r, n).to_lines(), n
+            assert got.to_lines() == reference_reiner_rhs(with_u, r, n).to_lines(), n
 
     # r=1 is the right side gg2 checks; the second context is biword_count's.
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_theorem_B_terms_match_whole_reciprocals(self, r):
         for n in range(4):
-            for ctx in (SeriesContext(("t1", "t2", "q1", "q2", "a", "b", "u"),
-                                      (3, 3, None, None, None, None, n)),
-                        SeriesContext(("q1", "q2", "a", "b", "u"),
-                                      (None, None, None, None, n))):
+            for names, caps in ((("t1", "t2", "q1", "q2", "a", "b"),
+                                 (3, 3, None, None, None, None)),
+                                (("q1", "q2", "a", "b"), (None,) * 4)):
+                ctx = SeriesContext(names, caps)
+                with_u = SeriesContext(names + ("u",), caps + (n,))
                 for k1 in range(4):
                     for k2 in range(4):
                         got = identities._theorem_B_rhs_term(ctx, r, n, k1, k2)
-                        want = reference_theorem_B_rhs_term(ctx, r, n, k1, k2)
+                        want = reference_theorem_B_rhs_term(with_u, r, n, k1, k2)
                         assert got.to_lines() == want.to_lines(), (n, k1, k2)
+
+    # A right side for n does not depend on ucap >= n, so ucap 4 covers them all.
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_gessel_roselle_matches_factor_reciprocals(self, r):
+        for pcap in range(9):
+            for qcap in range(9):
+                got = [case[3].to_lines() for case in
+                       identities._gessel_roselle(None, r, 4, pcap, qcap)]
+                want = [rhs.to_lines() for rhs in
+                        reference_gessel_roselle_rhs(r, 4, pcap, qcap)]
+                assert got == want, (pcap, qcap)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_adin_roichman_matches_factor_reciprocals(self, r):
+        for qcap in range(9):
+            got = [case[3].to_lines() for case in
+                   identities._adin_roichman(None, r, 3, qcap)]
+            want = [rhs.to_lines() for rhs in reference_adin_roichman_rhs(r, 3, qcap)]
+            assert got == want, qcap
 
 
 class TestBijectionStats:
@@ -347,11 +375,20 @@ def _flat_sort(values, colors):
     return (1,) * len(values), colors
 
 
+def _short_homogeneous(ctx, terms):
+    """_homogeneous with the last term skipped: a faulty core under test."""
+    return qseries._homogeneous(ctx, list(terms)[:-1])
+
+
 class TestFaultyCoreReportsFail:
     @pytest.mark.parametrize("module,core,fault,name", [
         (identities, "_sequence_from", _countless_sequence_from, "bijection_stats"),
         (biwords, "_skew", _colorless_skew, "biword_count"),
         (identities, "_biwords", _lax_biwords, "biword_count"),
+        (identities, "_homogeneous", _short_homogeneous, "theorem_B"),
+        (identities, "_homogeneous", _short_homogeneous, "gessel_roselle"),
+        (identities, "_homogeneous", _short_homogeneous, "adin_roichman"),
+        (identities, "_homogeneous", _short_homogeneous, "biword_count"),
     ])
     def test_cli_prints_fail_not_invalid_input(self, monkeypatch, capsys,
                                                module, core, fault, name):

@@ -1,6 +1,7 @@
 import operator
 import signal
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +18,9 @@ from wreathstats.qseries import (
     MultiPoly,
     NonUnitError,
     SeriesContext,
-    _coefficient_product,
+    _double_terms,
     _gaussian_rows,
-    _reciprocal_double_pochhammer,
+    _homogeneous,
     bracket_two_param,
     coefficient_of,
     divide_exact,
@@ -202,8 +203,8 @@ class TestDoublePochhammer:
 
 
 class TestReciprocalDoublePochhammer:
-    """The product of the factors' reciprocals against the reciprocal of the
-    whole double product."""
+    """The complete homogeneous sums of a double product's terms against the
+    u-coefficients of the reciprocal of the whole double product."""
 
     CTX = SeriesContext(("u", "p", "q", "a"), (3, 4, 4, None))
     LEGS = (0, 1, 2, 3, None)
@@ -212,16 +213,17 @@ class TestReciprocalDoublePochhammer:
     def test_matches_whole_reciprocal(self, p_base):
         ctx = self.CTX
         u = MultiPoly.variable(ctx, "u")
+        p, a = MultiPoly.variable(ctx, "p"), MultiPoly.variable(ctx, "a")
         q2 = MultiPoly.monomial(ctx, 1, q=2)
-        for a in (u, u * MultiPoly.variable(ctx, "p"),
-                  -(u * MultiPoly.variable(ctx, "a")), u + u * u * 3):
+        for x in (MultiPoly.constant(ctx, 1), p, -a, a + a * p):
             for q_base in ("q", q2):
                 for n in self.LEGS:
                     for m in self.LEGS:
-                        args = (ctx, a, p_base, q_base, n, m)
-                        want = reciprocal(double_pochhammer(*args))
-                        got = _reciprocal_double_pochhammer(*args)
-                        assert got.to_lines() == want.to_lines(), (a, q_base, n, m)
+                        whole = reciprocal(double_pochhammer(ctx, x * u, p_base, q_base, n, m))
+                        sums = _homogeneous(ctx, _double_terms(ctx, x, p_base, q_base, n, m))
+                        for degree, got in zip(range(ctx.cap("u") + 1), sums):
+                            want = coefficient_of(whole, "u", degree)
+                            assert got.to_lines() == want.to_lines(), (x, q_base, n, m, degree)
 
     @pytest.mark.parametrize("n,m,leg", [(None, 2, "first"), (2, None, "second"),
                                          (0, None, "second"), (None, 0, "first")])
@@ -229,31 +231,27 @@ class TestReciprocalDoublePochhammer:
         # "a" is uncapped; with no row at all the second leg is still checked
         ctx = SeriesContext(("u", "p", "a"), (2, 2, None))
         u = MultiPoly.variable(ctx, "u")
+        one = MultiPoly.constant(ctx, 1)
         first, second = ("a", "p") if leg == "first" else ("p", "a")
         message = f"infinite {leg} leg needs finite caps on its base variables"
         for build in (lambda: reciprocal(double_pochhammer(ctx, u, first, second, n, m)),
-                      lambda: _reciprocal_double_pochhammer(ctx, u, first, second, n, m)):
+                      lambda: _homogeneous(ctx, _double_terms(ctx, one, first, second, n, m))):
             with pytest.raises(ValueError) as info:
                 build()
             assert type(info.value) is ValueError and str(info.value) == message
 
     def test_uncapped_factor_is_not_a_unit(self):
-        # u is uncapped, so the factor (1 - u) has no geometric expansion
+        # u is uncapped, so the factor (1 - u) has no geometric expansion;
+        # the homogeneous sums expand no factor and need no unit
         ctx = SeriesContext(("u", "p", "q"), (None, 2, 2))
         u = MultiPoly.variable(ctx, "u")
         message = ("reciprocal does not terminate: term u^1 has no finitely "
                    "capped variable")
-        for build in (lambda: reciprocal(double_pochhammer(ctx, u, "p", "q", 1, 1)),
-                      lambda: _reciprocal_double_pochhammer(ctx, u, "p", "q", 1, 1)):
-            with pytest.raises(NonUnitError) as info:
-                build()
-            assert str(info.value) == message
-        # with more factors the helper names the first factor's term, the
-        # whole product another term of the same kind
-        for build in (lambda: reciprocal(double_pochhammer(ctx, u, "p", "q", 2, 2)),
-                      lambda: _reciprocal_double_pochhammer(ctx, u, "p", "q", 2, 2)):
-            with pytest.raises(NonUnitError, match="has no finitely capped variable"):
-                build()
+        with pytest.raises(NonUnitError) as info:
+            reciprocal(double_pochhammer(ctx, u, "p", "q", 1, 1))
+        assert str(info.value) == message
+        with pytest.raises(NonUnitError, match="has no finitely capped variable"):
+            reciprocal(double_pochhammer(ctx, u, "p", "q", 2, 2))
 
 
 class TestQAnalogues:
@@ -392,6 +390,18 @@ class TestExpSeries:
         u = MultiPoly.variable(ctx, "u")
         assert got == (1 + a * p) + u
 
+    def test_hat_reads_a_like_the_other_constructors(self):
+        ctx = SeriesContext(("u", "a", "p"), (2, None, None))
+        a = MultiPoly.variable(ctx, "a")
+        assert exp_series(ctx, "hat", "u", 2, "p", "a") \
+            == exp_series(ctx, "hat", "u", 2, "p", a)
+        # the hatted series has no steps at cap 0, but still needs its a
+        with pytest.raises(ValueError, match="hat exponential needs a_expr"):
+            exp_series(ctx, "hat", "u", 0, "p")
+        other = SeriesContext(("u", "a", "p"), (3, None, None))
+        with pytest.raises(ContextMismatchError):
+            exp_series(ctx, "hat", "u", 1, "p", MultiPoly.variable(other, "a"))
+
     def test_geometric_substitution_clears(self):
         # the coefficient of u^n in the p-exponential of u/(1-p) is 1/(p;p)_n
         for n in range(1, 4):
@@ -495,17 +505,15 @@ class TestExponentLimit:
         assert (top * MultiPoly.variable(ctx, "q")).terms == {(1, MAX_EXPONENT): 1}
 
     def test_kept_slice_overflow_raises(self):
-        ctx = SeriesContext(("u", "p"), (2, None))
-        top = MultiPoly.monomial(ctx, 1, u=1, p=MAX_EXPONENT)
-        p = MultiPoly.monomial(ctx, 1, u=1, p=1)
+        # Only the sums read are built: h_1 of p^MAX and q is kept, and h_2,
+        # which holds p^(2 MAX), raises when it is read.
+        ctx = SeriesContext(("q", "p"))
+        top = MultiPoly.monomial(ctx, 1, p=MAX_EXPONENT)
+        q = MultiPoly.variable(ctx, "q")
+        sums = _homogeneous(ctx, [top, q])
+        assert [next(sums), next(sums)] == [1, top + q]
         with pytest.raises(ExponentOverflowError):
-            _coefficient_product(top, p, "u", 2)
-        # Only the slices whose u-exponents sum to 1 are multiplied: none.
-        assert _coefficient_product(top, p, "u", 1).is_zero
-        free = SeriesContext(("u",))
-        u_top = MultiPoly.monomial(free, 1, u=MAX_EXPONENT)
-        with pytest.raises(ExponentOverflowError):
-            _coefficient_product(u_top, MultiPoly.variable(free, "u"), "u", MAX_EXPONENT + 1)
+            next(sums)
 
     def test_no_power_beyond_the_last_factor(self):
         # (q^MAX; q)_1 and [1] with base q^MAX never form q^(MAX+1).
@@ -516,10 +524,10 @@ class TestExponentLimit:
         assert q_int(ctx, 1, top) == 1
 
     def test_coefficient_product_context_mismatch(self):
-        x = MultiPoly.variable(SeriesContext(("u", "q"), (2, None)), "u")
-        y = MultiPoly.variable(SeriesContext(("u", "q"), (3, None)), "u")
+        x = MultiPoly.variable(SeriesContext(("u", "q"), (2, None)), "q")
+        sums = _homogeneous(SeriesContext(("u", "q"), (3, None)), [x])
         with pytest.raises(ContextMismatchError):
-            _coefficient_product(x, y, "u", 2)
+            next(islice(sums, 1, None))
 
     def test_cap_too_large_rejected(self):
         with pytest.raises(ValueError):
@@ -596,29 +604,6 @@ class TestReferenceOracle:
         exponent = data.draw(st.integers(0, 5))
         assert_same(coefficient_of(x, name, exponent),
                      ref.coefficient_of(rx, name, exponent))
-
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_coefficient_product(self, data):
-        ctx = data.draw(oracle_contexts())
-        x, rx = both(ctx, data.draw(oracle_terms(ctx)))
-        y, ry = both(ctx, data.draw(oracle_terms(ctx)))
-        name = data.draw(st.sampled_from(ctx.variables))
-        cap = ctx.cap(name)
-        # An uncapped operand exponent is at most 4, so a product's at most 8.
-        for exponent in range((8 if cap is None else cap) + 3):
-            assert_same(_coefficient_product(x, y, name, exponent),
-                        ref.coefficient_of(rx * ry, name, exponent))
-
-    def test_coefficient_product_above_cap(self):
-        # The cleared slices do not see the cap on u; the product does.
-        ctx = SeriesContext(("u", "q"), (2, None))
-        x = MultiPoly(ctx, {(1, 0): 1, (2, 2): 1})
-        y = MultiPoly(ctx, {(2, 0): 1, (1, 0): 1})
-        for exponent in range(5):
-            assert _coefficient_product(x, y, "u", exponent) \
-                == coefficient_of(x * y, "u", exponent)
-        assert _coefficient_product(x, y, "u", 3).is_zero
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
