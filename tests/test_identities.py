@@ -199,8 +199,8 @@ class TestNoDivision:
 
 class TestCoefficientOnlyRightSides:
     """Each right side in its catalog context, which has no u, against the
-    reference in a context with u capped at n; u never appears in either
-    result, so their texts are the same."""
+    reference in a context with u; u never appears in either result, so
+    their texts are the same."""
 
     # r=1 is the right side gg1 checks.
     @pytest.mark.parametrize("r", [1, 2, 3])
