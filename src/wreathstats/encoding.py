@@ -11,8 +11,16 @@ that read only the tuples and need no checked value object: ``_sort`` gives
 ``pi_of``'s window as ``(sigma, colors)`` tuples, ``_residue`` the parts of
 ``lambda_of``, ``_sequence_from`` the ``(values, colors)`` of
 ``sequence_from`` and ``_sequences`` those of ``enumerate_sequences``'
-sequences.  ``_in_n0`` and ``_check_parts`` are the checks of
-``ColoredSequence.in_n0`` and ``Partition`` on tuples.
+sequences, after the checks and budget of ``_check_sequences``.  ``_in_n0``
+and ``_check_parts`` are the checks of ``ColoredSequence.in_n0`` and
+``Partition`` on tuples.
+
+``_sort`` sorts one sequence from nothing.  It serves ``pi_of``,
+``lambda_of``, ``seq_statistics`` and the bijection checks (``biwords``'
+triple map and ``bijection_stats``), where the sort is the map under test.
+The catalog's sums over many sequences (``keylem`` and ``desmaj``) instead
+walk the sequences position by position, and ``_insertion`` places each new
+position in the sorted window from a count of the values already placed.
 
 Partitions are kept in nondecreasing order throughout.
 """
@@ -21,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .group import (
@@ -142,6 +151,32 @@ def _sort(values, colors):
     return order, tuple(colors[i - 1] for i in order)
 
 
+def _insertion(placed, v, c):
+    """Where the next position of a sequence enters its sorted window, and
+    what it adds to the window's length, as ``(k, step)``.
+
+    The positions are placed in increasing order, and ``placed`` holds the
+    values of those already placed, nondecreasing, as the window holds them.
+    The new position i, of value ``v`` and color ``c``, is the largest
+    colored integer so far when uncolored and the smallest when colored, so:
+
+    - uncolored, it goes after every placed entry of value <= v, and adds
+      the ``above`` placed entries of value > v, which follow it, as
+      inversions;
+    - colored, it goes before every placed entry of value >= v, and adds the
+      ``below`` placed entries of value < v, which precede it, as
+      inversions, plus its color weight ``i + c - 1``.
+
+    Entries already placed keep their order, so the length of the window is
+    the sum of the steps.  ``placed`` is not changed.
+    """
+    if c:
+        below = bisect_left(placed, v)
+        return below, below + len(placed) + c
+    k = bisect_right(placed, v)
+    return k, len(placed) - k
+
+
 def lambda_of(f):
     """The residual partition of a colored sequence.
 
@@ -251,14 +286,25 @@ def seq_statistics(f):
 
 
 def _distinct_permutations(items):
-    """Distinct orderings of a multiset, in lexicographic order."""
-    if not items:
-        yield ()
-    for first in sorted(set(items)):
-        rest = list(items)
-        rest.remove(first)
-        for tail in _distinct_permutations(rest):
-            yield (first,) + tail
+    """Distinct orderings of a multiset, in lexicographic order.
+
+    Knuth's Algorithm L (TAOCP 7.2.1.2): from the sorted items, each next
+    ordering swaps the last ascent's left entry with the rightmost larger
+    entry and reverses the suffix after it.  No recursion, so any length.
+    """
+    a = sorted(items)
+    while True:
+        yield tuple(a)
+        j = len(a) - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        k = len(a) - 1
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1:] = a[:j:-1]
 
 
 def multinomial(counts):
@@ -288,6 +334,30 @@ def _sequences(r, n, max_cap=None, restrict_n0=True, composition=None,
                max_elements=None):
     """``enumerate_sequences`` as ``(values, colors)`` tuples, same order,
     same checks and budget."""
+    letters = _check_sequences(r, n, max_cap, restrict_n0, composition,
+                               max_elements)
+    if composition is not None:
+        for arrangement in _distinct_permutations(letters):
+            # zeros stay uncolored; every other value takes each color
+            palettes = [range(r) if v else (0,) for v in arrangement]
+            for colors in itertools.product(*palettes):
+                yield arrangement, colors
+        return
+    for entries in itertools.product(letters, repeat=n):
+        # zip splits the (value, color) pairs; the empty sequence has none
+        values, colors = zip(*entries) if n else ((), ())
+        yield values, colors
+
+
+def _check_sequences(r, n, max_cap=None, restrict_n0=True, composition=None,
+                     max_elements=None):
+    """The checks and budget of ``_sequences``, for it and for the walks
+    that visit the same sequences; raises before any sequence is built.
+
+    Returns the letters the sequences are made of: in composition mode the
+    composition's values, nondecreasing, one per position; otherwise the
+    ``(value, color)`` alphabet of every entry, in lexicographic order.
+    """
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
     if composition is not None:
@@ -296,19 +366,13 @@ def _sequences(r, n, max_cap=None, restrict_n0=True, composition=None,
             raise ValueError("composition parts must be nonnegative")
         if sum(composition) != n:
             raise ValueError(f"composition must sum to {n}")
-        values = [j for j, mult in enumerate(composition) for _ in range(mult)]
         colored_positions = n - (composition[0] if composition else 0)
         if max_elements is not None:
             total = multinomial(composition) * r ** colored_positions
             if total > max_elements:
                 raise BudgetExceededError(
                     f"{_count_text(total)} sequences exceed budget {max_elements}")
-        for arrangement in _distinct_permutations(values):
-            # zeros stay uncolored; every other value takes each color
-            palettes = [range(r) if v else (0,) for v in arrangement]
-            for colors in itertools.product(*palettes):
-                yield arrangement, colors
-        return
+        return [j for j, mult in enumerate(composition) for _ in range(mult)]
     if max_cap is None or max_cap < 0:
         raise ValueError("plain enumeration needs a nonnegative max_cap")
     alphabet = [(v, c) for v in range(max_cap + 1) for c in range(r)
@@ -316,10 +380,7 @@ def _sequences(r, n, max_cap=None, restrict_n0=True, composition=None,
     if max_elements is not None and len(alphabet) ** n > max_elements:
         raise BudgetExceededError(f"{_count_text(len(alphabet) ** n)} sequences "
                                   f"exceed budget {max_elements}")
-    for entries in itertools.product(alphabet, repeat=n):
-        # zip splits the (value, color) pairs; the empty sequence has none
-        values, colors = zip(*entries) if n else ((), ())
-        yield values, colors
+    return alphabet
 
 
 def partitions_in_box(n, cap):

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import time
 import warnings
+from bisect import insort
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, combinations, islice, product
 from math import factorial
 
 from .group import (
@@ -34,7 +36,6 @@ from .group import (
     _descent_set,
     _inverse_colors,
     _inverse_sigma,
-    _length,
     _skew,
     enumerate_group,
     inverse,
@@ -45,11 +46,13 @@ from .group import (
 from .encoding import (
     ColoredSequence,
     Partition,
+    _check_sequences,
+    _distinct_permutations,
     _fits,
     _in_n0,
+    _insertion,
     _residue,
     _sequence_from,
-    _sequences,
     _sort,
     enumerate_sequences,
     partitions_in_box,
@@ -353,15 +356,28 @@ def _color_twist(ctx, r):
     return a * q_int(ctx, r - 1, ap)
 
 
+def _check_group_budgets(r, nmax, max_elements):
+    """Refuse at the first group of n = 0..nmax letters over budget, before
+    any context is built or any group walked."""
+    for n in range(nmax + 1):
+        _check_group_budget(r, n, max_elements)
+
+
 def _weak_compositions(n, parts):
-    """Weak compositions of n into exactly ``parts`` nonnegative parts."""
+    """Weak compositions of n into exactly ``parts`` nonnegative parts, in
+    lexicographic order.
+
+    Stars and bars: the ``parts - 1`` bars stand at increasing slots among
+    ``n + parts - 1``, and each part counts the stars between two bars, so
+    the bars' lexicographic order is the compositions'.
+    """
     if parts == 0:
         if n == 0:
             yield ()
         return
-    for head in range(n + 1):
-        for tail in _weak_compositions(n - head, parts - 1):
-            yield (head,) + tail
+    for bars in combinations(range(n + parts - 1), parts - 1):
+        edges = (-1,) + bars + (n + parts - 1,)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 # -- catalog entries ---------------------------------------------------------
@@ -414,14 +430,36 @@ def _projection(max_elements, r, n):
 
 def _desmaj_tally(max_elements, r, n, tmax):
     """For each window ``(sigma, colors)``, the counts of ``(max, n*max -
-    sum)`` over the sequences with entries up to ``tmax`` that sort to it."""
+    sum)`` over the sequences with entries up to ``tmax`` that sort to it.
+
+    The sequences are walked in ``_sequences``' order, one leaf each: every
+    prefix of n - 1 entries is placed position by position into its sorted
+    window by ``_insertion``, then each letter of the alphabet is placed at
+    position n.  The windows of one prefix are built once per index and
+    color of that last entry.
+    """
+    alphabet = _check_sequences(r, n, max_cap=tmax, max_elements=max_elements)
+    if not n:
+        return {((), ()): {(0, 0): 1}}
     buckets = {}
-    for values, colors in _sequences(r, n, max_cap=tmax, restrict_n0=True,
-                                     max_elements=max_elements):
-        top = max(values, default=0)
-        exps = (top, top * n - sum(values))
-        entry = buckets.setdefault(_sort(values, colors), {})
-        entry[exps] = entry.get(exps, 0) + 1
+    for prefix in product(alphabet, repeat=n - 1):
+        placed, sigma, colors = [], [], []
+        for i, (v, c) in enumerate(prefix, 1):
+            k = _insertion(placed, v, c)[0]
+            placed.insert(k, v)
+            sigma.insert(k, i)
+            colors.insert(k, c)
+        top, rest = max(placed, default=0), sum(placed)
+        sigma, colors = tuple(sigma), tuple(colors)
+        exps = [(max(top, v), max(top, v) * n - rest - v) for v in range(tmax + 1)]
+        entries = {}
+        for v, c in alphabet:
+            k = _insertion(placed, v, c)[0]
+            entry = entries.get(k * r + c)
+            if entry is None:
+                window = (sigma[:k] + (n,) + sigma[k:], colors[:k] + (c,) + colors[k:])
+                entry = entries[k * r + c] = buckets.setdefault(window, {})
+            entry[exps[v]] = entry.get(exps[v], 0) + 1
     return buckets
 
 
@@ -439,13 +477,28 @@ def _desmaj(max_elements, r, n, tmax):
 
 def _keylem_tally(max_elements, r, n, comp):
     """Counts of ``(length, col)`` of the sorted windows of the sequences
-    with multiplicity profile ``comp``."""
-    acc = {}
-    for values, colors in _sequences(r, n, composition=comp,
-                                     max_elements=max_elements):
-        exps = (_length(*_sort(values, colors)), sum(colors))
-        acc[exps] = acc.get(exps, 0) + 1
-    return acc
+    with multiplicity profile ``comp``.
+
+    The sequences are walked in ``_sequences``' order, one leaf each.  For
+    each arrangement of the values, the positions are placed in order and
+    ``_insertion`` gives each color of each position its length step, read
+    from the values already placed alone; a leaf picks one color per
+    position and its length is the sum of their steps.
+    """
+    values = _check_sequences(r, n, composition=comp, max_elements=max_elements)
+    # a length is at most n * (n + r - 2); col sits in the bits above it
+    shift = (n * (n + r)).bit_length()
+    counts = Counter()
+    for arrangement in _distinct_permutations(values):
+        placed, steps = [], []
+        for v in arrangement:
+            # zeros stay uncolored; every other value takes each color
+            steps.append([_insertion(placed, v, c)[1] + (c << shift)
+                          for c in (range(r) if v else (0,))])
+            insort(placed, v)
+        counts.update(map(sum, product(*steps)))
+    mask = (1 << shift) - 1
+    return {(key & mask, key >> shift): count for key, count in counts.items()}
 
 
 def _keylem(max_elements, r, n, parts_max=4):
@@ -591,6 +644,7 @@ def _reiner_rhs(ctx, r, n):
 
 
 def _reiner(max_elements, r, nmax):
+    _check_group_budgets(r, nmax, max_elements)
     for n in range(nmax + 1):
         ctx = SeriesContext(("t", "p"), (n + 1, None))
         lhs = dist_polynomial(ctx, r, n, {"des": "t", "length": "p"},
@@ -599,6 +653,7 @@ def _reiner(max_elements, r, nmax):
 
 
 def _brenti(max_elements, r, nmax):
+    _check_group_budgets(r, nmax, max_elements)
     tcap = nmax + 1
     ctx = SeriesContext(("u", "t", "a"), (nmax, tcap, None))
     lhs = MultiPoly.zero(ctx)
@@ -619,8 +674,7 @@ def _brenti(max_elements, r, nmax):
 
 
 def _gessel_roselle(max_elements, r, ucap, pcap, qcap):
-    for n in range(ucap + 1):  # refuse at the first group over budget, before any walk
-        _check_group_budget(r, n, max_elements)
+    _check_group_budgets(r, ucap, max_elements)
     ctx = SeriesContext(("p", "q"), (pcap, qcap))
     series = _homogeneous(
         ctx, _double_terms(ctx, MultiPoly.constant(ctx, 1), "p", "q", None, None))
@@ -636,8 +690,7 @@ def _gessel_roselle(max_elements, r, ucap, pcap, qcap):
 
 
 def _adin_roichman(max_elements, r, ucap, qcap):
-    for n in range(ucap + 1):  # refuse at the first group over budget, before any walk
-        _check_group_budget(r, n, max_elements)
+    _check_group_budgets(r, ucap, max_elements)
     ctx = SeriesContext(("q1", "q2"), (qcap, qcap))
     b1 = MultiPoly.monomial(ctx, 1, q1=r)
     b2 = MultiPoly.monomial(ctx, 1, q2=r)

@@ -682,17 +682,20 @@ def hat_multinomial(ctx, parts, a_expr, p_var):
     The first part ``k`` carries the hat: the hatted factorial of the total
     ``n`` over that of ``k`` and the q-factorials of the other parts, built
     with no division as ``(-a*p^(k+1); p)_(n-k)`` times the Gaussian
-    binomials ``[m_j choose parts[j]]``, ``m_j`` the running totals.
+    binomials ``[m_j choose parts[j]]``, ``m_j`` the running totals.  A
+    binomial with ``parts[j]`` 0 or ``m_j`` is 1 and is skipped, so the
+    Gaussian rows are built only up to the largest other ``m_j``.
     """
     parts = tuple(parts)
     if any(part < 0 for part in parts):
         raise ValueError("composition parts must be nonnegative")
     p = _as_poly(ctx, p_var)
     head, total = (parts[0] if parts else 0), sum(parts)
-    rows = _gaussian_rows(ctx, total, p)
+    factors = [(m, part) for m, part in zip(accumulate(parts), parts) if 0 < part < m]
+    rows = _gaussian_rows(ctx, max((m for m, _ in factors), default=0), p)
     shifted = -(_as_poly(ctx, a_expr) * p ** (head + 1))
     result = pochhammer(ctx, shifted, p, total - head)
-    for m, part in zip(accumulate(parts), parts):
+    for m, part in factors:
         result = result * rows[m][part]
     return result
 

@@ -18,8 +18,13 @@ rescan every biword for each pair of caps, whose predicted counts come from
 ``reference_keylem_tally`` and ``reference_desmaj_tally`` are the left sides
 of ``keylem`` and ``desmaj`` as they were written on checked value objects,
 a ``ColoredSequence`` and ``pi_of``'s ``ColoredPermutation`` for every
-sequence and, for ``keylem``, its full ``statistics`` record.  This module is
-imported only by the tests.
+sequence and, for ``keylem``, its full ``statistics`` record;
+``reference_sorted_keylem_tally`` and ``reference_sorted_desmaj_tally`` are
+the same left sides on tuples, sorting every sequence with ``_sort`` and
+counting ``keylem``'s inversions pair by pair with ``_length``.
+``reference_recursive_distinct_permutations`` and
+``reference_weak_compositions`` recurse once per entry and once per part.
+This module is imported only by the tests.
 """
 
 from __future__ import annotations
@@ -42,12 +47,15 @@ from wreathstats.biwords import (
 from wreathstats.encoding import (
     ColoredSequence,
     Partition,
+    _sequences,
+    _sort,
     enumerate_sequences,
     partitions_in_box,
     pi_of,
 )
 from wreathstats.group import (
     BudgetExceededError,
+    _length,
     enumerate_group,
     order_key,
     statistics,
@@ -78,6 +86,30 @@ def reference_distinct_permutations(items):
                 counts[k] += 1
 
     yield from rec()
+
+
+def reference_recursive_distinct_permutations(items):
+    """Distinct orderings of a multiset, in lexicographic order, one level of
+    recursion per entry."""
+    if not items:
+        yield ()
+    for first in sorted(set(items)):
+        rest = list(items)
+        rest.remove(first)
+        for tail in reference_recursive_distinct_permutations(rest):
+            yield (first,) + tail
+
+
+def reference_weak_compositions(n, parts):
+    """Weak compositions of n into exactly ``parts`` nonnegative parts, one
+    level of recursion per part."""
+    if parts == 0:
+        if n == 0:
+            yield ()
+        return
+    for head in range(n + 1):
+        for tail in reference_weak_compositions(n - head, parts - 1):
+            yield (head,) + tail
 
 
 def reference_composition_sequences(r, n, composition):
@@ -286,5 +318,25 @@ def reference_desmaj_tally(max_elements, r, n, tmax):
         top = max(f.values, default=0)
         exps = (top, top * n - sum(f.values))
         entry = buckets.setdefault(key, {})
+        entry[exps] = entry.get(exps, 0) + 1
+    return buckets
+
+
+def reference_sorted_keylem_tally(max_elements, r, n, comp):
+    acc = {}
+    for values, colors in _sequences(r, n, composition=comp,
+                                     max_elements=max_elements):
+        exps = (_length(*_sort(values, colors)), sum(colors))
+        acc[exps] = acc.get(exps, 0) + 1
+    return acc
+
+
+def reference_sorted_desmaj_tally(max_elements, r, n, tmax):
+    buckets = {}
+    for values, colors in _sequences(r, n, max_cap=tmax, restrict_n0=True,
+                                     max_elements=max_elements):
+        top = max(values, default=0)
+        exps = (top, top * n - sum(values))
+        entry = buckets.setdefault(_sort(values, colors), {})
         entry[exps] = entry.get(exps, 0) + 1
     return buckets

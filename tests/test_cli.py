@@ -254,6 +254,8 @@ class TestUsage:
      "budget exceeded: group of order 10321920 exceeds budget 10000000"),
     ("verify --identity gessel_roselle --r 2 --ucap 9", 2,
      "budget exceeded: group of order 10321920 exceeds budget 10000000"),
+    # keylem's first composition (1000,) is one sequence, its second over budget
+    ("verify --identity keylem --n 1000", 2, "sequences exceed budget 10000000"),
     ("encode --r 2 --f 0^1", 1, "colored zero"),
     ("encode --r 0 --f 1", 1, "r must be a positive integer"),
     ("decode --r 2 --window [1,2] --partition 0,1,2", 1, "lengths"),
@@ -265,6 +267,33 @@ def test_exit_class(capsys, argv, code, named):
     got, out, err = run(capsys, *argv.split())
     assert (got, out) == (code, "")
     assert named in err
+
+
+# brenti and reiner refuse at their first group over the budget, before any
+# context is built (u capped at 70000 would be past the exponent limit) or
+# any smaller group walked
+@pytest.mark.parametrize("argv", [
+    "verify --identity brenti --nmax 70000",
+    "verify --identity brenti --r 2 --nmax 9",
+    "verify --identity reiner --r 2 --nmax 9",
+])
+def test_group_budget_refused_before_any_walk(capsys, argv):
+    start = time.perf_counter()
+    got = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 0.1
+    assert got == (2, "", "budget exceeded: group of order 10321920 "
+                          "exceeds budget 10000000\n")
+
+
+# a thousand positions and 1200 parts: neither walk recurses per position
+@pytest.mark.parametrize("argv", [
+    "verify --identity keylem --n 1000 --parts_max 1",
+    "verify --identity keylem --n 0 --parts_max 1200",
+])
+def test_long_keylem_cases_pass(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert out.startswith("keylem ") and out.endswith(" PASS\n")
 
 
 class TestWarnings:

@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from bisect import bisect_left, bisect_right
 
 import pytest
 
@@ -338,11 +339,30 @@ def _colorblind_sort(values, colors):
     return order, tuple(colors[i - 1] for i in order)
 
 
+def _reversed_insertion(placed, v, c):
+    """_insertion with its two ties swapped: uncolored before the placed
+    entries of its value and colored after them, the inversions counted
+    from there."""
+    if c:
+        k = bisect_right(placed, v)
+        return k, k + len(placed) + c
+    k = bisect_left(placed, v)
+    return k, len(placed) - k
+
+
+def _colorblind_insertion(placed, v, c):
+    """_insertion that places and counts a colored entry as if uncolored."""
+    k = bisect_right(placed, v)
+    return k, len(placed) - k
+
+
 class TestFaultySortReportsFail:
-    @pytest.mark.parametrize("fault", [_reversed_sort, _colorblind_sort])
+    # keylem and desmaj place each position with the sequence walk's
+    # _insertion instead of sorting
+    @pytest.mark.parametrize("fault", [_reversed_insertion, _colorblind_insertion])
     @pytest.mark.parametrize("name", ["keylem", "desmaj"])
     def test_catalog_default_fails(self, monkeypatch, name, fault):
-        monkeypatch.setattr(identities, "_sort", fault)
+        monkeypatch.setattr(identities, "_insertion", fault)
         assert not verify_identity(name).passed
 
 

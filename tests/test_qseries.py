@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_qseries as ref
+from wreathstats import qseries
 from wreathstats.identities import _color_twist, _weak_compositions
 from wreathstats.qseries import (
     ALLOWED_VARIABLES,
@@ -304,6 +305,21 @@ class TestHatMultinomial:
         p = MultiPoly.variable(ctx, "p")
         got = hat_multinomial(ctx, (1, 1), a, "p")
         assert got == (1 + a * p ** 2) * (1 + p)
+
+    def test_trivial_binomials_build_no_rows(self, monkeypatch):
+        # [m choose 0] and [m choose m] are 1: only (5 choose 3) needs rows
+        built = []
+        rows = qseries._gaussian_rows
+        monkeypatch.setattr(qseries, "_gaussian_rows",
+                            lambda ctx, n, base: built.append(n) or rows(ctx, n, base))
+        ctx = SeriesContext(("a", "p"))
+        a = MultiPoly.variable(ctx, "a")
+        p = MultiPoly.variable(ctx, "p")
+        assert hat_multinomial(ctx, (2, 0, 3, 0), a, "p") \
+            == pochhammer(ctx, -(a * p ** 3), p, 3) * rows(ctx, 5, p)[5][3]
+        assert hat_multinomial(ctx, (1000,), a, "p") == 1
+        assert hat_multinomial(ctx, (0,) * 1000, a, "p") == 1
+        assert built == [5, 0, 0]
 
     def test_division_witness(self):
         # keylem's inputs: every color twist up to r = 4 and every weak

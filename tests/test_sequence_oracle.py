@@ -1,9 +1,10 @@
 """The sequence and biword side against its generate-and-test reference:
 the same sequences and biwords in the same order, the same residue for
 every sequence, the same triple for every biword, the same reports from
-the two catalog entries built on them, and the same tallies from the tuple
-cores behind ``keylem`` and ``desmaj``.  The tuple cores behind
-``bijection_stats`` and ``biword_count`` meet the same references."""
+the two catalog entries built on them, and the same tallies from the
+sequence walks behind ``keylem`` and ``desmaj`` as from sorting every
+sequence.  The tuple cores behind ``bijection_stats`` and ``biword_count``
+meet the same references."""
 
 import itertools
 
@@ -21,8 +22,12 @@ from reference_sequences import (
     reference_from_triple,
     reference_keylem_tally,
     reference_lambda_of,
+    reference_recursive_distinct_permutations,
     reference_sequence_from,
+    reference_sorted_desmaj_tally,
+    reference_sorted_keylem_tally,
     reference_to_triple,
+    reference_weak_compositions,
 )
 
 from wreathstats import identities
@@ -84,8 +89,22 @@ def test_same_arrangements_in_the_same_order():
     for size in range(8):
         for multiset in itertools.combinations_with_replacement(range(4), size):
             want = list(reference_distinct_permutations(multiset))
+            assert list(reference_recursive_distinct_permutations(multiset)) == want
             for items in (list(multiset), list(reversed(multiset))):
                 assert list(_distinct_permutations(items)) == want, items
+
+
+def test_long_inputs_need_no_recursion():
+    assert list(_distinct_permutations([0] * 5000)) == [(0,) * 5000]
+    assert list(_weak_compositions(0, 5000)) == [(0,) * 5000]
+    assert list(_weak_compositions(5000, 1)) == [(5000,)]
+
+
+def test_same_weak_compositions_in_the_same_order():
+    for n in range(7):
+        for parts in range(6):
+            assert (list(_weak_compositions(n, parts))
+                    == list(reference_weak_compositions(n, parts))), (n, parts)
 
 
 @pytest.mark.parametrize("r,n", _GRID)
@@ -213,6 +232,7 @@ def test_same_keylem_tallies(r, n):
         for comp in _weak_compositions(n, parts):
             got = identities._keylem_tally(None, r, n, comp)
             assert got == reference_keylem_tally(None, r, n, comp), comp
+            assert got == reference_sorted_keylem_tally(None, r, n, comp), comp
 
 
 @pytest.mark.parametrize("r,n", _CORE_GRID)
@@ -220,6 +240,31 @@ def test_same_desmaj_tallies(r, n):
     for tmax in range(4):
         got = identities._desmaj_tally(None, r, n, tmax)
         assert got == reference_desmaj_tally(None, r, n, tmax), tmax
+        assert got == reference_sorted_desmaj_tally(None, r, n, tmax), tmax
+
+
+def test_same_desmaj_tally_at_the_fixed_matrix():
+    # desmaj's 65 536 sequences at r=3 n=4 tmax=5
+    got = identities._desmaj_tally(None, 3, 4, 5)
+    assert got == reference_sorted_desmaj_tally(None, 3, 4, 5)
+
+
+def _no_leaf(placed, v, c):
+    raise AssertionError("a sequence was placed")
+
+
+@pytest.mark.parametrize("tally,arg,kwargs", [
+    (identities._keylem_tally, (1, 2), {"composition": (1, 2)}),
+    (identities._desmaj_tally, 2, {"max_cap": 2}),
+])
+def test_walks_refuse_over_budget_before_the_first_leaf(monkeypatch, tally, arg,
+                                                        kwargs):
+    with pytest.raises(BudgetExceededError) as want:
+        next(_sequences(2, 3, max_elements=8, **kwargs))
+    monkeypatch.setattr(identities, "_insertion", _no_leaf)
+    with pytest.raises(BudgetExceededError) as got:
+        tally(8, 2, 3, arg)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("r,n", _GRID)
