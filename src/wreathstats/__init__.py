@@ -46,15 +46,11 @@ from .biwords import (
 )
 from .qseries import (
     ExponentOverflowError,
-    InexactDivisionError,
     MultiPoly,
     SeriesContext,
-    divide_exact,
-    exp_series,
     hat_multinomial,
     pochhammer,
     reciprocal,
-    substitute,
 )
 from .identities import (
     CATALOG,

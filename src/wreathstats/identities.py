@@ -17,6 +17,10 @@ p-exponentials sums Gaussian binomials ``[m choose j]_p`` times smaller such
 coefficients and hatted multinomials (``_exponential_sum``); u -> (1 - t)u
 scales it by ``(1 - t)^n``; and that of the reciprocal of a double
 Pochhammer product in ``x u`` is the complete homogeneous sum h_n of the x's.
+``brenti`` keeps u in its one case, but builds each u^n slice on its own:
+with ``L = 1 + a [r-1]_a``, the u^n coefficient of
+``(1 - t) e^v / (1 - t e^(L v))`` at ``v = (1 - t)u`` is
+``(1 - t)^(n+1) sum_k t^k (1 + k L)^n / n!``, k up to the cap of t.
 """
 
 from __future__ import annotations
@@ -76,14 +80,12 @@ from .qseries import (
     _gaussian_rows,
     _homogeneous,
     bracket_two_param,
-    exp_series,
     hat_factorial,
     hat_multinomial,
     monomial_text,
     pochhammer,
     q_int,
     reciprocal,
-    substitute,
 )
 
 __all__ = [
@@ -652,6 +654,26 @@ def _reiner(max_elements, r, nmax):
         yield ("poly", f"r={r} n={n}", lhs, _reiner_rhs(ctx, r, n))
 
 
+def _brenti_rhs(ctx, r, nmax):
+    # (1 - t) e^v / (1 - t e^(L v)) = (1 - t) sum_k t^k e^((1 + k L) v) with
+    # v = (1 - t)u, so its u^n coefficient is (1 - t)^(n+1) times
+    # sum_k t^k (1 + k L)^n, over n!; k stops at the cap of t.
+    one = MultiPoly.constant(ctx, 1)
+    shrink = one - MultiPoly.variable(ctx, "t")
+    lift = one + MultiPoly.variable(ctx, "a") * q_int(ctx, r - 1, "a")
+    ks = range(ctx.cap("t") + 1)
+    bases = [one + k * lift for k in ks]
+    powers = [MultiPoly.monomial(ctx, 1, t=k) for k in ks]
+    rhs = MultiPoly.zero(ctx)
+    scale = shrink
+    for n in range(nmax + 1):
+        total = sum(powers, MultiPoly.zero(ctx)) * scale
+        rhs = rhs + total * MultiPoly.monomial(ctx, Fraction(1, factorial(n)), u=n)
+        powers = [power * base for power, base in zip(powers, bases)]
+        scale = scale * shrink
+    return rhs
+
+
 def _brenti(max_elements, r, nmax):
     _check_group_budgets(r, nmax, max_elements)
     tcap = nmax + 1
@@ -661,16 +683,7 @@ def _brenti(max_elements, r, nmax):
         dist = dist_polynomial(ctx, r, n, {"des": "t", "col": "a"},
                                max_elements)
         lhs = lhs + dist * MultiPoly.monomial(ctx, Fraction(1, factorial(n)), u=n)
-    one = MultiPoly.constant(ctx, 1)
-    t = MultiPoly.variable(ctx, "t")
-    a = MultiPoly.variable(ctx, "a")
-    shrink = one - t
-    classical = exp_series(ctx, "classical", "u", nmax)
-    lift = one + a * q_int(ctx, r - 1, "a")
-    outer = substitute(classical, "u", shrink * MultiPoly.variable(ctx, "u"))
-    inner = substitute(classical, "u", lift * shrink * MultiPoly.variable(ctx, "u"))
-    rhs = shrink * outer * reciprocal(one - t * inner)
-    yield ("poly", f"r={r} nmax={nmax}", lhs, rhs)
+    yield ("poly", f"r={r} nmax={nmax}", lhs, _brenti_rhs(ctx, r, nmax))
 
 
 def _gessel_roselle(max_elements, r, ucap, pcap, qcap):

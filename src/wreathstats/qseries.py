@@ -22,16 +22,18 @@ back to exponent tuples.
 Coefficients are arbitrary-precision rationals (plain ``int`` whenever the
 denominator is one); there is no floating point anywhere.  On top of the
 ring the module provides the q-analogue constructors used by the identity
-checks: Pochhammer products, double Pochhammer products with optional
-infinite legs, q-integers and factorials, the hatted factorial and
-multinomial, the two-parameter bracket, and exponential series.
+checks: Pochhammer products, the terms of double Pochhammer products with
+optional infinite legs and their complete homogeneous sums, q-integers,
+factorials and Gaussian binomials, the hatted factorial and multinomial,
+and the two-parameter bracket.  Each constructor reads its base and its
+``a`` the same way: a variable name, a rational constant, or a polynomial
+of the same context.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from heapq import heapify, heappop, heappush
 from itertools import accumulate, repeat, takewhile
 from operator import mul, or_
 
@@ -51,15 +53,6 @@ class NonUnitError(ValueError):
 
 class ExponentOverflowError(ValueError):
     """An uncapped exponent exceeds ``MAX_EXPONENT`` and does not fit its field."""
-
-
-class InexactDivisionError(ArithmeticError):
-    """Polynomial division left a remainder.
-
-    The callers only divide quantities that are exactly divisible by
-    construction, so raising this signals an internal bug rather than a
-    user error.
-    """
 
 
 def _norm_coeff(c):
@@ -414,21 +407,6 @@ def monomial_text(ctx, exps):
 # -- truncated-series operations ------------------------------------------
 
 
-def _slices(x, name):
-    """Terms of ``x`` grouped by their exponent of ``name``, that field cleared."""
-    shift, mask = x.ctx._fields[x.ctx.index(name)]
-    clear = ~(mask << shift)
-    by_exp = {}
-    for key, c in x._keys.items():
-        by_exp.setdefault((key >> shift) & mask, {})[key & clear] = c
-    return by_exp
-
-
-def coefficient_of(poly, name, exponent):
-    """Polynomial coefficient of ``name**exponent`` (the variable is removed)."""
-    return _poly(poly.ctx, _slices(poly, name).get(exponent, {}))
-
-
 def reciprocal(x):
     """Multiplicative inverse of ``x`` within the context's caps.
 
@@ -456,106 +434,21 @@ def reciprocal(x):
     return result
 
 
-def substitute(x, name, value):
-    """Exact composition substituting ``value`` for the variable ``name``."""
-    ctx = x.ctx
-    if value.ctx != ctx:
-        raise ContextMismatchError("substitution value lives in a different context")
-    by_exp = _slices(x, name)
-    result = MultiPoly.zero(ctx)
-    power = MultiPoly.constant(ctx, 1)
-    current = 0
-    for e in sorted(by_exp):
-        while current < e:
-            power = power * value
-            current += 1
-        result = result + _poly(ctx, by_exp[e]) * power
-    return result
-
-
-def _divide_coeff(c, d):
-    if type(c) is int and type(d) is int:
-        q, r = divmod(c, d)
-        if not r:
-            return q
-    return _norm_coeff(Fraction(c) / d)
-
-
-def divide_exact(num, den):
-    """Exact polynomial quotient ``num / den``.
-
-    Both operands must be exact polynomials (terms must not have been lost
-    to caps), otherwise the division is meaningless.  The remainder's
-    smallest term is divided by the divisor's smallest term, taken from a
-    heap of remainder keys.  An exact quotient has, in every variable, at
-    most the degree of ``num`` minus that of ``den``; a quotient term
-    outside that box, or with a negative exponent, raises
-    :class:`InexactDivisionError`, so the division always stops.
-    """
-    if den.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    num._check_ctx(den)
-    ctx = num.ctx
-    rem = dict(num._keys)
-    if not rem:
-        return _poly(ctx, {})
-    guard = ctx._guard
-    box_bias = 0
-    for name, (shift, mask) in zip(ctx.variables, ctx._fields):
-        top = num.degree(name) - den.degree(name)
-        if top < 0:
-            raise InexactDivisionError(
-                f"divisor has larger degree in {name} than the dividend")
-        box_bias |= (mask - top) << shift
-    den_min = min(den._keys)
-    den_coeff = den._keys[den_min]
-    den_rest = [(key, c) for key, c in den._keys.items() if key != den_min]
-    heap = list(rem)
-    heapify(heap)
-    quotient = {}
-    while heap:
-        low = heappop(heap)
-        c = rem.pop(low, None)
-        if c is None:
-            continue
-        # Every field of ``low`` borrows only from its own guard bit.
-        q = (low | guard) - den_min
-        if q & guard != guard:
-            raise InexactDivisionError(
-                f"monomial {monomial_text(ctx, ctx._unpack(low))} is not divisible")
-        q ^= guard
-        if (q + box_bias) & guard:
-            raise InexactDivisionError(
-                f"quotient term {monomial_text(ctx, ctx._unpack(q))} exceeds "
-                "the degree bound")
-        qc = _divide_coeff(c, den_coeff)
-        quotient[q] = qc
-        for key, dc in den_rest:
-            target = q + key
-            old = rem.get(target)
-            if old is None:
-                rem[target] = -qc * dc
-                heappush(heap, target)
-            else:
-                val = old - qc * dc
-                if val:
-                    rem[target] = val
-                else:
-                    del rem[target]
-    return _poly(ctx, quotient)
-
-
 # -- q-analogue constructors ----------------------------------------------
 
 
 def _as_poly(ctx, base):
+    """A variable name, a rational constant or a ``MultiPoly`` of ``ctx``,
+    as a ``MultiPoly`` of ``ctx``."""
     if isinstance(base, str):
         return MultiPoly.variable(ctx, base)
+    if isinstance(base, (int, Fraction)):
+        return MultiPoly.constant(ctx, base)
     if isinstance(base, MultiPoly):
         if base.ctx != ctx:
             raise ContextMismatchError("base lives in a different context")
         return base
-    raise TypeError("base must be a variable name or a MultiPoly")
+    raise TypeError("base must be a variable name, a rational or a MultiPoly")
 
 
 def _factor_run(a, b, n, leg="first"):
@@ -577,7 +470,7 @@ def pochhammer(ctx, a_expr, base, n):
     if n < 0:
         raise ValueError("pochhammer length must be nonnegative")
     b = _as_poly(ctx, base)
-    a = _as_poly(ctx, a_expr) if isinstance(a_expr, str) else a_expr
+    a = _as_poly(ctx, a_expr)
     result = one = MultiPoly.constant(ctx, 1)
     for factor in _factor_run(a, b, n):
         result = result * (one - factor)
@@ -590,24 +483,11 @@ def _double_terms(ctx, a_expr, p_base, q_base, n, m):
     checked at once, before any term is read."""
     pb = _as_poly(ctx, p_base)
     qb = _as_poly(ctx, q_base)
-    a = _as_poly(ctx, a_expr) if isinstance(a_expr, str) else a_expr
+    a = _as_poly(ctx, a_expr)
     rows = _factor_run(a, pb, n, "first")
     # the second leg is checked on a itself, so also when there is no row
     _factor_run(a, qb, m, "second")
     return (term for row in rows for term in _factor_run(row, qb, m, "second"))
-
-
-def double_pochhammer(ctx, a_expr, p_base, q_base, n, m):
-    """Double product ``prod_{1<=i<=n, 1<=j<=m} (1 - a * p^(i-1) * q^(j-1))``.
-
-    ``n`` or ``m`` may be None for an infinite leg, in which case factors are
-    included until they are identically 1 within the caps.  ``n == 0`` or
-    ``m == 0`` gives 1.
-    """
-    result = one = MultiPoly.constant(ctx, 1)
-    for term in _double_terms(ctx, a_expr, p_base, q_base, n, m):
-        result = result * (one - term)
-    return result
 
 
 def _homogeneous(ctx, terms):
@@ -697,49 +577,4 @@ def hat_multinomial(ctx, parts, a_expr, p_var):
     result = pochhammer(ctx, shifted, p, total - head)
     for m, part in factors:
         result = result * rows[m][part]
-    return result
-
-
-def exp_series(ctx, kind, u_var, cap_u, p_var=None, a_expr=None):
-    """Truncated exponential series in ``u_var`` up to degree ``cap_u``.
-
-    kind "classical" returns ``sum u^m / m!`` with rational coefficients.
-    The q-analogues cannot carry their reciprocal-factorial coefficients in
-    a polynomial ring, so they come back multiplied through by the largest
-    denominator: kind "p" returns the series times the q-factorial of
-    ``cap_u`` (coefficient of ``u^m`` is the exact quotient of the two
-    q-factorials), and kind "hat" returns the hatted series times the
-    hatted factorial of ``cap_u``.  Callers cancel the clearing factor when
-    they extract coefficients.
-    """
-    if cap_u is None or cap_u < 0:
-        raise ValueError("exp_series needs a finite nonnegative u cap")
-    one = MultiPoly.constant(ctx, 1)
-    if kind == "classical":
-        result = MultiPoly.zero(ctx)
-        fact = 1
-        for m in range(cap_u + 1):
-            if m:
-                fact *= m
-            result = result + MultiPoly.monomial(ctx, Fraction(1, fact), **{u_var: m})
-        return result
-    if kind not in ("p", "hat"):
-        raise ValueError(f"unknown exponential kind {kind!r}")
-    if p_var is None:
-        raise ValueError("q-analogue exponentials need p_var")
-    p = _as_poly(ctx, p_var)
-    if kind == "hat":
-        if a_expr is None:
-            raise ValueError("hat exponential needs a_expr")
-        a = _as_poly(ctx, a_expr)
-    # suffix[m] = factor for degrees m+1 .. cap_u, so coefficient of u^m is
-    # the clearing factor divided by the degree-m factorial, with no division.
-    coeff = one
-    result = MultiPoly.monomial(ctx, 1, **{u_var: cap_u})
-    for m in range(cap_u, 0, -1):
-        step = q_int(ctx, m, p_var)
-        if kind == "hat":
-            step = step * (one + a * p ** m)
-        coeff = coeff * step
-        result = result + coeff * MultiPoly.monomial(ctx, 1, **{u_var: m - 1})
     return result

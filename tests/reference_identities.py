@@ -1,6 +1,13 @@
 """Full-product right sides, the differential oracles for the u-graded
-right sides of ``theorem_A``, ``reiner``, ``theorem_B``, ``gessel_roselle``
-and ``adin_roichman``.
+right sides of ``theorem_A``, ``reiner``, ``brenti``, ``theorem_B``,
+``gessel_roselle`` and ``adin_roichman``.
+
+The package no longer has the whole-series tools they read, so
+``coefficient_of``, ``substitute``, ``divide_exact`` and the ``brenti``
+reciprocal here are those of ``reference_qseries``: each packed argument
+goes in as ``RefPoly(ctx, x.terms)`` and the result comes back as a
+``MultiPoly``, so the products stay in the packed ring and the results are
+compared with the package's by ``to_lines()``.
 
 ``reference_theorem_A_rhs`` and ``reference_reiner_rhs`` are the builders
 ``identities`` used before its coefficient-only products: each step forms
@@ -8,12 +15,16 @@ the whole product of the cleared exponential series up to u^n (substituted
 u -> q^k u, or u -> (1 - t)u), takes its u^n coefficient with
 ``coefficient_of``, divides out the clearing factor with ``divide_exact``,
 and extends the running product and the clearing factor on every step,
-including the last.  ``reference_theorem_B_rhs_term`` takes the u^n
+including the last.  ``reference_brenti_rhs`` is ``brenti``'s right side
+before its u^n slices: the classical exponential series substituted
+u -> (1 - t)u and u -> L(1 - t)u, and the reciprocal of the whole series
+``1 - t e^(L(1 - t)u)``.  ``reference_theorem_B_rhs_term`` takes the u^n
 coefficient of the reciprocal of the whole product of the two double
 Pochhammer products.  They take the same arguments as
-``identities._theorem_A_rhs``, ``identities._reiner_rhs`` and
-``identities._theorem_B_rhs_term``, in a context that also has ``u``,
-capped at n.  ``reference_gessel_roselle_rhs`` and
+``identities._theorem_A_rhs``, ``identities._reiner_rhs``,
+``identities._brenti_rhs`` and ``identities._theorem_B_rhs_term``, in a
+context that also has ``u``, capped at n (at nmax for ``brenti``, whose
+context has it already).  ``reference_gessel_roselle_rhs`` and
 ``reference_adin_roichman_rhs`` are the right-side loops of those entries
 before the complete homogeneous sums: the product of the reciprocals of
 the double product's factors, each a geometric series in a context with
@@ -23,21 +34,36 @@ n = 0..ucap.  This module is imported only by the tests.
 
 from __future__ import annotations
 
+import reference_qseries as ref
+from reference_qseries import exp_series, reference_double_pochhammer
 from wreathstats.qseries import (
     MultiPoly,
     SeriesContext,
     _double_terms,
     bracket_two_param,
-    coefficient_of,
-    divide_exact,
-    double_pochhammer,
-    exp_series,
     pochhammer,
     q_factorial,
     q_int,
     reciprocal,
-    substitute,
 )
+
+
+def _through_reference(tool):
+    """``tool`` of ``reference_qseries`` on packed polynomials: each
+    polynomial argument goes in as ``RefPoly(ctx, x.terms)``, and the result
+    comes back as a ``MultiPoly``."""
+    def packed(*args):
+        args = [ref.RefPoly(x.ctx, x.terms) if isinstance(x, MultiPoly) else x
+                for x in args]
+        result = tool(*args)
+        return MultiPoly(result.ctx, result.terms)
+    return packed
+
+
+coefficient_of = _through_reference(ref.coefficient_of)
+divide_exact = _through_reference(ref.divide_exact)
+substitute = _through_reference(ref.substitute)
+reference_reciprocal = _through_reference(ref.reciprocal)
 
 
 def reference_theorem_A_rhs(ctx, r, n, tmax):
@@ -82,12 +108,24 @@ def reference_reiner_rhs(ctx, r, n):
     return shrink * rhs
 
 
+def reference_brenti_rhs(ctx, r, nmax):
+    one = MultiPoly.constant(ctx, 1)
+    t = MultiPoly.variable(ctx, "t")
+    a = MultiPoly.variable(ctx, "a")
+    shrink = one - t
+    classical = exp_series(ctx, "classical", "u", nmax)
+    lift = one + a * q_int(ctx, r - 1, "a")
+    outer = substitute(classical, "u", shrink * MultiPoly.variable(ctx, "u"))
+    inner = substitute(classical, "u", lift * shrink * MultiPoly.variable(ctx, "u"))
+    return shrink * outer * reference_reciprocal(one - t * inner)
+
+
 def reference_theorem_B_rhs_term(ctx, r, n, k1, k2):
     u = MultiPoly.variable(ctx, "u")
-    first = double_pochhammer(ctx, u, "q1", "q2", k1 + 1, k2 + 1)
+    first = reference_double_pochhammer(ctx, u, "q1", "q2", k1 + 1, k2 + 1)
     marked = MultiPoly.monomial(ctx, 1, a=1, b=1) \
         * bracket_two_param(ctx, r - 1, "a", "b") * u
-    second = double_pochhammer(ctx, marked, "q1", "q2", k1, k2)
+    second = reference_double_pochhammer(ctx, marked, "q1", "q2", k1, k2)
     return coefficient_of(reciprocal(first * second), "u", n)
 
 

@@ -6,10 +6,14 @@ to bucketing on the capped-exponent profile for large operands), and exact
 division repeatedly divides out the smallest remaining term.  It shares
 ``SeriesContext`` with the package, so a reference polynomial and a packed
 one built from the same terms can be compared by ``terms`` and
-``to_lines()``.  ``reference_pochhammer``, ``reference_double_pochhammer``
+``to_lines()``; ``RefPoly(ctx, x.terms)`` converts a packed polynomial.
+The whole-series tools the catalog no longer uses live only here:
+``coefficient_of``, ``substitute`` and ``divide_exact`` on ``RefPoly``, and
+``exp_series``, the cleared exponential series, on the package's
+``MultiPoly``.  ``reference_pochhammer``, ``reference_double_pochhammer``
 and ``reference_q_int`` are the q-analogue constructors as they were written
 before they shared one factor run, each with its own loop and the double
-product with its own leg check; they build on the package's ``MultiPoly``.
+product with its own leg check; they also build on ``MultiPoly``.
 It is imported only by the tests.
 """
 
@@ -18,13 +22,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 from wreathstats.qseries import (
-    InexactDivisionError,
     MultiPoly,
     NonUnitError,
     _as_poly,
+    q_int,
 )
 
 _DIVISION_STEP_LIMIT = 10**6
+
+
+class InexactDivisionError(ArithmeticError):
+    """Polynomial division left a remainder."""
 
 
 def _norm_coeff(c):
@@ -284,4 +292,49 @@ def reference_q_int(ctx, n, base):
     for _ in range(n):
         result = result + power
         power = power * b
+    return result
+
+
+def exp_series(ctx, kind, u_var, cap_u, p_var=None, a_expr=None):
+    """Truncated exponential series in ``u_var`` up to degree ``cap_u``.
+
+    kind "classical" returns ``sum u^m / m!`` with rational coefficients.
+    The q-analogues cannot carry their reciprocal-factorial coefficients in
+    a polynomial ring, so they come back multiplied through by the largest
+    denominator: kind "p" returns the series times the q-factorial of
+    ``cap_u`` (coefficient of ``u^m`` is the exact quotient of the two
+    q-factorials), and kind "hat" returns the hatted series times the
+    hatted factorial of ``cap_u``.  Callers cancel the clearing factor when
+    they extract coefficients.
+    """
+    if cap_u is None or cap_u < 0:
+        raise ValueError("exp_series needs a finite nonnegative u cap")
+    one = MultiPoly.constant(ctx, 1)
+    if kind == "classical":
+        result = MultiPoly.zero(ctx)
+        fact = 1
+        for m in range(cap_u + 1):
+            if m:
+                fact *= m
+            result = result + MultiPoly.monomial(ctx, Fraction(1, fact), **{u_var: m})
+        return result
+    if kind not in ("p", "hat"):
+        raise ValueError(f"unknown exponential kind {kind!r}")
+    if p_var is None:
+        raise ValueError("q-analogue exponentials need p_var")
+    p = _as_poly(ctx, p_var)
+    if kind == "hat":
+        if a_expr is None:
+            raise ValueError("hat exponential needs a_expr")
+        a = _as_poly(ctx, a_expr)
+    # suffix[m] = factor for degrees m+1 .. cap_u, so coefficient of u^m is
+    # the clearing factor divided by the degree-m factorial, with no division.
+    coeff = one
+    result = MultiPoly.monomial(ctx, 1, **{u_var: cap_u})
+    for m in range(cap_u, 0, -1):
+        step = q_int(ctx, m, p_var)
+        if kind == "hat":
+            step = step * (one + a * p ** m)
+        coeff = coeff * step
+        result = result + coeff * MultiPoly.monomial(ctx, 1, **{u_var: m - 1})
     return result

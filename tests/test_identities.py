@@ -7,6 +7,7 @@ import pytest
 from reference_group import reference_dist_terms
 from reference_identities import (
     reference_adin_roichman_rhs,
+    reference_brenti_rhs,
     reference_gessel_roselle_rhs,
     reference_reiner_rhs,
     reference_theorem_A_rhs,
@@ -184,11 +185,19 @@ class TestCatalogEntries:
 
 
 class TestNoDivision:
+    """No catalog entry divides by a whole series: the package has no
+    polynomial quotient, and the only reciprocals taken are of the left
+    sides' ``(t; q)_k`` products, series in the t's and q's alone, never in
+    u or a color or length marker."""
+
     @pytest.fixture(autouse=True)
     def refuse_division(self, monkeypatch):
-        def refuse(num, den):
-            raise AssertionError("a catalog path divided")
-        monkeypatch.setattr(qseries, "divide_exact", refuse)
+        def refuse(x):
+            used = {v for exps in x.terms for v, e in zip(x.ctx.variables, exps) if e}
+            assert used <= {"t", "q", "t1", "q1", "t2", "q2"}, \
+                f"a catalog path divided by a series in {sorted(used)}"
+            return qseries.reciprocal(x)
+        monkeypatch.setattr(identities, "reciprocal", refuse)
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_catalog_default(self, name):
@@ -201,7 +210,8 @@ class TestNoDivision:
 class TestCoefficientOnlyRightSides:
     """Each right side in its catalog context, which has no u, against the
     reference in a context with u; u never appears in either result, so
-    their texts are the same."""
+    their texts are the same.  ``brenti``'s context keeps its u, and both
+    sides are built in it."""
 
     # r=1 is the right side gg1 checks.
     @pytest.mark.parametrize("r", [1, 2, 3])
@@ -222,6 +232,13 @@ class TestCoefficientOnlyRightSides:
             with_u = SeriesContext(("t", "p", "u"), (n + 1, None, n))
             got = identities._reiner_rhs(ctx, r, n)
             assert got.to_lines() == reference_reiner_rhs(with_u, r, n).to_lines(), n
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_brenti_matches_whole_series(self, r):
+        for nmax in range(7):
+            ctx = SeriesContext(("u", "t", "a"), (nmax, nmax + 1, None))
+            got = identities._brenti_rhs(ctx, r, nmax)
+            assert got.to_lines() == reference_brenti_rhs(ctx, r, nmax).to_lines(), nmax
 
     # r=1 is the right side gg2 checks; the second context is biword_count's.
     @pytest.mark.parametrize("r", [1, 2, 3])
