@@ -16,7 +16,9 @@ series to read one coefficient.  The u^n coefficient of a product of
 p-exponentials sums Gaussian binomials ``[m choose j]_p`` times smaller such
 coefficients and hatted multinomials (``_exponential_sum``); u -> (1 - t)u
 scales it by ``(1 - t)^n``; and that of the reciprocal of a double
-Pochhammer product in ``x u`` is the complete homogeneous sum h_n of the x's.
+Pochhammer product in ``x u`` is the complete homogeneous sum h_n of the x's,
+folded in one term at a time, so each theorem_B cell goes on from the sums
+of the cell before it in its row.
 ``brenti`` keeps u in its one case, but builds each u^n slice on its own:
 with ``L = 1 + a [r-1]_a``, the u^n coefficient of
 ``(1 - t) e^v / (1 - t e^(L v))`` at ``v = (1 - t)u`` is
@@ -31,7 +33,7 @@ from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice, product
+from itertools import chain, combinations, product
 from math import factorial
 
 from .group import (
@@ -76,8 +78,11 @@ from .biwords import (
 from .qseries import (
     MultiPoly,
     SeriesContext,
+    _dot,
     _double_terms,
+    _factor_run,
     _gaussian_rows,
+    _hat_multinomial,
     _homogeneous,
     bracket_two_param,
     hat_factorial,
@@ -524,23 +529,25 @@ def _exponential_sum(ctx, n, x, kmax, shift=None):
     clearing factor is ever formed: ``running[m]``, ``[m]_p!`` times the u^m
     coefficient of the product of the first k plain factors, is a polynomial
     with ``running = [1, 0, ...]`` at k = 0 and ``sum_j s^(kj) [m choose j]_p
-    running[m-j]`` one factor on.
+    running[m-j]`` one factor on.  The hats and the steps share one set of
+    Gaussian rows, and each sum of products accumulates in one ``_dot``.
     """
-    binomials = _gaussian_rows(ctx, n, "p")
+    p = MultiPoly.variable(ctx, "p")
+    binomials = _gaussian_rows(ctx, n, p)
     one = MultiPoly.constant(ctx, 1)
     zero = MultiPoly.zero(ctx)
-    hats = [hat_multinomial(ctx, (m, n - m), x, "p") for m in range(n + 1)]
+    hats = [_hat_multinomial(ctx, (m, n - m), x, p, binomials) for m in range(n + 1)]
     running = [one] + [zero] * n
     rhs = zero
     for k in range(kmax + 1):
         weights = [MultiPoly.monomial(ctx, 1, **{shift: k * j}) if shift else one
                    for j in range(n + 1)]
-        term = sum((hats[m] * weights[m] * running[n - m] for m in range(n + 1)),
-                   zero)
+        term = _dot(ctx, ((hats[m] * weights[m], running[n - m])
+                          for m in range(n + 1)))
         rhs = rhs + MultiPoly.monomial(ctx, 1, t=k) * term
         if k < kmax:
-            running = [sum((weights[j] * binomials[m][j] * running[m - j]
-                            for j in range(m + 1)), zero)
+            running = [_dot(ctx, ((weights[j] * binomials[m][j], running[m - j])
+                                  for j in range(m + 1)))
                        for m in range(n + 1)]
     return rhs
 
@@ -563,13 +570,22 @@ def _theorem_A(max_elements, r, n, tmax):
     yield ("poly", *_theorem_A_cases(max_elements, r, n, tmax))
 
 
-def _theorem_B_rhs_term(ctx, r, n, k1, k2):
+def _theorem_B_rhs_terms(ctx, r, n, t1max, t2max):
+    """``(k1, k2, h_n)`` per cell, k1 outer: h_n of the terms ``q1^i q2^j``,
+    i <= k1, j <= k2, and ``a b [r-1]_(a,b) q1^i q2^j``, i < k1, j < k2.
+    Along a k1 row a cell holds every term of the one before it, so its
+    sums go on from there with one new column of each kind."""
+    q1 = MultiPoly.variable(ctx, "q1")
     marked = MultiPoly.monomial(ctx, 1, a=1, b=1) \
         * bracket_two_param(ctx, r - 1, "a", "b")
-    terms = chain(
-        _double_terms(ctx, MultiPoly.constant(ctx, 1), "q1", "q2", k1 + 1, k2 + 1),
-        _double_terms(ctx, marked, "q1", "q2", k1, k2))
-    return next(islice(_homogeneous(ctx, terms), n, None))
+    tops = [MultiPoly.monomial(ctx, 1, q2=k2) for k2 in range(t2max + 1)]
+    for k1 in range(t1max + 1):
+        row = None
+        for k2, top in enumerate(tops):
+            marked_column = _factor_run(marked * tops[k2 - 1], q1, k1) if k2 else ()
+            column = chain(_factor_run(top, q1, k1 + 1), marked_column)
+            row = _homogeneous(ctx, column, n, row)
+            yield k1, k2, row[n]
 
 
 def _theorem_B_cases(max_elements, r, n, t1max, t2max):
@@ -583,11 +599,9 @@ def _theorem_B_cases(max_elements, r, n, t1max, t2max):
     t2 = MultiPoly.variable(ctx, "t2")
     lhs = dist * reciprocal(pochhammer(ctx, t1, "q1", n + 1)) \
         * reciprocal(pochhammer(ctx, t2, "q2", n + 1))
-    rhs = MultiPoly.zero(ctx)
-    for k1 in range(t1max + 1):
-        for k2 in range(t2max + 1):
-            term = _theorem_B_rhs_term(ctx, r, n, k1, k2)
-            rhs = rhs + MultiPoly.monomial(ctx, 1, t1=k1, t2=k2) * term
+    rhs = _dot(ctx, ((MultiPoly.monomial(ctx, 1, t1=k1, t2=k2), term)
+                     for k1, k2, term in
+                     _theorem_B_rhs_terms(ctx, r, n, t1max, t2max)))
     return f"r={r} n={n} t1max={t1max} t2max={t2max}", lhs, rhs
 
 
@@ -689,8 +703,8 @@ def _brenti(max_elements, r, nmax):
 def _gessel_roselle(max_elements, r, ucap, pcap, qcap):
     _check_group_budgets(r, ucap, max_elements)
     ctx = SeriesContext(("p", "q"), (pcap, qcap))
-    series = _homogeneous(
-        ctx, _double_terms(ctx, MultiPoly.constant(ctx, 1), "p", "q", None, None))
+    sums = _homogeneous(
+        ctx, _double_terms(ctx, MultiPoly.constant(ctx, 1), "p", "q", None, None), ucap)
     p = MultiPoly.variable(ctx, "p")
     for n in range(ucap + 1):
         lhs = dist_polynomial(ctx, r, n, {"maj": "q", "length": "p"},
@@ -698,7 +712,7 @@ def _gessel_roselle(max_elements, r, ucap, pcap, qcap):
         clear = pochhammer(ctx, MultiPoly.variable(ctx, "q"), "q", n) \
             * pochhammer(ctx, -(p * q_int(ctx, r - 1, "p")), "p", n) \
             * pochhammer(ctx, p, "p", n)
-        rhs = next(series) * clear
+        rhs = sums[n] * clear
         yield ("poly", f"r={r} n={n}", lhs, rhs)
 
 
@@ -709,14 +723,14 @@ def _adin_roichman(max_elements, r, ucap, qcap):
     b2 = MultiPoly.monomial(ctx, 1, q2=r)
     marked = MultiPoly.monomial(ctx, 1, q1=1, q2=1) \
         * bracket_two_param(ctx, r - 1, "q1", "q2")
-    series = _homogeneous(ctx, chain(
+    sums = _homogeneous(ctx, chain(
         _double_terms(ctx, MultiPoly.constant(ctx, 1), b1, b2, None, None),
-        _double_terms(ctx, marked, b1, b2, None, None)))
+        _double_terms(ctx, marked, b1, b2, None, None)), ucap)
     for n in range(ucap + 1):
         lhs = dist_polynomial(ctx, r, n, {"fmaj": "q1", "ifmaj": "q2"},
                               max_elements)
         clear = pochhammer(ctx, b1, b1, n) * pochhammer(ctx, b2, b2, n)
-        rhs = next(series) * clear
+        rhs = sums[n] * clear
         yield ("poly", f"r={r} n={n}", lhs, rhs)
 
 
@@ -870,15 +884,14 @@ def _biword_count(max_elements, r, n, cap_f, cap_g):
     # 2-D prefix sums of the tally; index -1 reads the spare zero row or column
     within = [[0] * (cap_g + 2) for _ in range(cap_f + 2)]
     ctx = SeriesContext(("q1", "q2", "a", "b"))
-    for k1 in range(cap_f + 1):
-        for k2 in range(cap_g + 1):
-            actual = within[k1][k2] = (
-                tally.get((k1, k2), 0) + within[k1 - 1][k2]
-                + within[k1][k2 - 1] - within[k1 - 1][k2 - 1])
-            # the coefficient's value at q1 = q2 = a = b = 1
-            predicted = sum(_theorem_B_rhs_term(ctx, r, n, k1, k2).terms.values())
-            yield ("fact", f"count at caps ({k1},{k2})", actual == predicted,
-                   f"{actual} biwords vs coefficient {predicted}")
+    for k1, k2, term in _theorem_B_rhs_terms(ctx, r, n, cap_f, cap_g):
+        actual = within[k1][k2] = (
+            tally.get((k1, k2), 0) + within[k1 - 1][k2]
+            + within[k1][k2 - 1] - within[k1 - 1][k2 - 1])
+        # the coefficient's value at q1 = q2 = a = b = 1
+        predicted = sum(term.terms.values())
+        yield ("fact", f"count at caps ({k1},{k2})", actual == predicted,
+               f"{actual} biwords vs coefficient {predicted}")
 
 
 CATALOG = {

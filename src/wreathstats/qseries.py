@@ -23,11 +23,11 @@ Coefficients are arbitrary-precision rationals (plain ``int`` whenever the
 denominator is one); there is no floating point anywhere.  On top of the
 ring the module provides the q-analogue constructors used by the identity
 checks: Pochhammer products, the terms of double Pochhammer products with
-optional infinite legs and their complete homogeneous sums, q-integers,
-factorials and Gaussian binomials, the hatted factorial and multinomial,
-and the two-parameter bracket.  Each constructor reads its base and its
-``a`` the same way: a variable name, a rational constant, or a polynomial
-of the same context.
+optional infinite legs and their complete homogeneous sums, folded in one
+term at a time, q-integers, factorials and Gaussian binomials, the hatted
+factorial and multinomial, and the two-parameter bracket.  Each
+constructor reads its base and its ``a`` the same way: a variable name, a
+rational constant, or a polynomial of the same context.
 """
 
 from __future__ import annotations
@@ -193,6 +193,62 @@ def _buckets(keys, capped_mask):
     return list(grouped.items())
 
 
+def _check_ctx(ctx, x):
+    if x.ctx is not ctx and x.ctx != ctx:
+        raise ContextMismatchError(
+            f"operands live in different contexts: {ctx} vs {x.ctx}")
+
+
+def _mul_into(out, a, b, ctx):
+    """Add the product of the packed-key dicts ``a`` and ``b`` into ``out``,
+    dropping the terms past a cap; ``out`` is left uncleaned."""
+    if not a or not b:
+        return
+    bias, capped_guard = ctx._cap_bias, ctx._capped_guard
+    get = out.get
+    if len(a) == 1 or len(b) == 1:
+        # a monomial operand: one pass over the other, with no buckets
+        if len(b) != 1:
+            a, b = b, a
+        (kb, cb), = b.items()
+        for ka, ca in a.items():
+            key = ka + kb
+            if not (key + bias) & capped_guard:
+                out[key] = get(key, 0) + ca * cb
+    else:
+        # Bucket pairs whose capped fields overflow a cap are skipped whole;
+        # inside a surviving pair every product key is a plain addition.
+        capped_mask = ctx._capped_mask
+        buckets_b = _buckets(b, capped_mask)
+        for pa, terms_a in _buckets(a, capped_mask):
+            for pb, terms_b in buckets_b:
+                if (pa + pb + bias) & capped_guard:
+                    continue
+                for ka, ca in terms_a:
+                    for kb, cb in terms_b:
+                        key = ka + kb
+                        out[key] = get(key, 0) + ca * cb
+    # The or of all keys bounds every field, so an uncapped field can only
+    # have reached its guard bit if the two bounds together reach it; every
+    # key already in ``out`` has its guard bits clear.
+    free_guard = ctx._free_guard
+    if free_guard and (reduce(or_, a) + reduce(or_, b)) & free_guard:
+        for key in out:
+            if key & free_guard:
+                raise ExponentOverflowError(
+                    f"a product exponent exceeds the limit {MAX_EXPONENT}")
+
+
+def _dot(ctx, pairs):
+    """The sum of ``x * y`` over the pairs of ``ctx``, built in one dict."""
+    out = {}
+    for x, y in pairs:
+        _check_ctx(ctx, x)
+        _check_ctx(ctx, y)
+        _mul_into(out, x._keys, y._keys, ctx)
+    return _poly(ctx, _clean(out))
+
+
 class MultiPoly:
     """Sparse polynomial over the rationals, truncated to its context's caps.
 
@@ -288,11 +344,6 @@ class MultiPoly:
             return "MultiPoly(0)"
         return "MultiPoly(" + "; ".join(self.to_lines()[:4]) + ("; ..." if len(self._keys) > 4 else "") + ")"
 
-    def _check_ctx(self, other):
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
-            raise ContextMismatchError(
-                f"operands live in different contexts: {self.ctx} vs {other.ctx}")
-
     # -- ring operations ---------------------------------------------------
 
     # A foreign operand (a float, say) gets NotImplemented, so it raises TypeError.
@@ -301,7 +352,7 @@ class MultiPoly:
             other = MultiPoly.constant(self.ctx, other)
         elif not isinstance(other, MultiPoly):
             return NotImplemented
-        self._check_ctx(other)
+        _check_ctx(self.ctx, other)
         keys = dict(self._keys)
         get = keys.get
         for key, c in other._keys.items():
@@ -324,41 +375,11 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        ctx = self.ctx
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return MultiPoly.zero(ctx)
-            return _poly(ctx, _clean({key: c * other for key, c in self._keys.items()}))
-        if not isinstance(other, MultiPoly):
+            other = MultiPoly.constant(self.ctx, other)
+        elif not isinstance(other, MultiPoly):
             return NotImplemented
-        self._check_ctx(other)
-        a, b = self._keys, other._keys
-        out = {}
-        if not a or not b:
-            return _poly(ctx, out)
-        # Bucket pairs whose capped fields overflow a cap are skipped whole;
-        # inside a surviving pair every product key is a plain addition.
-        bias, capped_guard = ctx._cap_bias, ctx._capped_guard
-        capped_mask = ctx._capped_mask
-        buckets_b = _buckets(b, capped_mask)
-        get = out.get
-        for pa, terms_a in _buckets(a, capped_mask):
-            for pb, terms_b in buckets_b:
-                if (pa + pb + bias) & capped_guard:
-                    continue
-                for ka, ca in terms_a:
-                    for kb, cb in terms_b:
-                        key = ka + kb
-                        out[key] = get(key, 0) + ca * cb
-        # The or of all keys bounds every field, so an uncapped field can only
-        # have reached its guard bit if the two bounds together reach it.
-        free_guard = ctx._free_guard
-        if free_guard and (reduce(or_, a) + reduce(or_, b)) & free_guard:
-            for key in out:
-                if key & free_guard:
-                    raise ExponentOverflowError(
-                        f"a product exponent exceeds the limit {MAX_EXPONENT}")
-        return _poly(ctx, _clean(out))
+        return _dot(self.ctx, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -490,22 +511,21 @@ def _double_terms(ctx, a_expr, p_base, q_base, n, m):
     return (term for row in rows for term in _factor_run(row, qb, m, "second"))
 
 
-def _homogeneous(ctx, terms):
-    """The complete homogeneous sums ``h_0, h_1, ...`` of ``terms``, one per
-    degree, without end.  ``h_m`` is the u^m coefficient of the product of
-    the ``1 / (1 - x u)`` over the terms ``x``, each sum read off the one
-    below by ``h_m(x_1..x_j) = h_m(x_1..x_(j-1)) + x_j h_(m-1)(x_1..x_j)``."""
-    terms = list(terms)
-    # row[j] is the current h over the first j terms
-    row = [MultiPoly.constant(ctx, 1)] * (len(terms) + 1)
-    yield row[-1]
-    while True:
-        h = MultiPoly.zero(ctx)
-        below, row = row, [h]
-        for x, prev in zip(terms, below[1:]):
-            h = h + x * prev
-            row.append(h)
-        yield h
+def _homogeneous(ctx, terms, top, row=None):
+    """The complete homogeneous sums ``[h_0, ..., h_top]`` of ``terms``, or,
+    given ``row``, the sums of the terms behind ``row`` and ``terms``
+    together.  ``h_m`` is the u^m coefficient of the product of the
+    ``1 / (1 - x u)`` over the terms ``x``.  The terms are folded in one at
+    a time by ``h_m(x_1..x_j) = h_m(x_1..x_(j-1)) + x_j h_(m-1)(x_1..x_j)``,
+    m rising, so only degrees up to ``top`` are ever built."""
+    row = list(row) if row else [MultiPoly.constant(ctx, 1)] + [MultiPoly.zero(ctx)] * top
+    for x in terms:
+        _check_ctx(ctx, x)
+        for m in range(1, top + 1):
+            out = dict(row[m]._keys)
+            _mul_into(out, x._keys, row[m - 1]._keys, ctx)
+            row[m] = _poly(ctx, _clean(out))
+    return row
 
 
 def q_int(ctx, n, base):
@@ -556,6 +576,17 @@ def bracket_two_param(ctx, m, a_var, b_var):
     return result
 
 
+def _hat_multinomial(ctx, parts, a, p, rows):
+    """``hat_multinomial`` of a valid composition, ``a`` and ``p`` polynomials
+    of ``ctx``, reading its binomials from the Gaussian rows in base ``p``."""
+    head, total = (parts[0] if parts else 0), sum(parts)
+    result = pochhammer(ctx, -(a * p ** (head + 1)), p, total - head)
+    for m, part in zip(accumulate(parts), parts):
+        if 0 < part < m:
+            result = result * rows[m][part]
+    return result
+
+
 def hat_multinomial(ctx, parts, a_expr, p_var):
     """Hatted multinomial coefficient for the composition ``parts``.
 
@@ -563,18 +594,12 @@ def hat_multinomial(ctx, parts, a_expr, p_var):
     ``n`` over that of ``k`` and the q-factorials of the other parts, built
     with no division as ``(-a*p^(k+1); p)_(n-k)`` times the Gaussian
     binomials ``[m_j choose parts[j]]``, ``m_j`` the running totals.  A
-    binomial with ``parts[j]`` 0 or ``m_j`` is 1 and is skipped, so the
-    Gaussian rows are built only up to the largest other ``m_j``.
+    binomial with ``parts[j]`` 0 or ``m_j`` is 1 and is skipped, so Gaussian
+    rows, up to ``n``, are built only when two parts are nonzero.
     """
     parts = tuple(parts)
     if any(part < 0 for part in parts):
         raise ValueError("composition parts must be nonnegative")
     p = _as_poly(ctx, p_var)
-    head, total = (parts[0] if parts else 0), sum(parts)
-    factors = [(m, part) for m, part in zip(accumulate(parts), parts) if 0 < part < m]
-    rows = _gaussian_rows(ctx, max((m for m, _ in factors), default=0), p)
-    shifted = -(_as_poly(ctx, a_expr) * p ** (head + 1))
-    result = pochhammer(ctx, shifted, p, total - head)
-    for m, part in factors:
-        result = result * rows[m][part]
-    return result
+    top = sum(parts) if sum(1 for part in parts if part) > 1 else 0
+    return _hat_multinomial(ctx, parts, _as_poly(ctx, a_expr), p, _gaussian_rows(ctx, top, p))

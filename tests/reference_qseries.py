@@ -3,11 +3,11 @@
 This is the straightforward implementation the packed ring replaced: every
 monomial is an exponent tuple, products add tuples field by field (switching
 to bucketing on the capped-exponent profile for large operands), and exact
-division repeatedly divides out the smallest remaining term.  It shares
-``SeriesContext`` with the package, so a reference polynomial and a packed
-one built from the same terms can be compared by ``terms`` and
-``to_lines()``; ``RefPoly(ctx, x.terms)`` converts a packed polynomial.
-The whole-series tools the catalog no longer uses live only here:
+division repeatedly divides out the smallest remaining term, taken from a
+heap of the remainder's keys.  It shares ``SeriesContext`` with the
+package, so a reference polynomial and a packed one built from the same
+terms can be compared by ``terms`` and ``to_lines()``;
+``RefPoly(ctx, x.terms)`` converts a packed polynomial.  The whole-series tools the catalog no longer uses live only here:
 ``coefficient_of``, ``substitute`` and ``divide_exact`` on ``RefPoly``, and
 ``exp_series``, the cleared exponential series, on the package's
 ``MultiPoly``.  ``reference_pochhammer``, ``reference_double_pochhammer``
@@ -20,6 +20,7 @@ It is imported only by the tests.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from wreathstats.qseries import (
     MultiPoly,
@@ -218,10 +219,17 @@ def divide_exact(num, den):
     den_coeff = den.terms[den_min]
     quotient = {}
     rem = dict(num.terms)
+    # Every key ever in rem is on the heap; one that has left rem is stale
+    # and skipped.  A step only adds keys above its own, so the heap's
+    # smallest live key is the remainder's smallest.
+    heap = list(rem)
+    heapify(heap)
     for _ in range(_DIVISION_STEP_LIMIT):
-        if not rem:
+        while heap and heap[0] not in rem:
+            heappop(heap)
+        if not heap:
             return RefPoly(ctx, quotient)
-        rmin = min(rem)
+        rmin = heappop(heap)
         qexp = tuple(x - y for x, y in zip(rmin, den_min))
         if any(e < 0 for e in qexp):
             raise InexactDivisionError(
@@ -232,6 +240,8 @@ def divide_exact(num, den):
             target = tuple(x + y for x, y in zip(qexp, exps))
             val = rem.get(target, 0) - qcoeff * coeff
             if val:
+                if target not in rem:
+                    heappush(heap, target)
                 rem[target] = val
             else:
                 rem.pop(target, None)

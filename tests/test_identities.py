@@ -249,11 +249,12 @@ class TestCoefficientOnlyRightSides:
                                 (("q1", "q2", "a", "b"), (None,) * 4)):
                 ctx = SeriesContext(names, caps)
                 with_u = SeriesContext(names + ("u",), caps + (n,))
-                for k1 in range(4):
-                    for k2 in range(4):
-                        got = identities._theorem_B_rhs_term(ctx, r, n, k1, k2)
-                        want = reference_theorem_B_rhs_term(with_u, r, n, k1, k2)
-                        assert got.to_lines() == want.to_lines(), (n, k1, k2)
+                cells = []
+                for k1, k2, got in identities._theorem_B_rhs_terms(ctx, r, n, 3, 3):
+                    cells.append((k1, k2))
+                    want = reference_theorem_B_rhs_term(with_u, r, n, k1, k2)
+                    assert got.to_lines() == want.to_lines(), (n, k1, k2)
+                assert cells == list(itertools.product(range(4), repeat=2))
 
     # A right side for n does not depend on ucap >= n, so ucap 4 covers them all.
     @pytest.mark.parametrize("r", [1, 2, 3])
@@ -273,6 +274,49 @@ class TestCoefficientOnlyRightSides:
                    identities._adin_roichman(None, r, 3, qcap)]
             want = [rhs.to_lines() for rhs in reference_adin_roichman_rhs(r, 3, qcap)]
             assert got == want, qcap
+
+
+class TestSharedPieces:
+    """Each right side builds a shared piece once: one set of Gaussian rows
+    per exponential sum, and theorem_B's cells along a k1 row go on from
+    the sums of the cell before."""
+
+    def test_gaussian_rows_once_per_exponential_sum(self, monkeypatch):
+        rows_built, sums_built = [], []
+        rows, exponential_sum = qseries._gaussian_rows, identities._exponential_sum
+
+        def counting_rows(*args):
+            rows_built.append(args[1])
+            return rows(*args)
+
+        def counting_sum(*args):
+            sums_built.append(args[1])
+            return exponential_sum(*args)
+
+        for module in (qseries, identities):
+            monkeypatch.setattr(module, "_gaussian_rows", counting_rows)
+        monkeypatch.setattr(identities, "_exponential_sum", counting_sum)
+        for name, params in (("theorem_A", {"r": 3, "n": 3, "tmax": 3}),
+                             ("reiner", {"r": 3, "nmax": 3}), ("gg1", {})):
+            rows_built.clear()
+            sums_built.clear()
+            assert verify_identity(name, **params).passed
+            assert rows_built == sums_built and sums_built, name
+
+    def test_theorem_B_folds_each_term_once_per_row(self, monkeypatch):
+        # 4 rows of 4 cells: sum_k1 (4 (k1 + 1) + 3 k1) = 58 terms, where
+        # building every cell alone folds sum (k1 + 1)(k2 + 1) + k1 k2 = 136
+        folded = []
+        homogeneous = qseries._homogeneous
+
+        def counting_homogeneous(ctx, terms, top, row=None):
+            terms = list(terms)
+            folded.append(len(terms))
+            return homogeneous(ctx, terms, top, row)
+
+        monkeypatch.setattr(identities, "_homogeneous", counting_homogeneous)
+        assert verify_identity("theorem_B", r=3, n=3, t1max=3, t2max=3).passed
+        assert len(folded) == 16 and sum(folded) == 58
 
 
 class TestBijectionStats:
@@ -412,9 +456,10 @@ def _flat_sort(values, colors):
     return (1,) * len(values), colors
 
 
-def _short_homogeneous(ctx, terms):
-    """_homogeneous with the last term skipped: a faulty core under test."""
-    return qseries._homogeneous(ctx, list(terms)[:-1])
+def _short_homogeneous(ctx, terms, top, row=None):
+    """_homogeneous with the last term of every call skipped: a faulty core
+    under test."""
+    return qseries._homogeneous(ctx, list(terms)[:-1], top, row)
 
 
 class TestFaultyCoreReportsFail:

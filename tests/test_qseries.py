@@ -1,6 +1,5 @@
 import operator
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -250,8 +249,10 @@ class TestReciprocalDoublePochhammer:
                     for m in self.LEGS:
                         whole = ref_poly(reciprocal(ref.reference_double_pochhammer(
                             ctx, x * u, p_base, q_base, n, m)))
-                        sums = _homogeneous(ctx, _double_terms(ctx, x, p_base, q_base, n, m))
-                        for degree, got in zip(range(ctx.cap("u") + 1), sums):
+                        sums = _homogeneous(ctx, _double_terms(ctx, x, p_base, q_base, n, m),
+                                            ctx.cap("u"))
+                        assert len(sums) == ctx.cap("u") + 1
+                        for degree, got in enumerate(sums):
                             want = ref.coefficient_of(whole, "u", degree)
                             assert got.to_lines() == want.to_lines(), (x, q_base, n, m, degree)
 
@@ -266,7 +267,7 @@ class TestReciprocalDoublePochhammer:
         message = f"infinite {leg} leg needs finite caps on its base variables"
         for build in (lambda: reciprocal(ref.reference_double_pochhammer(
                           ctx, u, first, second, n, m)),
-                      lambda: _homogeneous(ctx, _double_terms(ctx, one, first, second, n, m))):
+                      lambda: _homogeneous(ctx, _double_terms(ctx, one, first, second, n, m), 2)):
             with pytest.raises(ValueError) as info:
                 build()
             assert type(info.value) is ValueError and str(info.value) == message
@@ -525,15 +526,14 @@ class TestExponentLimit:
         assert (top * MultiPoly.variable(ctx, "q")).terms == {(1, MAX_EXPONENT): 1}
 
     def test_kept_slice_overflow_raises(self):
-        # Only the sums read are built: h_1 of p^MAX and q is kept, and h_2,
-        # which holds p^(2 MAX), raises when it is read.
+        # Only the degrees up to top are built: h_1 of p^MAX and q is kept,
+        # and h_2, which holds p^(2 MAX), raises.
         ctx = SeriesContext(("q", "p"))
         top = MultiPoly.monomial(ctx, 1, p=MAX_EXPONENT)
         q = MultiPoly.variable(ctx, "q")
-        sums = _homogeneous(ctx, [top, q])
-        assert [next(sums), next(sums)] == [1, top + q]
+        assert _homogeneous(ctx, [top, q], 1) == [1, top + q]
         with pytest.raises(ExponentOverflowError):
-            next(sums)
+            _homogeneous(ctx, [top, q], 2)
 
     def test_no_power_beyond_the_last_factor(self):
         # (q^MAX; q)_1 and [1] with base q^MAX never form q^(MAX+1).
@@ -544,10 +544,11 @@ class TestExponentLimit:
         assert q_int(ctx, 1, top) == 1
 
     def test_coefficient_product_context_mismatch(self):
+        # a foreign term is refused even where no degree above 0 is built
         x = MultiPoly.variable(SeriesContext(("u", "q"), (2, None)), "q")
-        sums = _homogeneous(SeriesContext(("u", "q"), (3, None)), [x])
-        with pytest.raises(ContextMismatchError):
-            next(islice(sums, 1, None))
+        for top in (0, 1):
+            with pytest.raises(ContextMismatchError):
+                _homogeneous(SeriesContext(("u", "q"), (3, None)), [x], top)
 
     def test_cap_too_large_rejected(self):
         with pytest.raises(ValueError):
@@ -640,6 +641,78 @@ class TestReferenceOracle:
             terms[(0,) * len(ctx.variables)] = 1
         x, rx = both(ctx, terms)
         same_outcome(lambda: reciprocal(x), lambda: ref.reciprocal(rx))
+
+
+@st.composite
+def oracle_monomials(draw, ctx):
+    """One exponent-tuple term with a nonzero coefficient."""
+    exps = tuple(draw(st.integers(0, 4 if c is None else c + 1)) for c in ctx.caps)
+    return {exps: draw(_COEFFS.filter(bool))}
+
+
+class TestProductKernel:
+    """``__mul__`` and the fused ``_dot`` against the tuple-key product, on
+    the monomial path and the bucketed one."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_products_match_reference(self, data):
+        ctx = data.draw(oracle_contexts())
+        x, rx = both(ctx, data.draw(oracle_terms(ctx, max_terms=12)))
+        y, ry = both(ctx, data.draw(oracle_monomials(ctx)))
+        z, rz = both(ctx, data.draw(oracle_terms(ctx)))
+        scalar = data.draw(_COEFFS)
+        k, rk = both(ctx, {(0,) * len(ctx.variables): scalar})
+        for got, want in ((x * y, rx * ry), (y * x, ry * rx), (x * k, rx * rk),
+                          (k * x, rk * rx), (scalar * x, rx * scalar)):
+            assert_same(got, want)
+        assert_same(qseries._dot(ctx, [(x, y), (z, y), (k, x), (x, z)]),
+                    rx * ry + rz * ry + rk * rx + rx * rz)
+        # products that cancel, wholly and in part, leave no zero terms
+        assert_same(qseries._dot(ctx, [(x, y), (-x, y)]), ref.RefPoly(ctx))
+        assert_same(qseries._dot(ctx, [(x, z), (x, y - z)]), rx * ry)
+        assert_same(qseries._dot(ctx, []), ref.RefPoly(ctx))
+
+    def test_monomial_operand_is_not_bucketed(self, monkeypatch):
+        calls = []
+        buckets = qseries._buckets
+        monkeypatch.setattr(qseries, "_buckets",
+                            lambda keys, mask: calls.append(len(keys)) or buckets(keys, mask))
+        ctx = SeriesContext(("t", "q"), (2, None))
+        x = expand(ctx, [({}, 1), ({"t": 1}, Fraction(1, 2)), ({"q": 3}, -2)])
+        t = MultiPoly.variable(ctx, "t")
+        assert x * t == t * x == qseries._dot(ctx, [(t, x)])
+        assert x * 3 == 3 * x == x + x + x
+        assert calls == []
+        assert x * x == qseries._dot(ctx, [(x, x)])
+        assert calls == [3, 3, 3, 3]
+
+    def test_overflow_on_both_paths(self):
+        # t is capped, so a product past its cap is dropped before its
+        # uncapped field is looked at
+        ctx = SeriesContext(("t", "p"), (1, None))
+        t, p = MultiPoly.variable(ctx, "t"), MultiPoly.variable(ctx, "p")
+        top = MultiPoly.monomial(ctx, 1, p=MAX_EXPONENT)
+        for build in (lambda: top * p, lambda: p * top,
+                      lambda: (1 + top) * (1 + p),
+                      lambda: qseries._dot(ctx, [(t, t), (top, p)]),
+                      lambda: qseries._dot(ctx, [(1 + t, 1 + p), (1 + top, 1 + t * p)])):
+            with pytest.raises(ExponentOverflowError):
+                build()
+        assert (t * top * t).is_zero
+        assert ((t + t * top) * (t + t * p)).is_zero
+
+    def test_foreign_context_raises(self):
+        ctx = SeriesContext(("u", "q"), (3, None))
+        foreign = MultiPoly.variable(SeriesContext(("u", "q"), (2, None)), "q")
+        x = MultiPoly.variable(ctx, "q") + 1
+        for build in (lambda: x * foreign, lambda: foreign * x,
+                      lambda: qseries._dot(ctx, [(x, x), (x, foreign)]),
+                      lambda: qseries._dot(ctx, [(foreign, x)]),
+                      lambda: qseries._dot(ctx, [(foreign, foreign)]),
+                      lambda: _homogeneous(ctx, [x, foreign], 2)):
+            with pytest.raises(ContextMismatchError):
+                build()
 
 
 # -- differential oracle: the q-analogue constructors against their loops ----
