@@ -50,7 +50,6 @@ from .qseries import (
     SeriesContext,
     hat_multinomial,
     pochhammer,
-    reciprocal,
 )
 from .identities import (
     CATALOG,

@@ -10,6 +10,10 @@ monomial in the context's lexicographic order.
 Infinite sums are handled by grading: both sides of every identity are
 graded by the truncation variables (powers of t, or the extracted power of
 u), so a capped comparison checks each retained coefficient completely.
+No side inverts a whole series.  A left side that divides by
+``(t; q)_(n+1)`` multiplies by its reciprocal, the sum over k up to the cap
+of t of the complete homogeneous sums h_k of the terms ``t q^i``
+(``qseries._reciprocal_pochhammer``).
 No right side divides: a hatted multinomial is a hatted Pochhammer tail
 times Gaussian binomials, and the u-graded right sides never expand a whole
 series to read one coefficient.  The u^n coefficient of a product of
@@ -84,13 +88,12 @@ from .qseries import (
     _gaussian_rows,
     _hat_multinomial,
     _homogeneous,
+    _reciprocal_pochhammer,
     bracket_two_param,
     hat_factorial,
-    hat_multinomial,
     monomial_text,
     pochhammer,
     q_int,
-    reciprocal,
 )
 
 __all__ = [
@@ -473,8 +476,7 @@ def _desmaj_tally(max_elements, r, n, tmax):
 def _desmaj(max_elements, r, n, tmax):
     ctx = SeriesContext(("t", "q"), (tmax, None))
     buckets = _desmaj_tally(max_elements, r, n, tmax)
-    t = MultiPoly.variable(ctx, "t")
-    denom = reciprocal(pochhammer(ctx, t, "q", n))
+    denom = _reciprocal_pochhammer(ctx, "t", "q", n)
     for gamma in enumerate_group(r, n, max_elements):
         des_set = _descent_set(gamma.sigma, gamma.colors)
         lhs = MultiPoly(ctx, buckets.get((gamma.sigma, gamma.colors), {}))
@@ -511,10 +513,17 @@ def _keylem_tally(max_elements, r, n, comp):
 def _keylem(max_elements, r, n, parts_max=4):
     ctx = SeriesContext(("p", "a"))
     twist = _color_twist(ctx, r)
+    p = MultiPoly.variable(ctx, "p")
+    # Only a composition with two nonzero parts reads Gaussian rows; they
+    # are built once, up to n, after the first such tally has passed its
+    # budget.
+    rows = None
     for nparts in range(1, parts_max + 1):
         for comp in _weak_compositions(n, nparts):
             lhs = MultiPoly(ctx, _keylem_tally(max_elements, r, n, comp))
-            rhs = hat_multinomial(ctx, comp, twist, "p")
+            if rows is None and sum(1 for part in comp if part) > 1:
+                rows = _gaussian_rows(ctx, n, p)
+            rhs = _hat_multinomial(ctx, comp, twist, p, rows)
             yield ("poly", f"composition {comp} (r={r})", lhs, rhs)
 
 
@@ -561,8 +570,7 @@ def _theorem_A_cases(max_elements, r, n, tmax):
     dist = dist_polynomial(ctx, r, n,
                            {"des": "t", "maj": "q", "length": "p", "col": "a"},
                            max_elements)
-    t = MultiPoly.variable(ctx, "t")
-    lhs = dist * reciprocal(pochhammer(ctx, t, "q", n + 1))
+    lhs = dist * _reciprocal_pochhammer(ctx, "t", "q", n + 1)
     return f"r={r} n={n} tmax={tmax}", lhs, _theorem_A_rhs(ctx, r, n, tmax)
 
 
@@ -595,10 +603,8 @@ def _theorem_B_cases(max_elements, r, n, t1max, t2max):
                            {"des": "t1", "ides": "t2", "maj": "q1",
                             "imaj": "q2", "col": "a", "icol": "b"},
                            max_elements)
-    t1 = MultiPoly.variable(ctx, "t1")
-    t2 = MultiPoly.variable(ctx, "t2")
-    lhs = dist * reciprocal(pochhammer(ctx, t1, "q1", n + 1)) \
-        * reciprocal(pochhammer(ctx, t2, "q2", n + 1))
+    lhs = dist * _reciprocal_pochhammer(ctx, "t1", "q1", n + 1) \
+        * _reciprocal_pochhammer(ctx, "t2", "q2", n + 1)
     rhs = _dot(ctx, ((MultiPoly.monomial(ctx, 1, t1=k1, t2=k2), term)
                      for k1, k2, term in
                      _theorem_B_rhs_terms(ctx, r, n, t1max, t2max)))
@@ -629,9 +635,8 @@ def _chow_gessel(max_elements, r, n, tmax):
     ctx = SeriesContext(("t", "q", "a"), (tmax, None, None))
     dist = dist_polynomial(ctx, r, n, {"des": "t", "maj": "q", "col": "a"},
                            max_elements)
-    t = MultiPoly.variable(ctx, "t")
     a = MultiPoly.variable(ctx, "a")
-    lhs = dist * reciprocal(pochhammer(ctx, t, "q", n + 1))
+    lhs = dist * _reciprocal_pochhammer(ctx, "t", "q", n + 1)
     rhs = MultiPoly.zero(ctx)
     twist = a * q_int(ctx, r - 1, "a")
     for k in range(tmax + 1):
@@ -644,9 +649,8 @@ def _carlitz(max_elements, r, n, tmax):
     ctx = SeriesContext(("t", "q"), (tmax, None))
     dist = dist_polynomial(ctx, r, n, {"des": "t", "fmaj": "q"},
                            max_elements)
-    t = MultiPoly.variable(ctx, "t")
     qr = MultiPoly.monomial(ctx, 1, q=r)
-    lhs = dist * reciprocal(pochhammer(ctx, t, qr, n + 1))
+    lhs = dist * _reciprocal_pochhammer(ctx, "t", qr, n + 1)
     rhs = MultiPoly.zero(ctx)
     for k in range(tmax + 1):
         rhs = rhs + MultiPoly.monomial(ctx, 1, t=k) * q_int(ctx, r * k + 1, "q") ** n

@@ -27,14 +27,17 @@ optional infinite legs and their complete homogeneous sums, folded in one
 term at a time, q-integers, factorials and Gaussian binomials, the hatted
 factorial and multinomial, and the two-parameter bracket.  Each
 constructor reads its base and its ``a`` the same way: a variable name, a
-rational constant, or a polynomial of the same context.
+rational constant, or a polynomial of the same context.  The ring has no
+division and inverts no series: the one reciprocal the identity checks
+need, ``1 / (t; q)_n`` for a capped t, is the sum of the complete
+homogeneous sums of the terms ``t q^i``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, repeat, takewhile
+from itertools import accumulate, islice, repeat, takewhile
 from operator import mul, or_
 
 ALLOWED_VARIABLES = ("u", "t", "q", "p", "a", "b", "t1", "t2", "q1", "q2")
@@ -45,10 +48,6 @@ MAX_EXPONENT = (1 << EXPONENT_BITS) - 1
 
 class ContextMismatchError(ValueError):
     """Two polynomials from different contexts met in a binary operation."""
-
-
-class NonUnitError(ValueError):
-    """Reciprocal requested for a series whose constant term is not 1."""
 
 
 class ExponentOverflowError(ValueError):
@@ -425,36 +424,6 @@ def monomial_text(ctx, exps):
     return " ".join(f"{v}^{e}" for v, e in zip(ctx.variables, exps) if e) or "1"
 
 
-# -- truncated-series operations ------------------------------------------
-
-
-def reciprocal(x):
-    """Multiplicative inverse of ``x`` within the context's caps.
-
-    Requires constant term 1, and every non-constant term of ``x`` must
-    involve at least one finitely capped variable; the geometric expansion
-    then terminates because each power gains capped degree.
-    """
-    ctx = x.ctx
-    if x.constant_term != 1:
-        raise NonUnitError("reciprocal needs constant term 1")
-    z = MultiPoly.constant(ctx, 1) - x
-    for key in z._keys:
-        if not key & ctx._capped_mask:
-            raise NonUnitError(
-                "reciprocal does not terminate: term "
-                f"{monomial_text(ctx, ctx._unpack(key))} has no finitely capped variable")
-    bound = sum(c for c in ctx.caps if c is not None)
-    result = MultiPoly.constant(ctx, 1)
-    power = MultiPoly.constant(ctx, 1)
-    for _ in range(bound):
-        power = power * z
-        if power.is_zero:
-            break
-        result = result + power
-    return result
-
-
 # -- q-analogue constructors ----------------------------------------------
 
 
@@ -477,13 +446,16 @@ def _factor_run(a, b, n, leg="first"):
     of them (none for ``n <= 0``), or for ``n`` None, an infinite leg, those
     before the first one that is zero within the caps.  An infinite leg with
     ``a`` nonzero needs a capped variable in every monomial of ``b``; that
-    is checked at once, before any factor is read."""
+    is checked at once, before any factor is read.  Factor k then has
+    capped degree at least k, so it is zero past the sum of the caps, and
+    no more than ``1 + sum of the caps`` factors are read."""
     factors = accumulate(repeat(b), mul, initial=a)
     if n is not None:
         return (factor for _, factor in zip(range(n), factors))
     if not a.is_zero and not all(key & b.ctx._capped_mask for key in b._keys):
         raise ValueError(f"infinite {leg} leg needs finite caps on its base variables")
-    return takewhile(lambda factor: not factor.is_zero, factors)
+    bound = 1 + sum(c for c in b.ctx.caps if c is not None)
+    return takewhile(lambda factor: not factor.is_zero, islice(factors, bound))
 
 
 def pochhammer(ctx, a_expr, base, n):
@@ -496,6 +468,16 @@ def pochhammer(ctx, a_expr, base, n):
     for factor in _factor_run(a, b, n):
         result = result * (one - factor)
     return result
+
+
+def _reciprocal_pochhammer(ctx, t, base, n):
+    """``1 / (t; b)_n`` for ``b = base`` and ``t`` the name of a capped
+    variable: the sum of the complete homogeneous sums ``h_k`` of the terms
+    ``t, t*b, ..., t*b^(n-1)``, the q-binomial series.  Every term carries
+    ``t``, so ``h_k`` carries ``t^k`` and the sums up to the cap of ``t``
+    are the whole reciprocal within the caps."""
+    terms = _factor_run(MultiPoly.variable(ctx, t), _as_poly(ctx, base), n)
+    return sum(_homogeneous(ctx, terms, ctx.cap(t)), MultiPoly.zero(ctx))
 
 
 def _double_terms(ctx, a_expr, p_base, q_base, n, m):

@@ -3,8 +3,8 @@ right sides of ``theorem_A``, ``reiner``, ``brenti``, ``theorem_B``,
 ``gessel_roselle`` and ``adin_roichman``.
 
 The package no longer has the whole-series tools they read, so
-``coefficient_of``, ``substitute``, ``divide_exact`` and the ``brenti``
-reciprocal here are those of ``reference_qseries``: each packed argument
+``coefficient_of``, ``substitute``, ``divide_exact`` and every reciprocal
+here are those of ``reference_qseries``: each packed argument
 goes in as ``RefPoly(ctx, x.terms)`` and the result comes back as a
 ``MultiPoly``, so the products stay in the packed ring and the results are
 compared with the package's by ``to_lines()``.
@@ -44,7 +44,6 @@ from wreathstats.qseries import (
     pochhammer,
     q_factorial,
     q_int,
-    reciprocal,
 )
 
 
@@ -126,13 +125,13 @@ def reference_theorem_B_rhs_term(ctx, r, n, k1, k2):
     marked = MultiPoly.monomial(ctx, 1, a=1, b=1) \
         * bracket_two_param(ctx, r - 1, "a", "b") * u
     second = reference_double_pochhammer(ctx, marked, "q1", "q2", k1, k2)
-    return coefficient_of(reciprocal(first * second), "u", n)
+    return coefficient_of(reference_reciprocal(first * second), "u", n)
 
 
 def _reciprocal_double_pochhammer(ctx, a_expr, p_base, q_base, n, m):
     result = one = MultiPoly.constant(ctx, 1)
     for term in _double_terms(ctx, a_expr, p_base, q_base, n, m):
-        result = result * reciprocal(one - term)
+        result = result * reference_reciprocal(one - term)
     return result
 
 

@@ -7,8 +7,10 @@ division repeatedly divides out the smallest remaining term, taken from a
 heap of the remainder's keys.  It shares ``SeriesContext`` with the
 package, so a reference polynomial and a packed one built from the same
 terms can be compared by ``terms`` and ``to_lines()``;
-``RefPoly(ctx, x.terms)`` converts a packed polynomial.  The whole-series tools the catalog no longer uses live only here:
-``coefficient_of``, ``substitute`` and ``divide_exact`` on ``RefPoly``, and
+``RefPoly(ctx, x.terms)`` converts a packed polynomial.  The whole-series
+tools the catalog no longer uses live only here: ``coefficient_of``,
+``substitute``, ``divide_exact`` and ``reciprocal``, the general geometric
+expansion, on ``RefPoly``, and
 ``exp_series``, the cleared exponential series, on the package's
 ``MultiPoly``.  ``reference_pochhammer``, ``reference_double_pochhammer``
 and ``reference_q_int`` are the q-analogue constructors as they were written
@@ -24,12 +26,16 @@ from heapq import heapify, heappop, heappush
 
 from wreathstats.qseries import (
     MultiPoly,
-    NonUnitError,
     _as_poly,
     q_int,
 )
 
 _DIVISION_STEP_LIMIT = 10**6
+
+
+class NonUnitError(ValueError):
+    """Reciprocal requested for a series whose constant term is not 1, or
+    whose geometric expansion would not terminate."""
 
 
 class InexactDivisionError(ArithmeticError):
@@ -274,17 +280,24 @@ def reference_double_pochhammer(ctx, a_expr, p_base, q_base, n, m):
                             f"infinite {leg} leg needs finite caps on its base variables")
     if n == 0 or m == 0:
         return MultiPoly.constant(ctx, 1)
+    # In a ring that truncates, factor k of an infinite leg is zero past the
+    # sum of the caps; a leg that runs on shows a faulty ring.
+    bound = 1 + sum(c for c in ctx.caps if c is not None)
     result = MultiPoly.constant(ctx, 1)
     row = a
     i = 0
     while n is None or i < n:
         if row.is_zero:
             break
+        if n is None and i == bound:
+            raise RuntimeError("an infinite leg ran past the sum of the caps")
         term = row
         j = 0
         while m is None or j < m:
             if term.is_zero:
                 break
+            if m is None and j == bound:
+                raise RuntimeError("an infinite leg ran past the sum of the caps")
             result = result * (MultiPoly.constant(ctx, 1) - term)
             term = term * qb
             j += 1

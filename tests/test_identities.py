@@ -186,18 +186,26 @@ class TestCatalogEntries:
 
 class TestNoDivision:
     """No catalog entry divides by a whole series: the package has no
-    polynomial quotient, and the only reciprocals taken are of the left
-    sides' ``(t; q)_k`` products, series in the t's and q's alone, never in
-    u or a color or length marker."""
+    polynomial quotient and no general reciprocal, and the only reciprocals
+    formed are the left sides' ``1 / (t; q)_k``, in a t and a base in the
+    q's alone, never in u or a color or length marker."""
 
     @pytest.fixture(autouse=True)
-    def refuse_division(self, monkeypatch):
-        def refuse(x):
-            used = {v for exps in x.terms for v, e in zip(x.ctx.variables, exps) if e}
+    def check_reciprocals(self, monkeypatch):
+        def checked(ctx, t, base, n):
+            used = {t} | ({base} if isinstance(base, str) else
+                          {v for exps in base.terms
+                           for v, e in zip(ctx.variables, exps) if e})
             assert used <= {"t", "q", "t1", "q1", "t2", "q2"}, \
-                f"a catalog path divided by a series in {sorted(used)}"
-            return qseries.reciprocal(x)
-        monkeypatch.setattr(identities, "reciprocal", refuse)
+                f"a catalog path inverted a series in {sorted(used)}"
+            return qseries._reciprocal_pochhammer(ctx, t, base, n)
+        monkeypatch.setattr(identities, "_reciprocal_pochhammer", checked)
+
+    @pytest.mark.parametrize("module", [qseries, identities])
+    def test_no_division_tool_is_bound(self, module):
+        for name in ("reciprocal", "divide_exact", "NonUnitError",
+                     "InexactDivisionError"):
+            assert not hasattr(module, name), (module.__name__, name)
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_catalog_default(self, name):
@@ -317,6 +325,20 @@ class TestSharedPieces:
         monkeypatch.setattr(identities, "_homogeneous", counting_homogeneous)
         assert verify_identity("theorem_B", r=3, n=3, t1max=3, t2max=3).passed
         assert len(folded) == 16 and sum(folded) == 58
+
+    def test_keylem_builds_its_gaussian_rows_once(self, monkeypatch):
+        # one set of rows up to n for all 56 compositions of r=3 n=4, and
+        # none while no composition has two nonzero parts
+        built = []
+        rows = qseries._gaussian_rows
+        for module in (qseries, identities):
+            monkeypatch.setattr(module, "_gaussian_rows",
+                                lambda ctx, n, base: built.append(n) or rows(ctx, n, base))
+        assert verify_identity("keylem", r=3, n=4).passed
+        assert built == [4]
+        built.clear()
+        assert verify_identity("keylem", r=2, n=300, parts_max=1).passed
+        assert built == []
 
 
 class TestBijectionStats:
@@ -462,6 +484,18 @@ def _short_homogeneous(ctx, terms, top, row=None):
     return qseries._homogeneous(ctx, list(terms)[:-1], top, row)
 
 
+def _short_reciprocal_pochhammer(ctx, t, base, n):
+    """_reciprocal_pochhammer with its last factor dropped: a faulty core
+    under test."""
+    return qseries._reciprocal_pochhammer(ctx, t, base, n - 1)
+
+
+def _unnegated_inverse_colors(r, colors, inv_sigma):
+    """_inverse_colors that pulls the colors back without taking ``(r - c)
+    mod r``: a faulty core under test, the same as the true one at r <= 2."""
+    return tuple(colors[s - 1] for s in inv_sigma)
+
+
 class TestFaultyCoreReportsFail:
     @pytest.mark.parametrize("module,core,fault,name", [
         (identities, "_sequence_from", _countless_sequence_from, "bijection_stats"),
@@ -471,15 +505,31 @@ class TestFaultyCoreReportsFail:
         (identities, "_homogeneous", _short_homogeneous, "gessel_roselle"),
         (identities, "_homogeneous", _short_homogeneous, "adin_roichman"),
         (identities, "_homogeneous", _short_homogeneous, "biword_count"),
+        *[(identities, "_reciprocal_pochhammer", _short_reciprocal_pochhammer, name)
+          for name in ("theorem_A", "theorem_B", "chow_gessel", "carlitz", "desmaj")],
     ])
     def test_cli_prints_fail_not_invalid_input(self, monkeypatch, capsys,
                                                module, core, fault, name):
         monkeypatch.setattr(module, core, fault)
-        code = main(["verify", "--identity", name])
+        self.assert_fail(capsys, ["--identity", name], name)
+
+    @staticmethod
+    def assert_fail(capsys, args, name):
+        code = main(["verify", *args])
         out, err = capsys.readouterr()
         assert code == 1
         assert f"{name} " in out and " FAIL" in out
         assert "invalid input" not in out + err
+
+    @pytest.mark.parametrize("args", [
+        ["--identity", "theorem_B", "--r", "3", "--n", "3", "--t1max", "3", "--t2max", "3"],
+        ["--identity", "adin_roichman", "--r", "3"],
+    ])
+    def test_inverse_colors_fault_shows_past_two_colors(self, monkeypatch, capsys, args):
+        monkeypatch.setattr(identities, "_inverse_colors", _unnegated_inverse_colors)
+        assert main(["verify", "--all", "--r", "2"]) == 0
+        capsys.readouterr()
+        self.assert_fail(capsys, args, args[1])
 
 
 # The one biword of r=2, n=2 with both caps 0.
