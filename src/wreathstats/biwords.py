@@ -11,17 +11,14 @@ partitions, one compatible with the skew inverse and one with the element
 itself; that triple determines the biword and gives the bijection both
 directions implement.
 
-The tuple cores serve callers that read only the tuples and need no
-checked value object.  ``_biwords`` yields ``enumerate_biwords``' biwords
-as ``(top parts, values, colors)`` and ``_is_biword`` is ``is_biword`` on
-those tuples; both public functions wrap them.  ``_to_triple`` and
+Each map has one tuple core that the public function wraps: ``_biwords``
+yields ``enumerate_biwords``' rows as ``(top parts, values, colors)``,
+``_is_biword`` is ``is_biword`` on them, and ``_to_triple`` and
 ``_from_triple`` map a biword's tuples to its triple's ``(sigma, colors,
-lam, mu)`` and back, reading each element's descent sets and skew inverse
-from a table of ``_window`` entries and raising ``Triple``'s messages.
-``to_triple`` and ``from_triple`` do not call them, since the ``Triple``
-or ``Biword`` they build checks once already; they share ``_sort``
-(through ``pi_of``), ``_window``, ``_check_triple`` and ``_push`` with
-them.
+lam, mu)`` and back.  These two read each element's descent sets and skew
+inverse from a table of ``_window`` entries, which ``to_triple`` and
+``from_triple`` fill with the one element they need, and raise
+``Triple``'s messages.
 """
 
 from __future__ import annotations
@@ -48,7 +45,6 @@ from .encoding import (
     _sort,
     multinomial,
     partitions_in_box,
-    pi_of,
 )
 
 __all__ = [
@@ -136,37 +132,38 @@ def _check_triple(lam, mu, des_set, skew_des_set):
 
 
 def to_triple(b):
-    """Sort the bottom row: the element, the top row, and the sorted values."""
-    gamma = pi_of(b.f)
-    mu = Partition(tuple(b.f.values[s - 1] for s in gamma.sigma))
-    return Triple(gamma=gamma, lam=b.g, mu=mu)
+    """Sort the bottom row: the element, the top row, and the sorted values.
+    The tuples come from the core ``_to_triple``."""
+    sigma, colors, _, mu = _to_triple(b.f.r, b.g.parts, b.f.values, b.f.colors, {})
+    return Triple(ColoredPermutation(b.f.r, sigma, colors), b.g, Partition(mu))
 
 
 def _to_triple(r, lam, values, colors, windows):
     """``to_triple`` on a biword's tuples: ``(sigma, colors, lam, mu)``.
 
-    ``windows`` maps each element's window tuples to its ``_window``.  The
-    checks are those of ``to_triple``, in its order: a sorted window that
+    ``windows`` maps each element's window tuples to its ``_window``, and
+    a window missing from it is added once checked.  A sorted window that
     is no element raises ``ColoredPermutation``'s error, sorted values that
     are no partition ``Partition``'s, and an incompatible pair ``Triple``'s.
     """
     window = _sort(values, colors)
     if window not in windows:
-        # no element has this window; its own check says why
         ColoredPermutation(r, *window)
+        windows[window] = _window(*window)
     des_set, skew_des_set, _ = windows[window]
-    mu = tuple(values[s - 1] for s in window[0])
-    _check_parts(mu)
+    mu = _check_parts(tuple(values[s - 1] for s in window[0]))
     _check_triple(lam, mu, des_set, skew_des_set)
     return (*window, lam, mu)
 
 
 def from_triple(t):
     """Rebuild the biword: top row is the first partition, bottom row is the
-    second partition pushed through the skew inverse with colors riding along."""
-    gamma = t.gamma
-    values, colors = _push(t.mu.parts, *_skew(gamma.sigma, gamma.colors))
-    return Biword(g=t.lam, f=ColoredSequence(gamma.r, values, colors))
+    second partition pushed through the skew inverse with colors riding along.
+    The tuples come from the core ``_from_triple``."""
+    window = t.gamma.sigma, t.gamma.colors
+    _, values, colors = _from_triple(*window, t.lam.parts, t.mu.parts,
+                                     {window: _window(*window)})
+    return Biword(g=t.lam, f=ColoredSequence(t.gamma.r, values, colors))
 
 
 def _from_triple(sigma, colors, lam, mu, windows):

@@ -13,11 +13,12 @@ that read only the tuples and need no checked value object: ``_sort`` gives
 ``sequence_from`` and ``_sequences`` those of ``enumerate_sequences``'
 sequences, after the checks and budget of ``_check_sequences``.  ``_in_n0``
 and ``_check_parts`` are the checks of ``ColoredSequence.in_n0`` and
-``Partition`` on tuples.
+``Partition`` on tuples, and ``_sequence_text`` is ``format_sequence`` on
+tuples, so a failing check can name values no ``ColoredSequence`` holds.
 
 ``_sort`` sorts one sequence from nothing.  It serves ``pi_of``,
-``lambda_of``, ``seq_statistics`` and the bijection checks (``biwords``'
-triple map and ``bijection_stats``), where the sort is the map under test.
+``lambda_of``, ``seq_statistics`` and the bijection checks (the triple maps
+and ``bijection_stats``, both sides), where the sort is the map under test.
 The catalog's sums over many sequences (``keylem`` and ``desmaj``) instead
 walk the sequences position by position, and ``_insertion`` places each new
 position in the sorted window from a count of the values already placed.
@@ -88,11 +89,12 @@ class Partition:
 
 
 def _check_parts(parts):
-    """``Partition``'s checks on a tuple of parts."""
+    """``Partition``'s checks on a tuple of parts, which it returns."""
     if parts and min(parts) < 0:
         raise ValueError("parts must be nonnegative")
     if sorted(parts) != list(parts):
         raise ValueError("parts must be nondecreasing")
+    return parts
 
 
 @dataclass(frozen=True)
@@ -402,8 +404,12 @@ def parse_sequence(text, r):
 
 
 def format_sequence(f):
-    return ",".join(f"{v}^{c}" if c else str(v)
-                    for v, c in zip(f.values, f.colors))
+    return _sequence_text(f.values, f.colors)
+
+
+def _sequence_text(values, colors):
+    """``format_sequence`` on tuples that no ``ColoredSequence`` need hold."""
+    return ",".join(f"{v}^{c}" if c else str(v) for v, c in zip(values, colors))
 
 
 def parse_partition(text):

@@ -56,6 +56,7 @@ from .group import (
 from .encoding import (
     ColoredSequence,
     Partition,
+    _check_parts,
     _check_sequences,
     _distinct_permutations,
     _fits,
@@ -63,11 +64,10 @@ from .encoding import (
     _insertion,
     _residue,
     _sequence_from,
+    _sequence_text,
+    _sequences,
     _sort,
-    enumerate_sequences,
     partitions_in_box,
-    pi_of,
-    sequence_from,
 )
 from .biwords import (
     Biword,
@@ -738,50 +738,49 @@ def _adin_roichman(max_elements, r, ucap, qcap):
         yield ("poly", f"r={r} n={n}", lhs, rhs)
 
 
-def _residue_fact(r, values, colors, sigma, des_set, build):
-    """``(build(residue parts), None)``, or ``(None, failing fact)`` naming
-    the sequence when ``_residue`` or ``build`` refuses the parts; the
-    sequence side builds a checked ``Partition``, the pair side a tuple."""
+def _residue_fact(values, colors, sigma, des_set):
+    """``(checked residue parts, None)``, or ``(None, failing fact)`` naming
+    the sequence when ``_residue`` or ``Partition``'s check refuses them."""
     try:
-        return build(_residue(values, sigma, des_set)), None
+        return _check_parts(_residue(values, sigma, des_set)), None
     except ValueError as exc:
-        f = ColoredSequence(r, values, colors)
-        return None, ("fact", f"residue of {f}", False, str(exc))
+        return None, ("fact", f"residue of {_sequence_text(values, colors)}",
+                      False, str(exc))
 
 
 def _bijection_stats(max_elements, r, n, cap):
-    # Each sequence is sorted once: pi_of and its descent set serve the
-    # residue and the bookkeeping identities, while sequence_from, the map
-    # under test, reads its own.  The pair side runs the maps on tuples and
-    # builds the objects its fact names only when a check fails.
+    # Both sides run the maps on tuples and name a failing sequence from
+    # them, since a faulty map's image may be no ColoredSequence.  Each
+    # sequence is sorted once; its window and descent set serve every check.
     checked = 0
-    for f in enumerate_sequences(r, n, max_cap=cap, restrict_n0=True,
-                                 max_elements=max_elements):
-        gamma = pi_of(f)
-        des_set = _descent_set(gamma.sigma, gamma.colors)
+    for values, colors in _sequences(r, n, max_cap=cap, max_elements=max_elements):
+        window = _sort(values, colors)
+        sigma = window[0]
+        des_set = _descent_set(*window)
         # the sorted values grow strictly across every descent, a descent at
         # 0 against the implicit zero
-        if not _fits(tuple(f.values[s - 1] for s in gamma.sigma), des_set):
-            yield ("fact", f"descent forces growth at {f}", False, None)
+        if not _fits(tuple(values[s - 1] for s in sigma), des_set):
+            yield ("fact", f"descent forces growth at {_sequence_text(values, colors)}",
+                   False, None)
             return
-        lam, failure = _residue_fact(r, f.values, f.colors, gamma.sigma,
-                                     des_set, Partition)
+        parts, failure = _residue_fact(values, colors, sigma, des_set)
         if failure:
             yield failure
             return
         des, maj = len(des_set), sum(des_set)
-        back = sequence_from(gamma, lam)
-        if back != f:
-            yield ("fact", f"round trip of {f}", False, f"came back as {back}")
+        back = _sequence_from(parts, des_set, *_skew(*window))
+        if back != (values, colors):
+            yield ("fact", f"round trip of {_sequence_text(values, colors)}", False,
+                   f"came back as {_sequence_text(*back)}")
             return
-        top, total = max(f.values, default=0), sum(f.values)
-        if top != lam.max_part + des:
-            yield ("fact", f"max relation at {f}", False,
-                   f"max {top} vs {lam.max_part} + {des}")
+        top, total = max(values, default=0), sum(values)
+        if top != max(parts, default=0) + des:
+            yield ("fact", f"max relation at {_sequence_text(values, colors)}", False,
+                   f"max {top} vs {max(parts, default=0)} + {des}")
             return
-        if total != lam.weight + n * des - maj:
-            yield ("fact", f"sum relation at {f}", False,
-                   f"{total} vs {lam.weight} + {n}*{des} - {maj}")
+        if total != sum(parts) + n * des - maj:
+            yield ("fact", f"sum relation at {_sequence_text(values, colors)}", False,
+                   f"{total} vs {sum(parts)} + {n}*{des} - {maj}")
             return
         checked += 1
     yield ("fact", f"sequence side r={r} n={n} cap={cap} ({checked} sequences)",
@@ -801,17 +800,15 @@ def _bijection_stats(max_elements, r, n, cap):
                        "left the zero-forces-uncolored set")
                 return
             # once the sort gives gamma back, the residue reads gamma's
-            # descent set; a residue other than lam is named as lambda_of
-            # would name it when it is no partition
+            # descent set; one other than lam is named as lambda_of names it
             if _sort(values, colors) == window:
-                parts, failure = _residue_fact(r, values, colors, sigma,
-                                               des_set, tuple)
-                if parts == lam.parts:
-                    checked += 1
-                    continue
-                if not failure:
-                    _, failure = _residue_fact(r, values, colors, sigma,
-                                               des_set, Partition)
+                try:
+                    if _residue(values, sigma, des_set) == lam.parts:
+                        checked += 1
+                        continue
+                except ValueError:
+                    pass  # _residue_fact names the refusal
+                _, failure = _residue_fact(values, colors, sigma, des_set)
                 if failure:
                     yield failure
                     return

@@ -77,14 +77,15 @@ class SeriesContext:
     """Ordered variable list with per-variable exponent caps (None = uncapped).
 
     The context also fixes the packed key layout: ``_fields`` holds the
-    (shift, mask) of each variable's field, ``_guard`` the guard bit above
-    every field, ``_capped_mask`` the bits of the capped fields, and
-    ``_cap_bias`` the per-field ``2**width - 1 - cap`` that pushes a capped
-    field past its guard bit exactly when it exceeds the cap.
+    (shift, mask) of each variable's field, ``_capped_guard`` and
+    ``_free_guard`` the guard bits above the capped and the uncapped fields,
+    ``_capped_mask`` the bits of the capped fields, and ``_cap_bias`` the
+    per-field ``2**width - 1 - cap`` that pushes a capped field past its
+    guard bit exactly when it exceeds the cap.
     """
 
-    __slots__ = ("variables", "caps", "_index", "_fields", "_guard",
-                 "_capped_mask", "_cap_bias", "_capped_guard", "_free_guard")
+    __slots__ = ("variables", "caps", "_index", "_fields", "_capped_mask",
+                 "_cap_bias", "_capped_guard", "_free_guard")
 
     def __init__(self, variables, caps=None):
         variables = tuple(variables)
@@ -121,7 +122,6 @@ class SeriesContext:
         set_(self, "caps", caps)
         set_(self, "_index", {v: i for i, v in enumerate(variables)})
         set_(self, "_fields", tuple(fields))
-        set_(self, "_guard", guard)
         set_(self, "_capped_mask", capped_mask)
         set_(self, "_cap_bias", cap_bias)
         set_(self, "_capped_guard", capped_guard)
@@ -547,15 +547,14 @@ def hat_factorial(ctx, n, a_expr, p_var):
 
 
 def bracket_two_param(ctx, m, a_var, b_var):
-    """Two-parameter bracket ``sum_{h=0}^{m-1} a^h b^(m-1-h)``; 0 for ``m == 0``."""
+    """Two-parameter bracket ``sum_{h=0}^{m-1} a^h b^(m-1-h)``, the complete
+    homogeneous sum ``h_(m-1)(a, b)``; 0 for ``m == 0``."""
     if m < 0:
         raise ValueError("bracket of a negative integer")
-    a = _as_poly(ctx, a_var)
-    b = _as_poly(ctx, b_var)
-    result = MultiPoly.zero(ctx)
-    for h in range(m):
-        result = result + a ** h * b ** (m - 1 - h)
-    return result
+    terms = (_as_poly(ctx, a_var), _as_poly(ctx, b_var))
+    if m == 0:
+        return MultiPoly.zero(ctx)
+    return _homogeneous(ctx, terms, m - 1)[m - 1]
 
 
 def _hat_multinomial(ctx, parts, a, p, rows):

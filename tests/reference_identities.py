@@ -35,12 +35,15 @@ n = 0..ucap.  This module is imported only by the tests.
 from __future__ import annotations
 
 import reference_qseries as ref
-from reference_qseries import exp_series, reference_double_pochhammer
+from reference_qseries import (
+    exp_series,
+    reference_bracket_two_param,
+    reference_double_pochhammer,
+)
 from wreathstats.qseries import (
     MultiPoly,
     SeriesContext,
     _double_terms,
-    bracket_two_param,
     pochhammer,
     q_factorial,
     q_int,
@@ -123,7 +126,7 @@ def reference_theorem_B_rhs_term(ctx, r, n, k1, k2):
     u = MultiPoly.variable(ctx, "u")
     first = reference_double_pochhammer(ctx, u, "q1", "q2", k1 + 1, k2 + 1)
     marked = MultiPoly.monomial(ctx, 1, a=1, b=1) \
-        * bracket_two_param(ctx, r - 1, "a", "b") * u
+        * reference_bracket_two_param(ctx, r - 1, "a", "b") * u
     second = reference_double_pochhammer(ctx, marked, "q1", "q2", k1, k2)
     return coefficient_of(reference_reciprocal(first * second), "u", n)
 
@@ -155,7 +158,7 @@ def reference_adin_roichman_rhs(r, ucap, qcap):
     b1 = MultiPoly.monomial(ctx, 1, q1=r)
     b2 = MultiPoly.monomial(ctx, 1, q2=r)
     marked = MultiPoly.monomial(ctx, 1, q1=1, q2=1) \
-        * bracket_two_param(ctx, r - 1, "q1", "q2") * u
+        * reference_bracket_two_param(ctx, r - 1, "q1", "q2") * u
     series = _reciprocal_double_pochhammer(ctx, u, b1, b2, None, None) \
         * _reciprocal_double_pochhammer(ctx, marked, b1, b2, None, None)
     rhs = []

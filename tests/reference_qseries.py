@@ -15,7 +15,9 @@ expansion, on ``RefPoly``, and
 ``MultiPoly``.  ``reference_pochhammer``, ``reference_double_pochhammer``
 and ``reference_q_int`` are the q-analogue constructors as they were written
 before they shared one factor run, each with its own loop and the double
-product with its own leg check; they also build on ``MultiPoly``.
+product with its own leg check, and ``reference_bracket_two_param`` the
+two-parameter bracket as a sum of powers, before it was read from the
+complete homogeneous sums; they also build on ``MultiPoly``.
 It is imported only by the tests.
 """
 
@@ -315,6 +317,17 @@ def reference_q_int(ctx, n, base):
     for _ in range(n):
         result = result + power
         power = power * b
+    return result
+
+
+def reference_bracket_two_param(ctx, m, a_var, b_var):
+    if m < 0:
+        raise ValueError("bracket of a negative integer")
+    a = _as_poly(ctx, a_var)
+    b = _as_poly(ctx, b_var)
+    result = MultiPoly.zero(ctx)
+    for h in range(m):
+        result = result + a ** h * b ** (m - 1 - h)
     return result
 
 

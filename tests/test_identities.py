@@ -15,13 +15,11 @@ from reference_identities import (
 )
 from wreathstats import biwords, identities, qseries
 from wreathstats.cli import main
-from wreathstats.encoding import ColoredSequence, partitions_in_box
+from wreathstats.encoding import _sequence_from, partitions_in_box
 from wreathstats.group import (
     BudgetExceededError,
-    ColoredPermutation,
     enumerate_group,
     group_order,
-    identity_element,
     inverse,
     order_key,
     _skew,
@@ -346,20 +344,18 @@ class TestBijectionStats:
         # A colored zero sorts to [1^1], a descent at 0 over the value 0.
         # Its residue would have the negative part -1, but the growth check
         # comes before the residue's Partition check and names it.
-        f = ColoredSequence(2, (0,), (1,))
-        monkeypatch.setattr(identities, "enumerate_sequences",
-                            lambda *args, **kwargs: iter([f]))
+        monkeypatch.setattr(identities, "_sequences",
+                            lambda *args, **kwargs: iter([((0,), (1,))]))
         got = next(identities._bijection_stats(None, 2, 1, 0))
         assert got == ("fact", "descent forces growth at 0^1", False, None)
 
     def test_sequence_side_residue_failure_is_a_fact(self, monkeypatch):
         # An identity "sort" of 1,0 has no descent to grow across, so the
         # residue 1,0 reaches its Partition check.
-        f = ColoredSequence(1, (1, 0), (0, 0))
-        monkeypatch.setattr(identities, "enumerate_sequences",
-                            lambda *args, **kwargs: iter([f]))
-        monkeypatch.setattr(identities, "pi_of",
-                            lambda f: identity_element(f.r, f.n))
+        monkeypatch.setattr(identities, "_sequences",
+                            lambda *args, **kwargs: iter([((1, 0), (0, 0))]))
+        monkeypatch.setattr(identities, "_sort", lambda values, colors:
+                            (tuple(range(1, len(values) + 1)), colors))
         got = next(identities._bijection_stats(None, 1, 2, 1))
         assert got == ("fact", "residue of 1,0", False, "parts must be nondecreasing")
 
@@ -367,7 +363,7 @@ class TestBijectionStats:
         def refuse(f, gamma, des_set):
             raise ValueError("parts must be nonnegative")
 
-        monkeypatch.setattr(identities, "enumerate_sequences",
+        monkeypatch.setattr(identities, "_sequences",
                             lambda *args, **kwargs: iter([]))
         monkeypatch.setattr(identities, "_residue", refuse)
         facts = list(identities._bijection_stats(None, 1, 1, 0))
@@ -375,21 +371,10 @@ class TestBijectionStats:
                              "parts must be nonnegative")
 
 
-def _reversed_pi_of(f):
-    """pi_of with the value sort reversed: a faulty map under test."""
-    values, colors = f.values, f.colors
-    order = sorted(range(1, f.n + 1),
-                   key=lambda i: (values[i - 1], order_key(i, colors[i - 1])),
-                   reverse=True)
-    return ColoredPermutation(f.r, tuple(order), tuple(colors[i - 1] for i in order))
-
-
 class TestFaultyMapReportsFail:
     @pytest.fixture(autouse=True)
     def reversed_sort(self, monkeypatch):
-        monkeypatch.setattr(identities, "pi_of", _reversed_pi_of)
-        monkeypatch.setattr(biwords, "pi_of", _reversed_pi_of)
-        # the checkers' tuple paths sort with _sort, bound in both modules
+        # the checkers sort with _sort, bound in both modules
         monkeypatch.setattr(identities, "_sort", _reversed_sort)
         monkeypatch.setattr(biwords, "_sort", _reversed_sort)
 
@@ -454,6 +439,14 @@ def _countless_sequence_from(parts, des_set, skew_sigma, skew_colors):
     return tuple(parts[s - 1] for s in skew_sigma), skew_colors
 
 
+def _lowered_sequence_from(parts, des_set, skew_sigma, skew_colors):
+    """_sequence_from with every value one too small: a faulty core whose
+    images are no colored sequences, so the failing facts must name them
+    from their tuples."""
+    values, colors = _sequence_from(parts, des_set, skew_sigma, skew_colors)
+    return tuple(v - 1 for v in values), colors
+
+
 def _colorless_skew(sigma, colors):
     """_skew with every color dropped: a faulty core."""
     return _skew(sigma, colors)[0], (0,) * len(sigma)
@@ -499,6 +492,7 @@ def _unnegated_inverse_colors(r, colors, inv_sigma):
 class TestFaultyCoreReportsFail:
     @pytest.mark.parametrize("module,core,fault,name", [
         (identities, "_sequence_from", _countless_sequence_from, "bijection_stats"),
+        (identities, "_sequence_from", _lowered_sequence_from, "bijection_stats"),
         (biwords, "_skew", _colorless_skew, "biword_count"),
         (identities, "_biwords", _lax_biwords, "biword_count"),
         (identities, "_homogeneous", _short_homogeneous, "theorem_B"),
@@ -543,7 +537,7 @@ class TestFailureLabels:
 
     @staticmethod
     def pair_side(monkeypatch, r, n, cap):
-        monkeypatch.setattr(identities, "enumerate_sequences",
+        monkeypatch.setattr(identities, "_sequences",
                             lambda *args, **kwargs: iter([]))
         return list(identities._bijection_stats(None, r, n, cap))[-1]
 
@@ -566,6 +560,12 @@ class TestFailureLabels:
         monkeypatch.setattr(identities, "_residue", lambda values, sigma, des_set:
                             tuple(v + shift for v in values))
         assert self.pair_side(monkeypatch, 1, 1, 0) == fact
+
+    def test_residue_of_a_pair_image_that_is_no_sequence(self, monkeypatch):
+        # ([1], 0) lowered is -1, which no ColoredSequence holds
+        monkeypatch.setattr(identities, "_sequence_from", _lowered_sequence_from)
+        assert self.pair_side(monkeypatch, 1, 1, 0) == (
+            "fact", "residue of -1", False, "parts must be nonnegative")
 
     @pytest.mark.parametrize("fault,detail", [
         (_reversed_sort, "first partition is not skew-inverse compatible"),

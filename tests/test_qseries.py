@@ -713,6 +713,15 @@ class TestConstructorOracle:
                         assert _constructed(double_pochhammer, *args) \
                             == _constructed(ref.reference_double_pochhammer, *args), args
 
+    @pytest.mark.parametrize("names", [("a", "b"), ("q1", "q2")])
+    def test_bracket_two_param(self, names):
+        for caps in ((None, None), (2, 3), (0, None)):
+            ctx = SeriesContext(names, caps)
+            for m in range(-1, 7):
+                args = (ctx, m, *names)
+                assert _constructed(bracket_two_param, *args) \
+                    == _constructed(ref.reference_bracket_two_param, *args), (caps, m)
+
     @pytest.mark.parametrize("names,t,base", [
         (("t", "q"), "t", "q"),
         (("t1", "t2", "q1", "q2", "a", "b"), "t2", "q2"),
