@@ -17,8 +17,9 @@ yields ``enumerate_biwords``' rows as ``(top parts, values, colors)``,
 ``_from_triple`` map a biword's tuples to its triple's ``(sigma, colors,
 lam, mu)`` and back.  These two read each element's descent sets and skew
 inverse from a table of ``_window`` entries, which ``to_triple`` and
-``from_triple`` fill with the one element they need, and raise
-``Triple``'s messages.
+``from_triple`` fill with the one element they need.  Each check runs once:
+``_to_triple`` checks the triple it makes, ``_from_triple`` takes a checked
+one, and the value objects around their results are built ``_unchecked``.
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ from dataclasses import dataclass
 from .group import (
     BudgetExceededError,
     ColoredPermutation,
+    _check_window,
     _count_text,
     _descent_set,
     _skew,
+    _unchecked,
     order_key,
 )
 from .encoding import (
@@ -41,10 +44,10 @@ from .encoding import (
     _check_parts,
     _fits,
     _in_n0,
+    _parts_in_box,
     _push,
     _sort,
     multinomial,
-    partitions_in_box,
 )
 
 __all__ = [
@@ -133,9 +136,11 @@ def _check_triple(lam, mu, des_set, skew_des_set):
 
 def to_triple(b):
     """Sort the bottom row: the element, the top row, and the sorted values.
-    The tuples come from the core ``_to_triple``."""
-    sigma, colors, _, mu = _to_triple(b.f.r, b.g.parts, b.f.values, b.f.colors, {})
-    return Triple(ColoredPermutation(b.f.r, sigma, colors), b.g, Partition(mu))
+    The tuples come from the core ``_to_triple``, which has checked them."""
+    r = b.f.r
+    sigma, colors, _, mu = _to_triple(r, b.g.parts, b.f.values, b.f.colors, {})
+    return _unchecked(Triple, _unchecked(ColoredPermutation, r, sigma, colors),
+                      b.g, _unchecked(Partition, mu))
 
 
 def _to_triple(r, lam, values, colors, windows):
@@ -148,7 +153,7 @@ def _to_triple(r, lam, values, colors, windows):
     """
     window = _sort(values, colors)
     if window not in windows:
-        ColoredPermutation(r, *window)
+        _check_window(r, *window)
         windows[window] = _window(*window)
     des_set, skew_des_set, _ = windows[window]
     mu = _check_parts(tuple(values[s - 1] for s in window[0]))
@@ -159,20 +164,20 @@ def _to_triple(r, lam, values, colors, windows):
 def from_triple(t):
     """Rebuild the biword: top row is the first partition, bottom row is the
     second partition pushed through the skew inverse with colors riding along.
-    The tuples come from the core ``_from_triple``."""
+    The tuples come from the core ``_from_triple``; ``t`` was checked when
+    it was built, and a compatible pair's rows form a biword."""
     window = t.gamma.sigma, t.gamma.colors
     _, values, colors = _from_triple(*window, t.lam.parts, t.mu.parts,
                                      {window: _window(*window)})
-    return Biword(g=t.lam, f=ColoredSequence(t.gamma.r, values, colors))
+    return _unchecked(Biword, t.lam, _unchecked(ColoredSequence, t.gamma.r,
+                                                values, colors))
 
 
 def _from_triple(sigma, colors, lam, mu, windows):
-    """``from_triple`` on a triple's tuples: the biword's ``(lam, values,
-    colors)``.  ``windows`` is ``_to_triple``'s table and must hold the
-    element; an incompatible pair raises ``Triple``'s error."""
-    des_set, skew_des_set, skew = windows[sigma, colors]
-    _check_triple(lam, mu, des_set, skew_des_set)
-    return (lam, *_push(mu, *skew))
+    """``from_triple`` on a checked triple's tuples: the biword's ``(lam,
+    values, colors)``.  ``windows`` is ``_to_triple``'s table and must hold
+    the element."""
+    return (lam, *_push(mu, *windows[sigma, colors][2]))
 
 
 def enumerate_biwords(r, n, cap_f, cap_g, max_elements=None):
@@ -204,8 +209,7 @@ def _biwords(r, n, cap_f, cap_g, max_elements=None):
                 if not (v == 0 and c > 0)]
     after = {entry: [e for e in alphabet if _may_follow(*entry, *e)]
              for entry in alphabet}
-    for g in partitions_in_box(n, cap_g):
-        lam = g.parts
+    for lam in _parts_in_box(n, cap_g):
         # (values, colors, last entry) of each bottom row built so far
         rows = [((), (), (0, 0))]
         prev = 0
@@ -216,6 +220,12 @@ def _biwords(r, n, cap_f, cap_g, max_elements=None):
             prev = top
         for values, colors, _ in rows:
             yield lam, values, colors
+
+
+def _biword_text(r, lam, values, colors):
+    """``repr(Biword(...))`` of a biword's tuples, which may form none."""
+    return (f"Biword(g=Partition(parts={lam!r}), f=ColoredSequence(r={r!r}, "
+            f"values={values!r}, colors={colors!r}))")
 
 
 def column_multiset(b):

@@ -13,8 +13,10 @@ that read only the tuples and need no checked value object: ``_sort`` gives
 ``sequence_from`` and ``_sequences`` those of ``enumerate_sequences``'
 sequences, after the checks and budget of ``_check_sequences``.  ``_in_n0``
 and ``_check_parts`` are the checks of ``ColoredSequence.in_n0`` and
-``Partition`` on tuples, and ``_sequence_text`` is ``format_sequence`` on
-tuples, so a failing check can name values no ``ColoredSequence`` holds.
+``Partition`` on tuples, and ``_parts_in_box`` gives the parts of
+``partitions_in_box``.  ``format_sequence`` writes its entries with
+``group._entries_text``, which takes tuples, so a failing check can name
+values no ``ColoredSequence`` holds.
 
 ``_sort`` sorts one sequence from nothing.  It serves ``pi_of``,
 ``lambda_of``, ``seq_statistics`` and the bijection checks (the triple maps
@@ -39,6 +41,7 @@ from .group import (
     ParseError,
     _count_text,
     _descent_set,
+    _entries_text,
     _length,
     _parse_entries,
     _skew,
@@ -386,9 +389,15 @@ def _check_sequences(r, n, max_cap=None, restrict_n0=True, composition=None,
 
 
 def partitions_in_box(n, cap):
-    """All nondecreasing n-tuples with parts in [0, cap], lexicographically."""
-    for parts in itertools.combinations_with_replacement(range(cap + 1), n):
+    """All nondecreasing n-tuples with parts in [0, cap], lexicographically.
+    The parts come from the tuple core ``_parts_in_box``."""
+    for parts in _parts_in_box(n, cap):
         yield Partition(parts)
+
+
+def _parts_in_box(n, cap):
+    """``partitions_in_box`` as parts tuples, same order."""
+    return itertools.combinations_with_replacement(range(cap + 1), n)
 
 
 # -- sequence text ----------------------------------------------------------
@@ -404,12 +413,7 @@ def parse_sequence(text, r):
 
 
 def format_sequence(f):
-    return _sequence_text(f.values, f.colors)
-
-
-def _sequence_text(values, colors):
-    """``format_sequence`` on tuples that no ``ColoredSequence`` need hold."""
-    return ",".join(f"{v}^{c}" if c else str(v) for v, c in zip(values, colors))
+    return _entries_text(f.values, f.colors)
 
 
 def parse_partition(text):

@@ -103,15 +103,7 @@ class ColoredPermutation:
     colors: tuple
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("r must be a positive integer")
-        n = len(self.sigma)
-        if len(self.colors) != n:
-            raise ValueError("sigma and colors must have equal length")
-        if sorted(self.sigma) != list(range(1, n + 1)):
-            raise ValueError("sigma is not a permutation of 1..n")
-        if self.colors and (min(self.colors) < 0 or max(self.colors) >= self.r):
-            raise ValueError("color out of range")
+        _check_window(self.r, self.sigma, self.colors)
 
     @property
     def n(self):
@@ -129,6 +121,27 @@ class ColoredPermutation:
 
     def __mul__(self, other):
         return multiply(self, other)
+
+
+def _check_window(r, sigma, colors):
+    """``ColoredPermutation``'s checks on window tuples."""
+    if r < 1:
+        raise ValueError("r must be a positive integer")
+    n = len(sigma)
+    if len(colors) != n:
+        raise ValueError("sigma and colors must have equal length")
+    if sorted(sigma) != list(range(1, n + 1)):
+        raise ValueError("sigma is not a permutation of 1..n")
+    if colors and (min(colors) < 0 or max(colors) >= r):
+        raise ValueError("color out of range")
+
+
+def _unchecked(cls, *values):
+    """``cls(*values)`` for a frozen dataclass without its ``__post_init__``,
+    for values a core has already checked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
 
 
 def identity_element(r, n):
@@ -281,14 +294,21 @@ def _check_group_budget(r, n, max_elements):
 def enumerate_group(r, n, max_elements=None):
     """Yield every element of the r-colored group on n letters exactly once.
 
-    Deterministic order: lexicographic by sigma, then by color vector.
+    Deterministic order: lexicographic by sigma, then by color vector.  The
+    windows come from the tuple core ``_windows``.
     """
+    for sigma, colors in _windows(r, n, max_elements):
+        yield ColoredPermutation(r, sigma, colors)
+
+
+def _windows(r, n, max_elements=None):
+    """``enumerate_group`` as ``(sigma, colors)`` tuples, same order and checks."""
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
     _check_group_budget(r, n, max_elements)
     for sigma in itertools.permutations(range(1, n + 1)):
         for colors in itertools.product(range(r), repeat=n):
-            yield ColoredPermutation(r, sigma, colors)
+            yield sigma, colors
 
 
 # -- window-notation text --------------------------------------------------
@@ -332,6 +352,11 @@ def parse_window(text, r):
 
 
 def format_window(gamma):
-    inner = ",".join(f"{v}^{c}" if c else str(v)
-                     for v, c in zip(gamma.sigma, gamma.colors))
-    return f"[{inner}]"
+    return f"[{_entries_text(gamma.sigma, gamma.colors)}]"
+
+
+def _entries_text(values, colors):
+    """Window or sequence entries as text, ``v^c`` or ``v`` when uncolored,
+    for ``format_window`` (in brackets), ``format_sequence`` and labels
+    built from tuples that no value object need hold."""
+    return ",".join(f"{v}^{c}" if c else str(v) for v, c in zip(values, colors))

@@ -44,33 +44,29 @@ from .group import (
     BudgetExceededError,
     _check_group_budget,
     _descent_set,
+    _entries_text,
     _inverse_colors,
     _inverse_sigma,
+    _length,
     _skew,
-    enumerate_group,
-    inverse,
+    _windows,
     order_key,
-    project_to_signed,
-    statistics,
 )
 from .encoding import (
-    ColoredSequence,
-    Partition,
     _check_parts,
     _check_sequences,
     _distinct_permutations,
     _fits,
     _in_n0,
     _insertion,
+    _parts_in_box,
     _residue,
     _sequence_from,
-    _sequence_text,
     _sequences,
     _sort,
-    partitions_in_box,
 )
 from .biwords import (
-    Biword,
+    _biword_text,
     _biwords,
     _columns,
     _from_triple,
@@ -410,31 +406,30 @@ def _ell_col(max_elements, r, n):
 def _projection(max_elements, r, n):
     ctx = SeriesContext(("p", "a"))
     buckets = {}
-    for gamma in enumerate_group(r, n, max_elements):
-        flat = project_to_signed(gamma)
-        rec, flat_des = statistics(gamma), _descent_set(flat.sigma, flat.colors)
-        if rec.des_set != flat_des:
-            yield ("fact", f"descents of {gamma}", False,
-                   f"{sorted(rec.des_set)} vs {sorted(flat_des)}"
+    for sigma, colors in _windows(r, n, max_elements):
+        signs = tuple(1 if c else 0 for c in colors)
+        des_set, flat_des = _descent_set(sigma, colors), _descent_set(sigma, signs)
+        if des_set != flat_des:
+            yield ("fact", f"descents of [{_entries_text(sigma, colors)}]", False,
+                   f"{sorted(des_set)} vs {sorted(flat_des)}"
                    " after forgetting colors")
             return
-        inv, flat_inv = inverse(gamma), inverse(flat)
-        if (_descent_set(inv.sigma, inv.colors)
-                != _descent_set(flat_inv.sigma, flat_inv.colors)):
-            yield ("fact", f"inverse descents of {gamma}", False,
+        inv_sigma = _inverse_sigma(sigma)
+        if (_descent_set(inv_sigma, _inverse_colors(r, colors, inv_sigma))
+                != _descent_set(inv_sigma, _inverse_colors(2, signs, inv_sigma))):
+            yield ("fact", f"inverse descents of [{_entries_text(sigma, colors)}]", False,
                    "descent sets of the inverses differ after forgetting colors")
             return
-        entry = buckets.setdefault(flat, {})
-        exps = (rec.length, rec.col)
+        entry = buckets.setdefault((sigma, signs), {})
+        exps = (_length(sigma, colors), sum(colors))
         entry[exps] = entry.get(exps, 0) + 1
     yield ("fact", f"descent preservation r={r} n={n}", True, None)
     twist = _color_twist(ctx, r)
-    # enumerate_group's order (sigma, then signs) fixes the order of the cases
-    for flat in enumerate_group(2, n):
-        rec = statistics(flat)
-        lhs = MultiPoly(ctx, buckets.get(flat, {}))
-        rhs = MultiPoly.monomial(ctx, 1, p=rec.length) * twist ** rec.col
-        label = f"fiber over sigma={flat.sigma} signs={flat.colors} (r={r})"
+    # _windows' order (sigma, then signs) fixes the order of the cases
+    for sigma, signs in _windows(2, n):
+        lhs = MultiPoly(ctx, buckets.get((sigma, signs), {}))
+        rhs = MultiPoly.monomial(ctx, 1, p=_length(sigma, signs)) * twist ** sum(signs)
+        label = f"fiber over sigma={sigma} signs={signs} (r={r})"
         yield ("poly", label, lhs, rhs)
 
 
@@ -477,11 +472,12 @@ def _desmaj(max_elements, r, n, tmax):
     ctx = SeriesContext(("t", "q"), (tmax, None))
     buckets = _desmaj_tally(max_elements, r, n, tmax)
     denom = _reciprocal_pochhammer(ctx, "t", "q", n)
-    for gamma in enumerate_group(r, n, max_elements):
-        des_set = _descent_set(gamma.sigma, gamma.colors)
-        lhs = MultiPoly(ctx, buckets.get((gamma.sigma, gamma.colors), {}))
+    for window in _windows(r, n, max_elements):
+        des_set = _descent_set(*window)
+        lhs = MultiPoly(ctx, buckets.get(window, {}))
         rhs = MultiPoly.monomial(ctx, 1, t=len(des_set), q=sum(des_set)) * denom
-        yield ("poly", f"sequences sorting to {gamma} (r={r})", lhs, rhs)
+        yield ("poly", f"sequences sorting to [{_entries_text(*window)}] (r={r})",
+               lhs, rhs)
 
 
 def _keylem_tally(max_elements, r, n, comp):
@@ -744,7 +740,7 @@ def _residue_fact(values, colors, sigma, des_set):
     try:
         return _check_parts(_residue(values, sigma, des_set)), None
     except ValueError as exc:
-        return None, ("fact", f"residue of {_sequence_text(values, colors)}",
+        return None, ("fact", f"residue of {_entries_text(values, colors)}",
                       False, str(exc))
 
 
@@ -760,7 +756,7 @@ def _bijection_stats(max_elements, r, n, cap):
         # the sorted values grow strictly across every descent, a descent at
         # 0 against the implicit zero
         if not _fits(tuple(values[s - 1] for s in sigma), des_set):
-            yield ("fact", f"descent forces growth at {_sequence_text(values, colors)}",
+            yield ("fact", f"descent forces growth at {_entries_text(values, colors)}",
                    False, None)
             return
         parts, failure = _residue_fact(values, colors, sigma, des_set)
@@ -770,40 +766,42 @@ def _bijection_stats(max_elements, r, n, cap):
         des, maj = len(des_set), sum(des_set)
         back = _sequence_from(parts, des_set, *_skew(*window))
         if back != (values, colors):
-            yield ("fact", f"round trip of {_sequence_text(values, colors)}", False,
-                   f"came back as {_sequence_text(*back)}")
+            yield ("fact", f"round trip of {_entries_text(values, colors)}", False,
+                   f"came back as {_entries_text(*back)}")
             return
         top, total = max(values, default=0), sum(values)
         if top != max(parts, default=0) + des:
-            yield ("fact", f"max relation at {_sequence_text(values, colors)}", False,
+            yield ("fact", f"max relation at {_entries_text(values, colors)}", False,
                    f"max {top} vs {max(parts, default=0)} + {des}")
             return
         if total != sum(parts) + n * des - maj:
-            yield ("fact", f"sum relation at {_sequence_text(values, colors)}", False,
+            yield ("fact", f"sum relation at {_entries_text(values, colors)}", False,
                    f"{total} vs {sum(parts)} + {n}*{des} - {maj}")
             return
         checked += 1
     yield ("fact", f"sequence side r={r} n={n} cap={cap} ({checked} sequences)",
            True, None)
     checked = 0
-    boxes = list(partitions_in_box(n, cap))
-    for gamma in enumerate_group(r, n, max_elements):
-        # gamma's descent set and skew inverse, built once for all its pairs
-        sigma = gamma.sigma
-        window = sigma, gamma.colors
+    boxes = list(_parts_in_box(n, cap))
+    zeros = (0,) * n  # a partition is written as its parts, uncolored
+    for window in _windows(r, n, max_elements):
+        # the element's descent set and skew inverse, built once for all its
+        # pairs
+        sigma = window[0]
         des_set = _descent_set(*window)
         skew = _skew(*window)
         for lam in boxes:
-            values, colors = _sequence_from(lam.parts, des_set, *skew)
+            values, colors = _sequence_from(lam, des_set, *skew)
             if not _in_n0(values, colors):
-                yield ("fact", f"image of ({gamma}, {lam})", False,
+                yield ("fact", f"image of ([{_entries_text(*window)}], "
+                       f"{_entries_text(lam, zeros)})", False,
                        "left the zero-forces-uncolored set")
                 return
-            # once the sort gives gamma back, the residue reads gamma's
+            # once the sort gives the element back, the residue reads its
             # descent set; one other than lam is named as lambda_of names it
             if _sort(values, colors) == window:
                 try:
-                    if _residue(values, sigma, des_set) == lam.parts:
+                    if _residue(values, sigma, des_set) == lam:
                         checked += 1
                         continue
                 except ValueError:
@@ -812,37 +810,33 @@ def _bijection_stats(max_elements, r, n, cap):
                 if failure:
                     yield failure
                     return
-            yield ("fact", f"round trip of ({gamma}, {lam})", False, None)
+            yield ("fact", f"round trip of ([{_entries_text(*window)}], "
+                   f"{_entries_text(lam, zeros)})", False, None)
             return
     yield ("fact", f"pair side r={r} n={n} cap={cap} ({checked} pairs)",
            True, None)
 
 
-def _biword(r, word):
-    """The ``Biword`` of a biword's tuples, for the fact that names it."""
-    lam, values, colors = word
-    return Biword(g=Partition(lam), f=ColoredSequence(r, values, colors))
-
-
 def _biword_count(max_elements, r, n, cap_f, cap_g):
-    # Every biword is checked on its tuples; the Biword object its fact names
-    # is built only when a check fails.
+    # Every biword is checked on its tuples, and a failing fact names it
+    # from them, since a faulty enumerator's rows may be no Partition or
+    # ColoredSequence.
     words = list(_biwords(r, n, cap_f, cap_g, max_elements))
     for word in words:
         if not _is_biword(*word):
             lam, values, colors = word
-            yield ("fact", f"biword {Partition(lam)} over "
-                   f"{ColoredSequence(r, values, colors)}", False,
+            yield ("fact", f"biword {_entries_text(lam, (0,) * len(lam))} over "
+                   f"{_entries_text(values, colors)}", False,
                    "rows do not form a valid biword")
             return
-    # The group walk of the expected set also fills the table of each
-    # element's descent sets and skew inverse that both triple maps read.
-    tops = [lam.parts for lam in partitions_in_box(n, cap_g)]
-    bottoms = [mu.parts for mu in partitions_in_box(n, cap_f)]
+    # The walk of the expected set over the group's windows also fills the
+    # table of each element's descent sets and skew inverse that both
+    # triple maps read.
+    tops = list(_parts_in_box(n, cap_g))
+    bottoms = list(_parts_in_box(n, cap_f))
     windows = {}
     expected = set()
-    for gamma in enumerate_group(r, n, max_elements):
-        window = gamma.sigma, gamma.colors
+    for window in _windows(r, n, max_elements):
         des_set, skew_des_set, _ = windows[window] = _window(*window)
         mus = [mu for mu in bottoms if _fits(mu, des_set)]
         for lam in tops:
@@ -853,7 +847,7 @@ def _biword_count(max_elements, r, n, cap_f, cap_g):
         try:
             triples.append(_to_triple(r, *word, windows))
         except ValueError as exc:
-            yield ("fact", f"triple of {_biword(r, word)}", False, str(exc))
+            yield ("fact", f"triple of {_biword_text(r, *word)}", False, str(exc))
             return
     got = set(triples)
     if len(got) != len(words):
@@ -861,7 +855,7 @@ def _biword_count(max_elements, r, n, cap_f, cap_g):
         return
     for word, triple in zip(words, triples):
         if _from_triple(*triple, windows) != word:
-            yield ("fact", f"round trip of {_biword(r, word)}", False, None)
+            yield ("fact", f"round trip of {_biword_text(r, *word)}", False, None)
             return
     yield ("fact", f"image is every compatible triple (r={r} n={n})",
            got == expected,

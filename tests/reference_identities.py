@@ -1,6 +1,7 @@
 """Full-product right sides, the differential oracles for the u-graded
 right sides of ``theorem_A``, ``reiner``, ``brenti``, ``theorem_B``,
-``gessel_roselle`` and ``adin_roichman``.
+``gessel_roselle`` and ``adin_roichman``, and the per-element loop of
+``projection``.
 
 The package no longer has the whole-series tools they read, so
 ``coefficient_of``, ``substitute``, ``divide_exact`` and every reciprocal
@@ -29,7 +30,10 @@ context has it already).  ``reference_gessel_roselle_rhs`` and
 before the complete homogeneous sums: the product of the reciprocals of
 the double product's factors, each a geometric series in a context with
 ``u``, read with ``coefficient_of``.  They return the right sides for
-n = 0..ucap.  This module is imported only by the tests.
+n = 0..ucap.  ``reference_projection`` is the ``projection`` entry before
+it walked window tuples: one checked element per step of
+``enumerate_group``, read through ``statistics``, ``project_to_signed`` and
+two ``inverse`` calls.  This module is imported only by the tests.
 """
 
 from __future__ import annotations
@@ -40,6 +44,14 @@ from reference_qseries import (
     reference_bracket_two_param,
     reference_double_pochhammer,
 )
+from wreathstats.group import (
+    _descent_set,
+    enumerate_group,
+    inverse,
+    project_to_signed,
+    statistics,
+)
+from wreathstats.identities import _color_twist
 from wreathstats.qseries import (
     MultiPoly,
     SeriesContext,
@@ -166,3 +178,34 @@ def reference_adin_roichman_rhs(r, ucap, qcap):
         clear = pochhammer(ctx, b1, b1, n) * pochhammer(ctx, b2, b2, n)
         rhs.append(coefficient_of(series, "u", n) * clear)
     return rhs
+
+
+def reference_projection(max_elements, r, n):
+    ctx = SeriesContext(("p", "a"))
+    buckets = {}
+    for gamma in enumerate_group(r, n, max_elements):
+        flat = project_to_signed(gamma)
+        rec, flat_des = statistics(gamma), _descent_set(flat.sigma, flat.colors)
+        if rec.des_set != flat_des:
+            yield ("fact", f"descents of {gamma}", False,
+                   f"{sorted(rec.des_set)} vs {sorted(flat_des)}"
+                   " after forgetting colors")
+            return
+        inv, flat_inv = inverse(gamma), inverse(flat)
+        if (_descent_set(inv.sigma, inv.colors)
+                != _descent_set(flat_inv.sigma, flat_inv.colors)):
+            yield ("fact", f"inverse descents of {gamma}", False,
+                   "descent sets of the inverses differ after forgetting colors")
+            return
+        entry = buckets.setdefault(flat, {})
+        exps = (rec.length, rec.col)
+        entry[exps] = entry.get(exps, 0) + 1
+    yield ("fact", f"descent preservation r={r} n={n}", True, None)
+    twist = _color_twist(ctx, r)
+    # enumerate_group's order (sigma, then signs) fixes the order of the cases
+    for flat in enumerate_group(2, n):
+        rec = statistics(flat)
+        lhs = MultiPoly(ctx, buckets.get(flat, {}))
+        rhs = MultiPoly.monomial(ctx, 1, p=rec.length) * twist ** rec.col
+        label = f"fiber over sigma={flat.sigma} signs={flat.colors} (r={r})"
+        yield ("poly", label, lhs, rhs)

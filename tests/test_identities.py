@@ -5,20 +5,32 @@ from bisect import bisect_left, bisect_right
 import pytest
 
 from reference_group import reference_dist_terms
+import reference_identities
 from reference_identities import (
     reference_adin_roichman_rhs,
     reference_brenti_rhs,
     reference_gessel_roselle_rhs,
+    reference_projection,
     reference_reiner_rhs,
     reference_theorem_A_rhs,
     reference_theorem_B_rhs_term,
 )
-from wreathstats import biwords, identities, qseries
+from wreathstats import biwords, group, identities, qseries
+from wreathstats.biwords import Biword, Triple, _biword_text
 from wreathstats.cli import main
-from wreathstats.encoding import _sequence_from, partitions_in_box
+from wreathstats.encoding import (
+    ColoredSequence,
+    Partition,
+    _sequence_from,
+    partitions_in_box,
+)
 from wreathstats.group import (
     BudgetExceededError,
+    ColoredPermutation,
+    _descent_set,
+    _entries_text,
     enumerate_group,
+    format_window,
     group_order,
     inverse,
     order_key,
@@ -211,6 +223,67 @@ class TestNoDivision:
 
     def test_keylem_beyond_the_defaults(self):
         assert verify_identity("keylem", r=3, n=4).passed
+
+
+class TestNoValueObject:
+    """No catalog path builds a checked value object: the walks, the
+    checks and the labels all run on tuples, so a faulty core's output
+    that no value object would hold is reported as a failing fact."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_value_objects(self, monkeypatch):
+        def refuse(obj):
+            raise AssertionError(f"a catalog path built a {type(obj).__name__}")
+        for cls in (ColoredPermutation, Partition, ColoredSequence, Biword, Triple):
+            monkeypatch.setattr(cls, "__post_init__", refuse)
+
+    def test_no_value_object_tool_is_bound(self):
+        for name in ("enumerate_group", "inverse", "statistics", "project_to_signed",
+                     "partitions_in_box", "ColoredPermutation", "Partition",
+                     "ColoredSequence", "Biword", "Triple"):
+            assert not hasattr(identities, name), name
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog_default(self, name):
+        assert verify_identity(name).passed
+
+    # biword_count's default is r=2 n=2 with both caps 2
+    def test_bijection_stats_beyond_the_defaults(self):
+        assert verify_identity("bijection_stats", r=3, n=3).passed
+
+
+def _projection_cases(cases):
+    """A projection run's facts as they are, and its polynomial cases as
+    their labels and the ``to_lines()`` of both sides."""
+    return [case if case[0] == "fact" else
+            (case[1], case[2].to_lines(), case[3].to_lines()) for case in cases]
+
+
+def _colored_zero_descent_set(sigma, colors):
+    """_descent_set that drops the descent at 0 under a first color of 2
+    or more: a faulty core under test, the same as the true one at r <= 2."""
+    des_set = _descent_set(sigma, colors)
+    return des_set - {0} if colors and colors[0] > 1 else des_set
+
+
+class TestProjectionOracle:
+    """``projection`` on window tuples against the per-element loop it
+    replaced, on every case and on the first failing fact."""
+
+    @pytest.mark.parametrize("r,n", [(2, 3), (3, 3), (3, 4), (4, 3)])
+    def test_matches_per_element_loop(self, r, n):
+        got = _projection_cases(identities._projection(None, r, n))
+        assert got == _projection_cases(reference_projection(None, r, n))
+        assert got[0] == ("fact", f"descent preservation r={r} n={n}", True, None)
+
+    @pytest.mark.parametrize("r,n", [(2, 3), (3, 3), (4, 3)])
+    def test_matches_under_a_faulty_descent_set(self, monkeypatch, r, n):
+        for module in (group, identities, reference_identities):
+            monkeypatch.setattr(module, "_descent_set", _colored_zero_descent_set)
+        got = _projection_cases(identities._projection(None, r, n))
+        assert got == _projection_cases(reference_projection(None, r, n))
+        # the fault shows only past two colors
+        assert got[0][2] == (r <= 2)
 
 
 class TestCoefficientOnlyRightSides:
@@ -489,6 +562,11 @@ def _unnegated_inverse_colors(r, colors, inv_sigma):
     return tuple(colors[s - 1] for s in inv_sigma)
 
 
+def _one_biword(word):
+    """_biwords that yields ``word`` alone: a faulty enumerator."""
+    return lambda *args: iter([word])
+
+
 class TestFaultyCoreReportsFail:
     @pytest.mark.parametrize("module,core,fault,name", [
         (identities, "_sequence_from", _countless_sequence_from, "bijection_stats"),
@@ -501,6 +579,11 @@ class TestFaultyCoreReportsFail:
         (identities, "_homogeneous", _short_homogeneous, "biword_count"),
         *[(identities, "_reciprocal_pochhammer", _short_reciprocal_pochhammer, name)
           for name in ("theorem_A", "theorem_B", "chow_gessel", "carlitz", "desmaj")],
+        # rows with a negative value, which no ColoredSequence holds
+        *[pytest.param(identities, "_biwords", _one_biword(word), "biword_count",
+                       id=f"_biwords-{place}_negative-biword_count")
+          for place, word in (("first", ((0, 0), (-1, 1), (0, 0))),
+                              ("last", ((0, 0), (1, -1), (0, 0))))],
     ])
     def test_cli_prints_fail_not_invalid_input(self, monkeypatch, capsys,
                                                module, core, fault, name):
@@ -599,6 +682,21 @@ class TestFailureLabels:
         facts = list(identities._biword_count(None, 2, 2, 1, 0))
         assert facts[-1] == ("fact", "biword 0,0 over 1,1^1", False,
                              "rows do not form a valid biword")
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_label_text_matches_the_objects(r):
+    """The labels built from tuples read as the value objects write them:
+    windows for r <= 3, n <= 3, and biwords for r <= 2, n <= 2, caps <= 2."""
+    for n in range(4):
+        for gamma in enumerate_group(r, n):
+            assert f"[{_entries_text(gamma.sigma, gamma.colors)}]" == format_window(gamma)
+    for n, cap_f, cap_g in itertools.product(range(3), repeat=3) if r <= 2 else ():
+        for lam, values, colors in biwords._biwords(r, n, cap_f, cap_g):
+            b = Biword(g=Partition(lam), f=ColoredSequence(r, values, colors))
+            assert _biword_text(r, lam, values, colors) == repr(b)
+            assert (f"biword {_entries_text(lam, (0,) * n)} over "
+                    f"{_entries_text(values, colors)}" == f"biword {b.g} over {b.f}")
 
 
 class TestInverseStatistics:
