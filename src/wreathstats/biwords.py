@@ -15,9 +15,10 @@ Each map has one tuple core that the public function wraps: ``_biwords``
 yields ``enumerate_biwords``' rows as ``(top parts, values, colors)``,
 ``_is_biword`` is ``is_biword`` on them, and ``_to_triple`` and
 ``_from_triple`` map a biword's tuples to its triple's ``(sigma, colors,
-lam, mu)`` and back.  These two read each element's descent sets and skew
-inverse from a table of ``_window`` entries, which ``to_triple`` and
-``from_triple`` fill with the one element they need.  Each check runs once:
+lam, mu)`` and back.  ``_to_triple`` reads each element's descent sets and
+skew inverse from a table of ``_window`` entries, which ``to_triple`` fills
+with the one element it needs; ``_from_triple`` takes the skew inverse's
+tuples alone.  Each check runs once:
 ``_to_triple`` checks the triple it makes, ``_from_triple`` takes a checked
 one, and the value objects around their results are built ``_unchecked``.
 """
@@ -166,18 +167,17 @@ def from_triple(t):
     second partition pushed through the skew inverse with colors riding along.
     The tuples come from the core ``_from_triple``; ``t`` was checked when
     it was built, and a compatible pair's rows form a biword."""
-    window = t.gamma.sigma, t.gamma.colors
-    _, values, colors = _from_triple(*window, t.lam.parts, t.mu.parts,
-                                     {window: _window(*window)})
+    _, values, colors = _from_triple(t.lam.parts, t.mu.parts,
+                                     _skew(t.gamma.sigma, t.gamma.colors))
     return _unchecked(Biword, t.lam, _unchecked(ColoredSequence, t.gamma.r,
                                                 values, colors))
 
 
-def _from_triple(sigma, colors, lam, mu, windows):
+def _from_triple(lam, mu, skew):
     """``from_triple`` on a checked triple's tuples: the biword's ``(lam,
-    values, colors)``.  ``windows`` is ``_to_triple``'s table and must hold
-    the element."""
-    return (lam, *_push(mu, *windows[sigma, colors][2]))
+    values, colors)``, given the element's skew inverse as the ``(sigma,
+    colors)`` tuples of ``_skew``."""
+    return (lam, *_push(mu, *skew))
 
 
 def enumerate_biwords(r, n, cap_f, cap_g, max_elements=None):

@@ -23,10 +23,11 @@ import warnings
 from .group import (
     BudgetExceededError,
     ParseError,
-    enumerate_group,
+    _entries_text,
+    _statistics,
+    _windows,
     format_window,
     parse_window,
-    statistics,
 )
 from .encoding import (
     format_sequence,
@@ -59,20 +60,22 @@ _STATS_TEXT_KEYS = ("window", "inv", "length", "des_set", "des", "maj", "fmaj",
 _TABLE_TEXT_KEYS = ("inv", "length", "des", "maj", "fmaj", "col")
 
 
-def _stats_dict(r, gamma):
-    rec = statistics(gamma)
+def _stats_dict(r, sigma, colors):
+    """The ``stats`` record of the element with window tuples ``(sigma,
+    colors)``, read from the group's tuple core ``_statistics``."""
+    inv, length, des_set, des, maj, fmaj, col, _ = _statistics(r, sigma, colors)
     return {
         "r": r,
-        "n": gamma.n,
-        "window": format_window(gamma),
-        "inv": rec.inv,
-        "length": rec.length,
-        "des_set": sorted(rec.des_set),
-        "des": rec.des,
-        "maj": rec.maj,
-        "fmaj": rec.fmaj,
-        "col": rec.col,
-        "col_vector": list(rec.col_vector),
+        "n": len(sigma),
+        "window": f"[{_entries_text(sigma, colors)}]",
+        "inv": inv,
+        "length": length,
+        "des_set": sorted(des_set),
+        "des": des,
+        "maj": maj,
+        "fmaj": fmaj,
+        "col": col,
+        "col_vector": list(colors),
     }
 
 
@@ -89,13 +92,14 @@ def _stats_lines(info):
 
 
 def _cmd_stats(args):
-    info = _stats_dict(args.r, parse_window(args.window, args.r))
+    gamma = parse_window(args.window, args.r)
+    info = _stats_dict(args.r, gamma.sigma, gamma.colors)
     return info, _stats_lines(info), 0
 
 
 def _cmd_table(args):
-    rows = [_stats_dict(args.r, gamma)
-            for gamma in enumerate_group(args.r, args.n, args.max_elements)]
+    rows = [_stats_dict(args.r, sigma, colors)
+            for sigma, colors in _windows(args.r, args.n, args.max_elements)]
     lines = (row["window"] + " "
              + " ".join(f"{key}={row[key]}" for key in _TABLE_TEXT_KEYS)
              for row in rows)

@@ -251,21 +251,27 @@ def _length(sigma, colors):
 
 
 def statistics(gamma):
-    """The StatRecord of ``gamma``; O(n^2) in the window length.
+    """The StatRecord of ``gamma``, whose fields are those of the tuple core
+    ``_statistics``; O(n^2) in the window length."""
+    # Positional, in field order: keyword arguments would make the record
+    # cost about half as much again.
+    return StatRecord(*_statistics(gamma.r, gamma.sigma, gamma.colors))
+
+
+def _statistics(r, sigma, colors):
+    """``statistics`` of the r-colored element with window tuples ``(sigma,
+    colors)``, as a tuple in ``StatRecord`` field order.
 
     The length is ``_length``'s sum of two tuple cores, taken apart here
     because the record also keeps the inversions; the descents come from
     ``_descent_set``.
     """
-    sigma, colors = gamma.sigma, gamma.colors
     inv = _inversions(sigma, colors)
     des_set = _descent_set(sigma, colors)
     maj = sum(des_set)
     col = sum(colors)
-    # Positional, in field order: keyword arguments would make the record
-    # cost about half as much again.
-    return StatRecord(inv, inv + _color_weight(sigma, colors),
-                      des_set, len(des_set), maj, gamma.r * maj + col, col, colors)
+    return (inv, inv + _color_weight(sigma, colors),
+            des_set, len(des_set), maj, r * maj + col, col, colors)
 
 
 def project_to_signed(gamma):
@@ -295,10 +301,11 @@ def enumerate_group(r, n, max_elements=None):
     """Yield every element of the r-colored group on n letters exactly once.
 
     Deterministic order: lexicographic by sigma, then by color vector.  The
-    windows come from the tuple core ``_windows``.
+    windows come from the tuple core ``_windows``, which makes only valid
+    ones, so each element is built ``_unchecked``.
     """
     for sigma, colors in _windows(r, n, max_elements):
-        yield ColoredPermutation(r, sigma, colors)
+        yield _unchecked(ColoredPermutation, r, sigma, colors)
 
 
 def _windows(r, n, max_elements=None):

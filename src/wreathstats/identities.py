@@ -830,8 +830,8 @@ def _biword_count(max_elements, r, n, cap_f, cap_g):
                    "rows do not form a valid biword")
             return
     # The walk of the expected set over the group's windows also fills the
-    # table of each element's descent sets and skew inverse that both
-    # triple maps read.
+    # table of each element's descent sets and skew inverse that
+    # ``_to_triple`` reads, and whose skew inverses ``_from_triple`` takes.
     tops = list(_parts_in_box(n, cap_g))
     bottoms = list(_parts_in_box(n, cap_f))
     windows = {}
@@ -853,8 +853,8 @@ def _biword_count(max_elements, r, n, cap_f, cap_g):
     if len(got) != len(words):
         yield ("fact", "injectivity", False, "two biwords shared a triple")
         return
-    for word, triple in zip(words, triples):
-        if _from_triple(*triple, windows) != word:
+    for word, (sigma, colors, lam, mu) in zip(words, triples):
+        if _from_triple(lam, mu, windows[sigma, colors][2]) != word:
             yield ("fact", f"round trip of {_biword_text(r, *word)}", False, None)
             return
     yield ("fact", f"image is every compatible triple (r={r} n={n})",

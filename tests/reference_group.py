@@ -14,6 +14,8 @@ maps as they were written on top of a full statistics computation, reading
 their descents from ``reference_des_set``.  ``reference_decompose`` is the
 parabolic factorization as it was written before delta became ``tau^-1 *
 gamma``: it assembles delta block by block from the sorting of each block.
+``reference_stats_dict`` is the CLI's ``stats`` and ``table`` row as it was
+built from a value object, through ``statistics`` and ``format_window``.
 This module is imported only by the tests.
 """
 
@@ -26,7 +28,9 @@ from wreathstats.group import (
     ColoredPermutation,
     _inverse_colors,
     _inverse_sigma,
+    format_window,
     order_key,
+    statistics,
 )
 
 _DIRECT_STATS = {"des": 3, "maj": 4, "length": 1, "col": 6, "fmaj": 5}
@@ -167,3 +171,20 @@ def reference_decompose(gamma, cls):
     tau = ColoredPermutation(gamma.r, tuple(tau_sigma), tuple(tau_colors))
     delta = ColoredPermutation(gamma.r, tuple(delta_sigma), tuple(delta_colors))
     return tau, delta
+
+
+def reference_stats_dict(r, gamma):
+    rec = statistics(gamma)
+    return {
+        "r": r,
+        "n": gamma.n,
+        "window": format_window(gamma),
+        "inv": rec.inv,
+        "length": rec.length,
+        "des_set": sorted(rec.des_set),
+        "des": rec.des,
+        "maj": rec.maj,
+        "fmaj": rec.fmaj,
+        "col": rec.col,
+        "col_vector": list(rec.col_vector),
+    }

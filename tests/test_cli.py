@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wreathstats.cli import main
+from reference_group import reference_stats_dict
+from wreathstats import cli, group
+from wreathstats.cli import _stats_dict, main
+from wreathstats.group import ColoredPermutation, _windows
 from wreathstats.identities import CATALOG
 
 
@@ -181,7 +184,7 @@ class TestVerify:
             assert set(r["params"]) <= set(CATALOG[r["identity"]][1])
 
     def test_all_checks_every_entry_before_any_runs(self, capsys, monkeypatch):
-        from wreathstats import cli
+        from wreathstats import cli, group
         ran = []
         monkeypatch.setattr(cli, "verify_identity",
                             lambda name, **kwargs: ran.append(name))
@@ -198,6 +201,37 @@ class TestVerify:
         assert code == 0
         reports = json.loads(out)
         assert sum(r["millis"] for r in reports) <= wall_ms + len(reports)
+
+
+class TestTableRows:
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_row_matches_the_value_object_row(self, r):
+        for n in range(5):
+            for sigma, colors in _windows(r, n):
+                assert (_stats_dict(r, sigma, colors)
+                        == reference_stats_dict(r, ColoredPermutation(r, sigma, colors)))
+
+
+class TestNoValueObject:
+    """``table`` reads every row from window tuples: no checked
+    ``ColoredPermutation`` and no ``StatRecord`` is built for any element."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_value_objects(self, monkeypatch):
+        def refuse(obj, *args):
+            raise AssertionError(f"table built a {type(obj).__name__}")
+        monkeypatch.setattr(ColoredPermutation, "__post_init__", refuse)
+        monkeypatch.setattr(group, "StatRecord", refuse)
+
+    def test_no_value_object_tool_is_bound(self):
+        for name in ("statistics", "enumerate_group"):
+            assert not hasattr(cli, name), name
+
+    @pytest.mark.parametrize("as_json", [[], ["--json"]])
+    def test_table(self, capsys, as_json):
+        code, out, err = run(capsys, "table", "--r", "3", "--n", "3", *as_json)
+        assert (code, err) == (0, "")
+        assert out
 
 
 class TestDeterminism:

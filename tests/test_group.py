@@ -7,6 +7,8 @@ from reference_group import reference_skew_inverse, reference_statistics
 from wreathstats.group import (
     BudgetExceededError,
     _descent_set,
+    _statistics,
+    _windows,
     ColoredInteger,
     ColoredPermutation,
     ParseError,
@@ -188,6 +190,15 @@ class TestStatistics:
             assert rec.col == col, gamma
             assert rec.col_vector == gamma.colors, gamma
 
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_core_matches_reference_statistics(self, r):
+        for n in range(5):
+            for sigma, colors in _windows(r, n):
+                inv, length, des_set, *rest, col_vector = _statistics(r, sigma, colors)
+                assert ((inv, length, tuple(sorted(des_set)), *rest)
+                        == reference_statistics(r, sigma, colors)), (sigma, colors)
+                assert col_vector == colors
+
 
 class TestProjection:
     def test_colors_flatten(self):
@@ -238,6 +249,20 @@ class TestEnumeration:
 
     def test_empty_window(self):
         assert list(enumerate_group(4, 0)) == [identity_element(4, 0)]
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_elements_are_the_checked_windows(self, r):
+        for n in range(5):
+            assert (list(enumerate_group(r, n))
+                    == [ColoredPermutation(r, *window) for window in _windows(r, n)])
+
+    @pytest.mark.parametrize("r,n,max_elements,error", [
+        (0, 2, None, ValueError), (2, -1, None, ValueError),
+        (3, 4, 1000, BudgetExceededError)])
+    def test_refusals_raised_at_the_first_element(self, r, n, max_elements, error):
+        elements = enumerate_group(r, n, max_elements)
+        with pytest.raises(error):
+            next(elements)
 
 
 class TestWindowText:

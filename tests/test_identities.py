@@ -672,7 +672,7 @@ class TestFailureLabels:
 
     def test_round_trip_of_a_biword(self, monkeypatch):
         monkeypatch.setattr(identities, "_from_triple",
-                            lambda sigma, colors, lam, mu, windows: (lam, (1, 1), (0, 0)))
+                            lambda lam, mu, skew: (lam, (1, 1), (0, 0)))
         facts = list(identities._biword_count(None, 2, 2, 0, 0))
         assert facts[-1] == ("fact", f"round trip of {_ZERO_BIWORD}", False, None)
 

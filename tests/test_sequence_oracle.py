@@ -332,5 +332,6 @@ def test_same_triple_tuples(r, n):
             want = _result(reference_from_triple, gamma, lam, mu)
             if isinstance(want, str):
                 continue
-            got = _from_triple(gamma.sigma, gamma.colors, lam.parts, mu.parts, windows)
+            skew = windows[gamma.sigma, gamma.colors][2]
+            got = _from_triple(lam.parts, mu.parts, skew)
             assert got == (want.g.parts, want.f.values, want.f.colors), (gamma, lam, mu)
