@@ -1,8 +1,12 @@
 """Golden corpus of CLI outputs: the argv list and its digest file.
 
-Each record holds an argv, the exit code of ``cli.main`` on it and the
-SHA-256 of its stdout and of its stderr.  ``tests/test_golden.py`` runs
-every argv again and compares.  A change that means to alter an output
+Each argv record holds an argv, the exit code of ``cli.main`` on it and the
+SHA-256 of its stdout and of its stderr.  Each catalog-call record holds an
+identity and a corrupted side, and the SHA-256 of the report of
+``verify_identity(name, corrupt=side)`` at the entry's defaults: its
+``to_json_dict()`` without ``millis``, plus ``corrupted_monomial``, which
+pins each mismatch monomial and both its coefficients.
+``tests/test_golden.py`` runs every record again and compares.  A change that means to alter an output
 regenerates the file from a checkout of the repository:
 
     PYTHONPATH=src python3 tests/golden_cli.py
@@ -20,6 +24,7 @@ import sys
 from pathlib import Path
 
 from wreathstats.cli import main
+from wreathstats.identities import CATALOG, verify_identity
 
 GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
 
@@ -40,6 +45,26 @@ _REFUSED_TABLES = [
 ]
 
 
+# The identity calls of the benchmark's ``ring`` and ``enumerate`` workloads,
+# with their parameters, run here as text.
+_IDENTITY_CALLS = [
+    ("theorem_A", {"r": 3, "n": 4, "tmax": 5}),
+    ("theorem_B", {"r": 3, "n": 3, "t1max": 3, "t2max": 3}),
+    ("reiner", {"r": 3, "nmax": 5}),
+    ("gessel_roselle", {"r": 3, "ucap": 4, "pcap": 8, "qcap": 8}),
+    ("length_gf", {"r": 4, "n": 5}),
+    ("ell_col", {"r": 4, "n": 5}),
+    ("brenti", {"r": 3, "nmax": 5}),
+    ("keylem", {"r": 3, "n": 4}),
+    ("bijection_stats", {"r": 3, "n": 4, "cap": 2}),
+    ("biword_count", {"r": 3, "n": 3, "cap_f": 3, "cap_g": 3}),
+]
+_FLAG = {"cap_f": "capf", "cap_g": "capg"}
+
+# The entries that check facts alone, with no polynomial case to corrupt.
+_FACTS_ONLY = ("bijection_stats", "biword_count")
+
+
 def _with_json(argvs):
     return [out for argv in argvs for out in (argv, argv + ["--json"])]
 
@@ -48,7 +73,15 @@ ARGVS = (_with_json([["table", "--r", str(r), "--n", str(n)]
                      for r in range(1, 4) for n in range(5)])
          + _with_json(_README)
          + _with_json(_REFUSED_TABLES)
-         + [["verify", "--all"]])
+         + [["verify", "--all"]]
+         + [["verify", "--identity", name]
+            + [arg for key, value in params.items()
+               for arg in (f"--{_FLAG.get(key, key)}", str(value))]
+            for name, params in _IDENTITY_CALLS]
+         + [["selftest"]])
+
+CALLS = [[name, side] for name in CATALOG if name not in _FACTS_ONLY
+         for side in ("lhs", "rhs")]
 
 
 def record(argv):
@@ -61,8 +94,20 @@ def record(argv):
             "stderr_sha256": hashlib.sha256(err.getvalue().encode()).hexdigest()}
 
 
+def record_call(call):
+    """``{"call", "sha256"}`` of one corrupted catalog run at its defaults."""
+    name, side = call
+    report = verify_identity(name, corrupt=side)
+    payload = report.to_json_dict()
+    del payload["millis"]
+    payload["corrupted_monomial"] = report.corrupted_monomial
+    text = json.dumps(payload, sort_keys=True)
+    return {"call": list(call),
+            "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
 def write():
-    records = [record(argv) for argv in ARGVS]
+    records = [record(argv) for argv in ARGVS] + [record_call(call) for call in CALLS]
     GOLDEN.write_text("[\n" + ",\n".join(map(json.dumps, records)) + "\n]\n")
     return len(records)
 
