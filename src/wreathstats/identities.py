@@ -81,6 +81,7 @@ from .qseries import (
     _dot,
     _double_terms,
     _factor_run,
+    _from_tally,
     _gaussian_rows,
     _hat_multinomial,
     _homogeneous,
@@ -130,9 +131,14 @@ def _walk_group(r, n, weights):
     new entry adds to length the earlier entries larger than it as colored
     integers (counted on a bitmask of their ranks in that order) plus
     ``v + c - 1`` when colored, c to col, and a descent at position i adds
-    1 to des and i to maj.  Each element is a leaf, visited once.  Inverse
-    quantities, when weighted, are read at the leaf from the descent set and
-    the colors of the true inverse.
+    1 to des and i to maj.  Each element is a leaf, visited once.
+
+    When an inverse quantity is weighted, placing v at position i with
+    color c also makes the inverse's entry v, ``(i+1)`` with the inverse
+    color of c, whose rank the walk records per value and whose color it
+    adds to icol.  The inverse descent at j compares the ranks of the
+    inverse entries j and j+1 (entry 0 the implicit zero, always placed),
+    so it is decided when the second of the values j and j+1 is placed.
     """
     wlen, wdes, wmaj, wcol, wides, wimaj, wicol = weights
     with_inverse = any(weights[4:])
@@ -146,8 +152,19 @@ def _walk_group(r, n, weights):
                    for c in range(r)]
                for v in range(1, n + 1)}
     descent = [wdes + i * wmaj for i in range(n)]
-    sigma = [0] * n
-    colors = [0] * n
+    if with_inverse:
+        # inverse[i][c]: the rank of the inverse entry (i+1)^c' and the
+        # weight c' adds, for c' the inverse color of c, read from the
+        # inverse of the one-letter element 1^c
+        pulled = [_inverse_colors(r, (c,), (1,))[0] for c in range(r)]
+        inverse = [[(rank[i + 1, c], c * wicol) for c in pulled] for i in range(n)]
+        # ranks[v]: that of the inverse entry v, read only while v is
+        # placed; the zero is always placed, and n + 1, which has no inverse
+        # entry, ranks above every one, as does a right neighbour not yet
+        # placed, and a left one below
+        top = len(alphabet)
+        ranks = [rank[0, 0]] + [top] * (n + 1)
+        descent_inv = [wides + j * wimaj for j in range(n)]
     tally = {}
     last = n - 1
 
@@ -157,29 +174,40 @@ def _walk_group(r, n, weights):
             return
         for j, v in enumerate(free):
             rest = free[:j] + free[j + 1:]
-            sigma[i] = v
+            if with_inverse:
+                left = -1 if v - 1 in rest else ranks[v - 1]
+                right = top if v + 1 in rest else ranks[v + 1]
+                pulls = inverse[i]
             for c, k, step in entries[v]:
-                colors[i] = c
                 step += key + (mask >> k).bit_count() * wlen
                 if prev > k:
                     step += descent[i]
+                if with_inverse:
+                    ik, istep = pulls[c]
+                    step += istep
+                    if left > ik:
+                        step += descent_inv[v - 1]
+                    if ik > right:
+                        step += descent_inv[v]
+                    ranks[v] = ik
                 place(i + 1, rest, mask | 1 << k, k, step)
 
     # The last position is unrolled here rather than recursed into: one call
     # fewer per element, which halves the walk's time at r=4, n=5.
     def leaves(v, mask, prev, key):
-        sigma[last] = v
-        inv_sigma = _inverse_sigma(sigma) if with_inverse else None
+        if with_inverse:
+            left, right, pulls = ranks[v - 1], ranks[v + 1], inverse[last]
         for c, k, step in entries[v]:
             step += key + (mask >> k).bit_count() * wlen
             if prev > k:
                 step += descent[last]
             if with_inverse:
-                colors[last] = c
-                inv_colors = _inverse_colors(r, colors, inv_sigma)
-                inv_des = _descent_set(inv_sigma, inv_colors)
-                step += (len(inv_des) * wides + sum(inv_des) * wimaj
-                         + sum(inv_colors) * wicol)
+                ik, istep = pulls[c]
+                step += istep
+                if left > ik:
+                    step += descent_inv[v - 1]
+                if ik > right:
+                    step += descent_inv[v]
             tally[step] = tally.get(step, 0) + 1
 
     if n:
@@ -196,8 +224,10 @@ def dist_polynomial(ctx, r, n, stats, max_elements=DEFAULT_MAX_ELEMENTS):
     inverse-element variants ides, imaj, icol, ifmaj) to context variables.
     The group is walked depth-first, one window position at a time, with
     the monomial updated incrementally, so every element is visited once
-    and no closed form is used.  Inverse statistics are taken from the
-    true group inverse at each element.
+    and no closed form is used; the inverse statistics are decided in the
+    same walk, from the inverse entries each placement makes.  The tally's
+    packed monomials become the polynomial's keys in one pass, which drops
+    what lies past a cap.
     """
     # Each variable gets a field of the packed monomial wide enough for the
     # sum of its statistics, each of which is below (r+1) * n * (n+r).
@@ -214,12 +244,7 @@ def dist_polynomial(ctx, r, n, stats, max_elements=DEFAULT_MAX_ELEMENTS):
         else:
             weights[stat] += unit
     _check_group_budget(r, n, max_elements)
-    tally = _walk_group(r, n, tuple(weights.values()))
-    field = (1 << width) - 1
-    shifts = [i * width for i in range(len(ctx.variables))]
-    acc = {tuple((key >> shift) & field for shift in shifts): count
-           for key, count in tally.items()}
-    return MultiPoly(ctx, acc)
+    return _from_tally(ctx, _walk_group(r, n, tuple(weights.values())), width)
 
 
 @dataclass
@@ -292,6 +317,12 @@ def verify_identity(name, corrupt=None, max_elements=DEFAULT_MAX_ELEMENTS,
     polynomial comparison before checking, for harness self-tests; the
     bumped monomial is recorded on the report.
 
+    Each polynomial case compares its two sides for equality first; only
+    two sides that differ are subtracted, and the first monomial of the
+    difference, in the context's order, names the mismatch.  Sides from two
+    contexts that differ are never equal, so their subtraction raises
+    ``ContextMismatchError``.
+
     Raises ``CatalogError`` for an unknown identity or a parameter the entry
     does not take, and ``ValueError`` for a parameter below its range (``r``
     below 1, or below 2 for ``projection``; any other below 0) or a run that
@@ -327,9 +358,8 @@ def verify_identity(name, corrupt=None, max_elements=DEFAULT_MAX_ELEMENTS,
             if lhs_terms > max_terms or rhs_terms > max_terms:
                 raise BudgetExceededError(
                     f"{name}: term count exceeds budget {max_terms}")
-            diff = lhs - rhs
-            if not diff.is_zero:
-                exps = min(diff.terms)
+            if lhs != rhs:
+                exps = min((lhs - rhs).terms)
                 mismatch = {
                     "case": label,
                     "monomial": monomial_text(lhs.ctx, exps),
@@ -403,8 +433,16 @@ def _ell_col(max_elements, r, n):
     yield ("poly", f"r={r} n={n}", lhs, rhs)
 
 
+def _length_width(r, n):
+    """Bits that hold a length of the r-colored group on n letters, at most
+    ``n * (n + r - 2)``, or its col; a tally keyed ``length | col << width``
+    is in the packed layout of a context on ``("p", "a")``."""
+    return (n * (n + r)).bit_length()
+
+
 def _projection(max_elements, r, n):
     ctx = SeriesContext(("p", "a"))
+    width = _length_width(r, n)
     buckets = {}
     for sigma, colors in _windows(r, n, max_elements):
         signs = tuple(1 if c else 0 for c in colors)
@@ -421,21 +459,28 @@ def _projection(max_elements, r, n):
                    "descent sets of the inverses differ after forgetting colors")
             return
         entry = buckets.setdefault((sigma, signs), {})
-        exps = (_length(sigma, colors), sum(colors))
-        entry[exps] = entry.get(exps, 0) + 1
+        key = _length(sigma, colors) | sum(colors) << width
+        entry[key] = entry.get(key, 0) + 1
     yield ("fact", f"descent preservation r={r} n={n}", True, None)
     twist = _color_twist(ctx, r)
     # _windows' order (sigma, then signs) fixes the order of the cases
     for sigma, signs in _windows(2, n):
-        lhs = MultiPoly(ctx, buckets.get((sigma, signs), {}))
+        lhs = _from_tally(ctx, buckets.get((sigma, signs), {}), width)
         rhs = MultiPoly.monomial(ctx, 1, p=_length(sigma, signs)) * twist ** sum(signs)
         label = f"fiber over sigma={sigma} signs={signs} (r={r})"
         yield ("poly", label, lhs, rhs)
 
 
+def _desmaj_width(n, tmax):
+    """Bits that hold a sequence's max, at most tmax, or its ``n*max - sum``,
+    at most ``n * tmax``."""
+    return (n * tmax).bit_length()
+
+
 def _desmaj_tally(max_elements, r, n, tmax):
-    """For each window ``(sigma, colors)``, the counts of ``(max, n*max -
-    sum)`` over the sequences with entries up to ``tmax`` that sort to it.
+    """For each window ``(sigma, colors)``, the counts of ``max | (n*max -
+    sum) << _desmaj_width(n, tmax)`` over the sequences with entries up to
+    ``tmax`` that sort to it.
 
     The sequences are walked in ``_sequences``' order, one leaf each: every
     prefix of n - 1 entries is placed position by position into its sorted
@@ -445,7 +490,8 @@ def _desmaj_tally(max_elements, r, n, tmax):
     """
     alphabet = _check_sequences(r, n, max_cap=tmax, max_elements=max_elements)
     if not n:
-        return {((), ()): {(0, 0): 1}}
+        return {((), ()): {0: 1}}
+    width = _desmaj_width(n, tmax)
     buckets = {}
     for prefix in product(alphabet, repeat=n - 1):
         placed, sigma, colors = [], [], []
@@ -456,7 +502,8 @@ def _desmaj_tally(max_elements, r, n, tmax):
             colors.insert(k, c)
         top, rest = max(placed, default=0), sum(placed)
         sigma, colors = tuple(sigma), tuple(colors)
-        exps = [(max(top, v), max(top, v) * n - rest - v) for v in range(tmax + 1)]
+        exps = [max(top, v) | (max(top, v) * n - rest - v) << width
+                for v in range(tmax + 1)]
         entries = {}
         for v, c in alphabet:
             k = _insertion(placed, v, c)[0]
@@ -470,19 +517,20 @@ def _desmaj_tally(max_elements, r, n, tmax):
 
 def _desmaj(max_elements, r, n, tmax):
     ctx = SeriesContext(("t", "q"), (tmax, None))
+    width = _desmaj_width(n, tmax)
     buckets = _desmaj_tally(max_elements, r, n, tmax)
     denom = _reciprocal_pochhammer(ctx, "t", "q", n)
     for window in _windows(r, n, max_elements):
         des_set = _descent_set(*window)
-        lhs = MultiPoly(ctx, buckets.get(window, {}))
+        lhs = _from_tally(ctx, buckets.get(window, {}), width)
         rhs = MultiPoly.monomial(ctx, 1, t=len(des_set), q=sum(des_set)) * denom
         yield ("poly", f"sequences sorting to [{_entries_text(*window)}] (r={r})",
                lhs, rhs)
 
 
 def _keylem_tally(max_elements, r, n, comp):
-    """Counts of ``(length, col)`` of the sorted windows of the sequences
-    with multiplicity profile ``comp``.
+    """Counts of ``length | col << _length_width(r, n)`` of the sorted
+    windows of the sequences with multiplicity profile ``comp``.
 
     The sequences are walked in ``_sequences``' order, one leaf each.  For
     each arrangement of the values, the positions are placed in order and
@@ -491,23 +539,22 @@ def _keylem_tally(max_elements, r, n, comp):
     position and its length is the sum of their steps.
     """
     values = _check_sequences(r, n, composition=comp, max_elements=max_elements)
-    # a length is at most n * (n + r - 2); col sits in the bits above it
-    shift = (n * (n + r)).bit_length()
+    width = _length_width(r, n)
     counts = Counter()
     for arrangement in _distinct_permutations(values):
         placed, steps = [], []
         for v in arrangement:
             # zeros stay uncolored; every other value takes each color
-            steps.append([_insertion(placed, v, c)[1] + (c << shift)
+            steps.append([_insertion(placed, v, c)[1] + (c << width)
                           for c in (range(r) if v else (0,))])
             insort(placed, v)
         counts.update(map(sum, product(*steps)))
-    mask = (1 << shift) - 1
-    return {(key & mask, key >> shift): count for key, count in counts.items()}
+    return counts
 
 
 def _keylem(max_elements, r, n, parts_max=4):
     ctx = SeriesContext(("p", "a"))
+    width = _length_width(r, n)
     twist = _color_twist(ctx, r)
     p = MultiPoly.variable(ctx, "p")
     # Only a composition with two nonzero parts reads Gaussian rows; they
@@ -516,7 +563,7 @@ def _keylem(max_elements, r, n, parts_max=4):
     rows = None
     for nparts in range(1, parts_max + 1):
         for comp in _weak_compositions(n, nparts):
-            lhs = MultiPoly(ctx, _keylem_tally(max_elements, r, n, comp))
+            lhs = _from_tally(ctx, _keylem_tally(max_elements, r, n, comp), width)
             if rows is None and sum(1 for part in comp if part) > 1:
                 rows = _gaussian_rows(ctx, n, p)
             rhs = _hat_multinomial(ctx, comp, twist, p, rows)

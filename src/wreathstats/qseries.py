@@ -184,6 +184,33 @@ def _poly(ctx, keys):
     return poly
 
 
+def _from_tally(ctx, tally, width):
+    """The polynomial of a tally of positive counts whose keys hold the
+    exponent of variable i in bits ``[i*width, (i+1)*width)``, built in the
+    context's packed keys directly: a term past a cap is dropped, and an
+    uncapped exponent past ``MAX_EXPONENT`` raises as ``_pack`` does."""
+    field = (1 << width) - 1
+    # capped fields first, so that a dropped term raises nothing, as in _pack
+    layout = sorted(((i * width, shift, cap) for i, ((shift, _), cap)
+                     in enumerate(zip(ctx._fields, ctx.caps))),
+                    key=lambda entry: entry[2] is None)
+    keys = {}
+    for packed, count in tally.items():
+        key = 0
+        for at, shift, cap in layout:
+            e = (packed >> at) & field
+            if cap is None:
+                if e > MAX_EXPONENT:
+                    raise ExponentOverflowError(
+                        f"exponent {e} exceeds the limit {MAX_EXPONENT}")
+            elif e > cap:
+                break
+            key |= e << shift
+        else:
+            keys[key] = count
+    return _poly(ctx, keys)
+
+
 def _buckets(keys, capped_mask):
     """Terms grouped by their capped-field bits, as (profile, [(key, coeff)])."""
     grouped = {}
@@ -499,15 +526,16 @@ def _homogeneous(ctx, terms, top, row=None):
     together.  ``h_m`` is the u^m coefficient of the product of the
     ``1 / (1 - x u)`` over the terms ``x``.  The terms are folded in one at
     a time by ``h_m(x_1..x_j) = h_m(x_1..x_(j-1)) + x_j h_(m-1)(x_1..x_j)``,
-    m rising, so only degrees up to ``top`` are ever built."""
-    row = list(row) if row else [MultiPoly.constant(ctx, 1)] + [MultiPoly.zero(ctx)] * top
+    m rising, so only degrees up to ``top`` are ever built.  Each term is
+    multiplied into one dict per degree, in place; a given ``row`` is
+    copied once, and each sum is cleaned once, at the end."""
+    sums = ([dict(h._keys) for h in row] if row
+            else [{0: 1}] + [{} for _ in range(top)])
     for x in terms:
         _check_ctx(ctx, x)
         for m in range(1, top + 1):
-            out = dict(row[m]._keys)
-            _mul_into(out, x._keys, row[m - 1]._keys, ctx)
-            row[m] = _poly(ctx, _clean(out))
-    return row
+            _mul_into(sums[m], x._keys, sums[m - 1], ctx)
+    return [_poly(ctx, _clean(h)) for h in sums]
 
 
 def q_int(ctx, n, base):

@@ -33,7 +33,10 @@ the double product's factors, each a geometric series in a context with
 n = 0..ucap.  ``reference_projection`` is the ``projection`` entry before
 it walked window tuples: one checked element per step of
 ``enumerate_group``, read through ``statistics``, ``project_to_signed`` and
-two ``inverse`` calls.  This module is imported only by the tests.
+two ``inverse`` calls.  ``reference_first_mismatch`` is
+``verify_identity``'s compare before it tested the two sides for equality:
+it subtracts them in every polynomial case.  This module is imported only
+by the tests.
 """
 
 from __future__ import annotations
@@ -51,11 +54,16 @@ from wreathstats.group import (
     project_to_signed,
     statistics,
 )
-from wreathstats.identities import _color_twist
+from wreathstats.identities import (
+    CATALOG,
+    DEFAULT_MAX_ELEMENTS,
+    _color_twist,
+)
 from wreathstats.qseries import (
     MultiPoly,
     SeriesContext,
     _double_terms,
+    monomial_text,
     pochhammer,
     q_factorial,
     q_int,
@@ -209,3 +217,32 @@ def reference_projection(max_elements, r, n):
         rhs = MultiPoly.monomial(ctx, 1, p=rec.length) * twist ** rec.col
         label = f"fiber over sigma={flat.sigma} signs={flat.colors} (r={r})"
         yield ("poly", label, lhs, rhs)
+
+
+def reference_first_mismatch(name, corrupt):
+    """The mismatch of catalog entry ``name`` at its defaults, with the
+    lexicographically first coefficient of the ``corrupt`` side of its first
+    polynomial case raised by 1, or None when every case agrees."""
+    func, params = CATALOG[name]
+    pending = corrupt
+    for case in func(DEFAULT_MAX_ELEMENTS, **params):
+        if case[0] != "poly":
+            _, label, ok, detail = case
+            if not ok:
+                return {"case": label, "detail": detail}
+            continue
+        _, label, lhs, rhs = case
+        if pending:
+            sides = {"lhs": lhs, "rhs": rhs}
+            terms = dict(sides[pending].terms)
+            key = min(terms) if terms else (0,) * len(lhs.ctx.variables)
+            terms[key] = terms.get(key, 0) + 1
+            sides[pending] = MultiPoly(lhs.ctx, terms)
+            lhs, rhs, pending = sides["lhs"], sides["rhs"], None
+        diff = lhs - rhs
+        if not diff.is_zero:
+            exps = min(diff.terms)
+            return {"case": label, "monomial": monomial_text(lhs.ctx, exps),
+                    "lhs_coeff": str(lhs.terms.get(exps, 0)),
+                    "rhs_coeff": str(rhs.terms.get(exps, 0))}
+    return None

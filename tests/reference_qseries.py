@@ -18,6 +18,9 @@ before they shared one factor run, each with its own loop and the double
 product with its own leg check, and ``reference_bracket_two_param`` the
 two-parameter bracket as a sum of powers, before it was read from the
 complete homogeneous sums; they also build on ``MultiPoly``.
+``reference_from_tally`` is the handover of a packed tally to the ring as
+the left sides made it before ``qseries._from_tally``: every key unpacked
+into an exponent tuple, which ``MultiPoly`` checks and packs again.
 It is imported only by the tests.
 """
 
@@ -329,6 +332,16 @@ def reference_bracket_two_param(ctx, m, a_var, b_var):
     for h in range(m):
         result = result + a ** h * b ** (m - 1 - h)
     return result
+
+
+def reference_from_tally(ctx, tally, width):
+    """The polynomial of a tally whose keys hold the exponent of variable i
+    in bits ``[i*width, (i+1)*width)``, through exponent tuples."""
+    field = (1 << width) - 1
+    shifts = [i * width for i in range(len(ctx.variables))]
+    acc = {tuple((key >> shift) & field for shift in shifts): count
+           for key, count in tally.items()}
+    return MultiPoly(ctx, acc)
 
 
 def exp_series(ctx, kind, u_var, cap_u, p_var=None, a_expr=None):

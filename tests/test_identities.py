@@ -79,11 +79,14 @@ class TestDistPolynomial:
 _WALK_CTX = SeriesContext(("t", "q", "p", "a", "b", "t1", "t2", "q1", "q2"))
 _DIRECT = {"des": "t", "maj": "q", "length": "p", "col": "a", "fmaj": "b"}
 _INVERSE = {"ides": "t2", "imaj": "q2", "icol": "b", "ifmaj": "q1"}
+_SIX = {"des": "t1", "ides": "t2", "maj": "q1", "imaj": "q2", "col": "a", "icol": "b"}
+_FLAGS = {"fmaj": "q1", "ifmaj": "q2"}
 _WALK_PLANS = [{stat: var} for stat, var in {**_DIRECT, **_INVERSE}.items()] + [
-    _DIRECT,
-    {"des": "t1", "ides": "t2", "maj": "q1", "imaj": "q2", "col": "a", "icol": "b"},
-    {"fmaj": "q1", "ifmaj": "q2"},
-]
+    _DIRECT, _SIX, _FLAGS]
+# t and t2 capped below the largest des from n = 2 on, q1 below the largest
+# maj and fmaj from n = 4 and n = 3 on
+_CAPPED_WALK_CTX = SeriesContext(_WALK_CTX.variables,
+                                 (1, None, None, None, None, None, 1, 4, None))
 
 
 class TestGroupWalk:
@@ -96,6 +99,22 @@ class TestGroupWalk:
             got = dist_polynomial(_WALK_CTX, r, n, stats).terms
             assert got == reference_dist_terms(_WALK_CTX, r, n, stats), stats
             assert sum(got.values()) == group_order(r, n)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(5))
+    def test_capped_context_drops_past_the_caps(self, r, n):
+        ctx = _CAPPED_WALK_CTX
+        for stats in (_DIRECT, _SIX, _FLAGS):
+            got = dist_polynomial(ctx, r, n, stats)
+            want = MultiPoly(ctx, reference_dist_terms(ctx, r, n, stats))
+            assert got.terms == want.terms, stats
+
+    # at r = 4 the inverse color (r - c) mod r pairs 1 with 3 and keeps 2
+    @pytest.mark.parametrize("n", range(5))
+    def test_inverse_plans_at_four_colors(self, n):
+        for stats in [{stat: var} for stat, var in _INVERSE.items()] + [_SIX, _FLAGS]:
+            got = dist_polynomial(_WALK_CTX, 4, n, stats).terms
+            assert got == reference_dist_terms(_WALK_CTX, 4, n, stats), stats
 
     def test_budget_stops_before_the_walk(self, monkeypatch):
         visited = []
@@ -223,6 +242,95 @@ class TestNoDivision:
 
     def test_keylem_beyond_the_defaults(self):
         assert verify_identity("keylem", r=3, n=4).passed
+
+
+def _pack_counter(monkeypatch):
+    """The list that every ``SeriesContext._pack`` call appends to."""
+    calls = []
+    pack = SeriesContext._pack
+
+    def counted(ctx, exps):
+        calls.append(exps)
+        return pack(ctx, exps)
+    monkeypatch.setattr(SeriesContext, "_pack", counted)
+    return calls
+
+
+class _Unsubtractable(MultiPoly):
+    """A polynomial that refuses to be subtracted."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        raise AssertionError("a case was subtracted")
+
+
+def _unsubtractable(func):
+    """Catalog entry ``func`` with both sides of every polynomial case
+    rebuilt as ``_Unsubtractable``."""
+    def rebuilt(x):
+        poly = object.__new__(_Unsubtractable)
+        poly.ctx, poly._keys = x.ctx, x._keys
+        return poly
+
+    def run(*args, **kwargs):
+        for case in func(*args, **kwargs):
+            if case[0] == "poly":
+                case = (*case[:2], *map(rebuilt, case[2:]))
+            yield case
+    return run
+
+
+_POLY_ENTRIES = sorted(set(CATALOG) - {"bijection_stats", "biword_count"})
+
+
+class TestPackedHandover:
+    """The left sides reach the compare without re-doing work: every tally
+    is handed to the ring in its packed keys, not through exponent tuples
+    that ``SeriesContext._pack`` checks one by one, and a case whose two
+    sides are equal is never subtracted."""
+
+    def test_walk_packs_no_term(self, monkeypatch):
+        calls = _pack_counter(monkeypatch)
+        assert len(dist_polynomial(_WALK_CTX, 3, 4, _SIX)) > 100
+        assert len(dist_polynomial(_CAPPED_WALK_CTX, 3, 4, _FLAGS)) > 10
+        assert calls == []
+
+    # each right side packs a few constants and variables per case
+    @pytest.mark.parametrize("name,params", [
+        ("keylem", {"r": 3, "n": 4}),
+        ("desmaj", {"r": 3, "n": 3, "tmax": 3}),
+        ("projection", {"r": 4, "n": 3}),
+    ])
+    def test_fewer_packs_than_left_side_terms(self, monkeypatch, name, params):
+        calls = _pack_counter(monkeypatch)
+        report = verify_identity(name, **params)
+        assert report.passed
+        assert len(calls) < report.lhs_terms
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_passing_case_is_never_subtracted(self, monkeypatch, name):
+        func, defaults = CATALOG[name]
+        monkeypatch.setitem(CATALOG, name, (_unsubtractable(func), defaults))
+        assert verify_identity(name).passed
+
+    @pytest.mark.parametrize("side", ["lhs", "rhs"])
+    @pytest.mark.parametrize("name", _POLY_ENTRIES)
+    def test_failing_case_reports_the_same_mismatch(self, name, side):
+        report = verify_identity(name, corrupt=side)
+        assert not report.passed
+        assert report.mismatch == reference_identities.reference_first_mismatch(
+            name, side)
+        assert report.mismatch["monomial"] == report.corrupted_monomial
+
+    def test_contexts_that_differ_still_raise(self, monkeypatch):
+        # the two sides hold the same packed keys in contexts that differ
+        def foreign(max_elements, r, n):
+            yield ("poly", "foreign", MultiPoly.constant(SeriesContext(("p",)), 1),
+                   MultiPoly.constant(SeriesContext(("q",)), 1))
+        monkeypatch.setitem(CATALOG, "length_gf", (foreign, {"r": 2, "n": 2}))
+        with pytest.raises(qseries.ContextMismatchError):
+            verify_identity("length_gf")
 
 
 class TestNoValueObject:
@@ -567,6 +675,18 @@ def _one_biword(word):
     return lambda *args: iter([word])
 
 
+def _capless_from_tally(ctx, tally, width):
+    """_from_tally that keeps the terms past a cap, writing each field into
+    the context's layout unchecked: a faulty handover under test."""
+    field = (1 << width) - 1
+    keys = {}
+    for packed, count in tally.items():
+        key = sum(((packed >> (i * width)) & field) << shift
+                  for i, (shift, _) in enumerate(ctx._fields))
+        keys[key] = keys.get(key, 0) + count
+    return qseries._poly(ctx, keys)
+
+
 class TestFaultyCoreReportsFail:
     @pytest.mark.parametrize("module,core,fault,name", [
         (identities, "_sequence_from", _countless_sequence_from, "bijection_stats"),
@@ -607,6 +727,25 @@ class TestFaultyCoreReportsFail:
         assert main(["verify", "--all", "--r", "2"]) == 0
         capsys.readouterr()
         self.assert_fail(capsys, args, args[1])
+
+    # Only a walk's term past a cap shows the fault.  At the catalog
+    # defaults only gessel_roselle has one: every t cap is at least the
+    # largest des (reiner's and brenti's are n + 1), desmaj's max never
+    # passes tmax, adin_roichman's fmaj stays within qcap at r = 2, and the
+    # other entries have no cap.  Below the largest des, a kept t power
+    # spills into the next field, and the products carry it on.
+    @pytest.mark.parametrize("args", [
+        ["--identity", "gessel_roselle"],
+        ["--identity", "adin_roichman", "--r", "3"],
+        ["--identity", "theorem_A", "--n", "4", "--tmax", "1"],
+        ["--identity", "theorem_B", "--n", "3", "--t1max", "1", "--t2max", "1"],
+    ])
+    def test_capless_handover_shows_past_a_cap(self, monkeypatch, capsys, args):
+        monkeypatch.setattr(identities, "_from_tally", _capless_from_tally)
+        self.assert_fail(capsys, args, args[1])
+        ctx = _CAPPED_WALK_CTX
+        assert dist_polynomial(ctx, 2, 3, _DIRECT).terms \
+            != MultiPoly(ctx, reference_dist_terms(ctx, 2, 3, _DIRECT)).terms
 
 
 # The one biword of r=2, n=2 with both caps 0.

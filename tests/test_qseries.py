@@ -18,6 +18,7 @@ from wreathstats.qseries import (
     SeriesContext,
     _double_terms,
     _factor_run,
+    _from_tally,
     _gaussian_rows,
     _homogeneous,
     _reciprocal_pochhammer,
@@ -740,6 +741,83 @@ class TestConstructorOracle:
                     got = _reciprocal_pochhammer(ctx, t, b, n)
                     assert_same(got, want)
                     assert got * pochhammer(ctx, t, b, n) == 1, (tcap, b, n)
+
+
+class TestHomogeneousResume:
+    def test_resumed_row_matches_and_is_left_unchanged(self):
+        # theorem_B hands each cell's row on to the next cell
+        ctx = SeriesContext(("t", "q", "a"), (3, None, None))
+        terms = [MultiPoly.monomial(ctx, 1, t=1, q=i) for i in range(3)] + [
+            MultiPoly.monomial(ctx, Fraction(1, 2), a=1, q=1), MultiPoly.variable(ctx, "q")]
+        whole = _homogeneous(ctx, terms, 4)
+        for cut in range(len(terms) + 1):
+            head = _homogeneous(ctx, terms[:cut], 4)
+            before = [h.to_lines() for h in head]
+            assert _homogeneous(ctx, terms[cut:], 4, head) == whole, cut
+            assert [h.to_lines() for h in head] == before, cut
+
+
+def _tally_key(exps, width):
+    return sum(e << (i * width) for i, e in enumerate(exps))
+
+
+class TestFromTally:
+    """The packed handover of a tally against the tuple path it replaced."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_tuple_handover(self, data):
+        ctx = data.draw(oracle_contexts())
+        width = data.draw(st.integers(3, 6))
+        tally = {}
+        for _ in range(data.draw(st.integers(0, 8))):
+            # capped exponents up to two past the cap, each within the field
+            exps = [data.draw(st.integers(0, 7 if c is None else min(c + 2, 7)))
+                    for c in ctx.caps]
+            tally[_tally_key(exps, width)] = data.draw(st.integers(1, 9))
+        got = _from_tally(ctx, tally, width)
+        want = ref.reference_from_tally(ctx, tally, width)
+        assert got._keys == want._keys
+        assert_same(got, ref_poly(want))
+
+    @pytest.mark.parametrize("caps", [(None, None, None), (2, None, 0), (1, 3, 5)])
+    def test_capped_and_uncapped_contexts(self, caps):
+        ctx = SeriesContext(("t", "q", "a"), caps)
+        width = 4
+        counts = {exps: count for count, exps in enumerate(
+            [(0, 0, 0), (1, 2, 0), (3, 1, 1), (2, 4, 6), (0, 15, 1)], 1)}
+        tally = {_tally_key(exps, width): count for exps, count in counts.items()}
+        got = _from_tally(ctx, tally, width)
+        assert got == ref.reference_from_tally(ctx, tally, width)
+        # every term within the caps is kept, and no other
+        assert got.terms == {exps: count for exps, count in counts.items()
+                             if all(c is None or e <= c for e, c in zip(exps, caps))}
+
+    def test_capped_field_above_its_cap_is_dropped(self):
+        ctx = SeriesContext(("t", "q"), (2, None))
+        width = 5
+        tally = {_tally_key((3, 1), width): 4, _tally_key((2, 1), width): 5,
+                 _tally_key((17, 0), width): 6}
+        got = _from_tally(ctx, tally, width)
+        assert got.terms == {(2, 1): 5}
+        assert got == ref.reference_from_tally(ctx, tally, width)
+
+    def test_uncapped_overflow_raises_as_pack_does(self):
+        ctx = SeriesContext(("t", "q", "p"), (2, None, None))
+        width = 20
+        for exps in ((0, MAX_EXPONENT + 1, 0), (1, 3, MAX_EXPONENT + 5)):
+            tally = {_tally_key((0, 1, 1), width): 1, _tally_key(exps, width): 1}
+            with pytest.raises(ExponentOverflowError) as got:
+                _from_tally(ctx, tally, width)
+            with pytest.raises(ExponentOverflowError) as want:
+                ref.reference_from_tally(ctx, tally, width)
+            assert str(got.value) == str(want.value)
+        # a term past a cap is dropped before its other fields are read
+        tally = {_tally_key((3, MAX_EXPONENT + 1, 0), width): 1}
+        assert _from_tally(ctx, tally, width).is_zero
+        assert ref.reference_from_tally(ctx, tally, width).is_zero
+        top = {_tally_key((2, MAX_EXPONENT, MAX_EXPONENT), width): 7}
+        assert _from_tally(ctx, top, width) == ref.reference_from_tally(ctx, top, width)
 
 
 def _capless_mul_into(out, a, b, ctx):
