@@ -743,6 +743,9 @@ class TestFaultyCoreReportsFail:
     def test_capless_handover_shows_past_a_cap(self, monkeypatch, capsys, args):
         monkeypatch.setattr(identities, "_from_tally", _capless_from_tally)
         self.assert_fail(capsys, args, args[1])
+
+    def test_capless_handover_fails_the_capped_walk(self, monkeypatch):
+        monkeypatch.setattr(identities, "_from_tally", _capless_from_tally)
         ctx = _CAPPED_WALK_CTX
         assert dist_polynomial(ctx, 2, 3, _DIRECT).terms \
             != MultiPoly(ctx, reference_dist_terms(ctx, 2, 3, _DIRECT)).terms
