@@ -1,13 +1,15 @@
 """Golden corpus of CLI outputs: the argv list and its digest file.
 
 Each argv record holds an argv, the exit code of ``cli.main`` on it and the
-SHA-256 of its stdout and of its stderr.  Each catalog-call record holds an
-identity and a corrupted side, and the SHA-256 of the report of
-``verify_identity(name, corrupt=side)`` at the entry's defaults: its
-``to_json_dict()`` without ``millis``, plus ``corrupted_monomial``, which
-pins each mismatch monomial and both its coefficients.
-``tests/test_golden.py`` runs every record again and compares.  A change that means to alter an output
-regenerates the file from a checkout of the repository:
+SHA-256 of its stdout and of its stderr; a ``verify --json`` stdout is
+hashed without each report's ``millis``, which is a timing.  Each
+catalog-call record holds an identity and a corrupted side, and the SHA-256
+of the report of ``verify_identity(name, corrupt=side)`` at the entry's
+defaults: its ``to_json_dict()`` without ``millis``, plus
+``corrupted_monomial``, which pins each mismatch monomial and both its
+coefficients.  ``tests/test_golden.py`` runs every record again and
+compares.  A change that means to alter an output regenerates the file from
+a checkout of the repository:
 
     PYTHONPATH=src python3 tests/golden_cli.py
 
@@ -61,6 +63,18 @@ _IDENTITY_CALLS = [
 ]
 _FLAG = {"cap_f": "capf", "cap_g": "capg"}
 
+# The fixed matrix of the perf trajectory.
+_MATRIX = ["verify", "--all", "--r", "3", "--n", "4", "--tmax", "5", "--nmax", "5"]
+
+# Entries that walk sequences or biwords before the group, each refused at
+# its group, which is over the budget while the other set is within it.
+_REFUSED_GROUPS = [
+    ["verify", "--identity", "bijection_stats", "--r", "2", "--n", "7", "--cap", "1"],
+    ["verify", "--identity", "desmaj", "--r", "2", "--n", "7", "--tmax", "1"],
+    ["verify", "--identity", "biword_count", "--r", "2", "--n", "7",
+     "--capf", "1", "--capg", "1"],
+]
+
 # The entries that check facts alone, with no polynomial case to corrupt.
 _FACTS_ONLY = ("bijection_stats", "biword_count")
 
@@ -73,12 +87,14 @@ ARGVS = (_with_json([["table", "--r", str(r), "--n", str(n)]
                      for r in range(1, 4) for n in range(5)])
          + _with_json(_README)
          + _with_json(_REFUSED_TABLES)
-         + [["verify", "--all"]]
+         + _with_json([["verify", "--all"]])
          + [["verify", "--identity", name]
             + [arg for key, value in params.items()
                for arg in (f"--{_FLAG.get(key, key)}", str(value))]
             for name, params in _IDENTITY_CALLS]
-         + [["selftest"]])
+         + [["selftest"]]
+         + _with_json([_MATRIX])
+         + [argv + ["--max-elements", "100000"] for argv in _REFUSED_GROUPS])
 
 CALLS = [[name, side] for name in CATALOG if name not in _FACTS_ONLY
          for side in ("lhs", "rhs")]
@@ -89,8 +105,14 @@ def record(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
+    stdout = out.getvalue()
+    if argv[0] == "verify" and "--json" in argv and stdout:
+        reports = json.loads(stdout)
+        for report in reports:
+            del report["millis"]
+        stdout = json.dumps(reports, sort_keys=True) + "\n"
     return {"argv": list(argv), "exit": code,
-            "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest(),
             "stderr_sha256": hashlib.sha256(err.getvalue().encode()).hexdigest()}
 
 
