@@ -13,27 +13,25 @@ directions implement.
 
 Each map has one tuple core that the public function wraps: ``_biwords``
 yields ``enumerate_biwords``' rows as ``(top parts, values, colors)``,
-``_is_biword`` is ``is_biword`` on them, and ``_to_triple`` and
-``_from_triple`` map a biword's tuples to its triple's ``(sigma, colors,
-lam, mu)`` and back.  ``_to_triple`` reads each element's descent sets and
-skew inverse from a table of ``_window`` entries, which ``to_triple`` fills
-with the one element it needs; ``_from_triple`` takes the skew inverse's
-tuples alone.  Each check runs once:
-``_to_triple`` checks the triple it makes, ``_from_triple`` takes a checked
+after the budget of ``_check_biwords``, ``_is_biword`` is ``is_biword`` on
+them, and ``_to_triple`` and ``_from_triple`` map a biword's tuples to its
+triple's ``(sigma, colors, lam, mu)`` and back.  ``_to_triple`` reads each
+element's descent sets and skew inverse from a table of ``_window``
+entries, which ``to_triple`` fills with the one element it needs;
+``_from_triple`` takes the skew inverse's tuples alone.  Each check runs
+once: ``_to_triple`` checks the triple it makes, ``_from_triple`` takes a checked
 one, and the value objects around their results are built ``_unchecked``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 from .group import (
-    BudgetExceededError,
     ColoredPermutation,
+    _check_budget,
     _check_window,
-    _count_text,
     _descent_set,
     _skew,
     _unchecked,
@@ -188,9 +186,8 @@ def enumerate_biwords(r, n, cap_f, cap_g, max_elements=None):
     row rises and, where it stalls, only the entries the column rule lets
     follow the previous one, so no invalid row is ever formed.  Zero values
     are uncolored.  Deterministic order: lexicographic in the top row, then
-    in the bottom row entries.  The budget bounds the candidate count, the
-    top rows times every bottom row, before any is built.  The rows come
-    from the tuple core ``_biwords``.
+    in the bottom row entries.  The rows come from the tuple core
+    ``_biwords``, which runs ``_check_biwords`` on the first ``next()``.
     """
     for lam, values, colors in _biwords(r, n, cap_f, cap_g, max_elements):
         yield Biword(g=Partition(lam), f=ColoredSequence(r, values, colors))
@@ -198,15 +195,8 @@ def enumerate_biwords(r, n, cap_f, cap_g, max_elements=None):
 
 def _biwords(r, n, cap_f, cap_g, max_elements=None):
     """``enumerate_biwords`` as ``(top parts, values, colors)`` tuples, same
-    order, same budget, still raised when the first biword is asked for."""
-    if max_elements is not None:
-        tops = math.comb(cap_g + n, n)
-        bottoms = (1 + cap_f * r) ** n
-        if tops * bottoms > max_elements:
-            raise BudgetExceededError(f"{_count_text(tops * bottoms)} candidate "
-                                      f"biwords exceed budget {max_elements}")
-    alphabet = [(v, c) for v in range(cap_f + 1) for c in range(r)
-                if not (v == 0 and c > 0)]
+    order, from the alphabet of ``_check_biwords``, run on the first ``next()``."""
+    alphabet = _check_biwords(r, n, cap_f, cap_g, max_elements)
     after = {entry: [e for e in alphabet if _may_follow(*entry, *e)]
              for entry in alphabet}
     for lam in _parts_in_box(n, cap_g):
@@ -220,6 +210,15 @@ def _biwords(r, n, cap_f, cap_g, max_elements=None):
             prev = top
         for values, colors, _ in rows:
             yield lam, values, colors
+
+
+def _check_biwords(r, n, cap_f, cap_g, max_elements):
+    """The budget of ``_biwords``, top rows times every bottom row; returns
+    the bottom row's ``(value, color)`` alphabet, zero uncolored, in order."""
+    _check_budget(max_elements, "{} candidate biwords exceed",
+                  lambda: math.comb(cap_g + n, n) * (1 + cap_f * r) ** n)
+    return [(v, c) for v in range(cap_f + 1) for c in range(r)
+            if not (v == 0 and c > 0)]
 
 
 def _biword_text(r, lam, values, colors):

@@ -36,10 +36,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .group import (
-    BudgetExceededError,
     ColoredPermutation,
     ParseError,
-    _count_text,
+    _check_budget,
     _descent_set,
     _entries_text,
     _length,
@@ -356,8 +355,8 @@ def _sequences(r, n, max_cap=None, restrict_n0=True, composition=None,
 
 def _check_sequences(r, n, max_cap=None, restrict_n0=True, composition=None,
                      max_elements=None):
-    """The checks and budget of ``_sequences``, for it and for the walks
-    that visit the same sequences; raises before any sequence is built.
+    """The checks and ``group._check_budget`` of ``_sequences``, for it and
+    for the walks over the same sequences; raises before any is built.
 
     Returns the letters the sequences are made of: in composition mode the
     composition's values, nondecreasing, one per position; otherwise the
@@ -372,19 +371,14 @@ def _check_sequences(r, n, max_cap=None, restrict_n0=True, composition=None,
         if sum(composition) != n:
             raise ValueError(f"composition must sum to {n}")
         colored_positions = n - (composition[0] if composition else 0)
-        if max_elements is not None:
-            total = multinomial(composition) * r ** colored_positions
-            if total > max_elements:
-                raise BudgetExceededError(
-                    f"{_count_text(total)} sequences exceed budget {max_elements}")
+        _check_budget(max_elements, "{} sequences exceed",
+                      lambda: multinomial(composition) * r ** colored_positions)
         return [j for j, mult in enumerate(composition) for _ in range(mult)]
     if max_cap is None or max_cap < 0:
         raise ValueError("plain enumeration needs a nonnegative max_cap")
     alphabet = [(v, c) for v in range(max_cap + 1) for c in range(r)
                 if not (v == 0 and c > 0 and restrict_n0)]
-    if max_elements is not None and len(alphabet) ** n > max_elements:
-        raise BudgetExceededError(f"{_count_text(len(alphabet) ** n)} sequences "
-                                  f"exceed budget {max_elements}")
+    _check_budget(max_elements, "{} sequences exceed", lambda: len(alphabet) ** n)
     return alphabet
 
 

@@ -282,19 +282,23 @@ def project_to_signed(gamma):
                               tuple(1 if c else 0 for c in gamma.colors))
 
 
-def _count_text(count):
-    """``count`` in decimal, or as a power of two past Python's digit limit."""
-    try:
-        return str(count)
-    except ValueError:
-        return f"2^{count.bit_length() - 1} or more"
+def _check_budget(max_elements, refusal, count):
+    """The one budget check of every enumeration: refuse ``count()`` items
+    over ``max_elements``, with the count put into the format string
+    ``refusal``; no count is taken when the budget is None."""
+    if max_elements is not None:
+        total = count()
+        if total > max_elements:
+            try:
+                text = str(total)
+            except ValueError:  # past Python's int-to-str digit limit
+                text = f"2^{total.bit_length() - 1} or more"
+            raise BudgetExceededError(f"{refusal.format(text)} budget {max_elements}")
 
 
 def _check_group_budget(r, n, max_elements):
     """Refuse a walk of the whole group when its order exceeds the budget."""
-    if max_elements is not None and group_order(r, n) > max_elements:
-        raise BudgetExceededError(f"group of order {_count_text(group_order(r, n))} "
-                                  f"exceeds budget {max_elements}")
+    _check_budget(max_elements, "group of order {} exceeds", lambda: group_order(r, n))
 
 
 def enumerate_group(r, n, max_elements=None):

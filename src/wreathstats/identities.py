@@ -68,6 +68,7 @@ from .encoding import (
 from .biwords import (
     _biword_text,
     _biwords,
+    _check_biwords,
     _columns,
     _from_triple,
     _is_biword,
@@ -333,10 +334,10 @@ def verify_identity(name, corrupt=None, max_elements=DEFAULT_MAX_ELEMENTS,
         raise ValueError("corrupt must be None, 'lhs' or 'rhs'")
     func = CATALOG[name][0]
     for key, value in merged.items():
-        if key.endswith("max") or key.endswith("cap"):
-            if value == 0:
-                warnings.warn(f"{name}: cap {key}=0 compares only the constant term",
-                              stacklevel=2)
+        # parts_max counts keylem's parts and truncates no series
+        if value == 0 and key != "parts_max" and key.endswith(("max", "cap")):
+            warnings.warn(f"{name}: cap {key}=0 compares only the constant term",
+                          stacklevel=2)
     start = time.perf_counter()
     lhs_terms = rhs_terms = 0
     mismatch = None
@@ -516,11 +517,13 @@ def _desmaj_tally(max_elements, r, n, tmax):
 
 
 def _desmaj(max_elements, r, n, tmax):
+    _check_sequences(r, n, max_cap=tmax, max_elements=max_elements)
+    _check_group_budget(r, n, max_elements)
     ctx = SeriesContext(("t", "q"), (tmax, None))
     width = _desmaj_width(n, tmax)
-    buckets = _desmaj_tally(max_elements, r, n, tmax)
+    buckets = _desmaj_tally(None, r, n, tmax)
     denom = _reciprocal_pochhammer(ctx, "t", "q", n)
-    for window in _windows(r, n, max_elements):
+    for window in _windows(r, n):
         des_set = _descent_set(*window)
         lhs = _from_tally(ctx, buckets.get(window, {}), width)
         rhs = MultiPoly.monomial(ctx, 1, t=len(des_set), q=sum(des_set)) * denom
@@ -587,21 +590,20 @@ def _exponential_sum(ctx, n, x, kmax, shift=None):
     p = MultiPoly.variable(ctx, "p")
     binomials = _gaussian_rows(ctx, n, p)
     one = MultiPoly.constant(ctx, 1)
-    zero = MultiPoly.zero(ctx)
     hats = [_hat_multinomial(ctx, (m, n - m), x, p, binomials) for m in range(n + 1)]
-    running = [one] + [zero] * n
-    rhs = zero
+    running = [one] + [MultiPoly.zero(ctx)] * n
+    terms = []
     for k in range(kmax + 1):
         weights = [MultiPoly.monomial(ctx, 1, **{shift: k * j}) if shift else one
                    for j in range(n + 1)]
         term = _dot(ctx, ((hats[m] * weights[m], running[n - m])
                           for m in range(n + 1)))
-        rhs = rhs + MultiPoly.monomial(ctx, 1, t=k) * term
+        terms.append((MultiPoly.monomial(ctx, 1, t=k), term))
         if k < kmax:
             running = [_dot(ctx, ((weights[j] * binomials[m][j], running[m - j])
                                   for j in range(m + 1)))
                        for m in range(n + 1)]
-    return rhs
+    return _dot(ctx, terms)
 
 
 def _theorem_A_rhs(ctx, r, n, tmax):
@@ -680,11 +682,10 @@ def _chow_gessel(max_elements, r, n, tmax):
                            max_elements)
     a = MultiPoly.variable(ctx, "a")
     lhs = dist * _reciprocal_pochhammer(ctx, "t", "q", n + 1)
-    rhs = MultiPoly.zero(ctx)
     twist = a * q_int(ctx, r - 1, "a")
-    for k in range(tmax + 1):
-        base = q_int(ctx, k + 1, "q") + twist * q_int(ctx, k, "q")
-        rhs = rhs + MultiPoly.monomial(ctx, 1, t=k) * base ** n
+    rhs = _dot(ctx, ((MultiPoly.monomial(ctx, 1, t=k),
+                      (q_int(ctx, k + 1, "q") + twist * q_int(ctx, k, "q")) ** n)
+                     for k in range(tmax + 1)))
     yield ("poly", f"r={r} n={n} tmax={tmax}", lhs, rhs)
 
 
@@ -694,9 +695,8 @@ def _carlitz(max_elements, r, n, tmax):
                            max_elements)
     qr = MultiPoly.monomial(ctx, 1, q=r)
     lhs = dist * _reciprocal_pochhammer(ctx, "t", qr, n + 1)
-    rhs = MultiPoly.zero(ctx)
-    for k in range(tmax + 1):
-        rhs = rhs + MultiPoly.monomial(ctx, 1, t=k) * q_int(ctx, r * k + 1, "q") ** n
+    rhs = _dot(ctx, ((MultiPoly.monomial(ctx, 1, t=k), q_int(ctx, r * k + 1, "q") ** n)
+                     for k in range(tmax + 1)))
     yield ("poly", f"r={r} n={n} tmax={tmax}", lhs, rhs)
 
 
@@ -725,25 +725,24 @@ def _brenti_rhs(ctx, r, nmax):
     ks = range(ctx.cap("t") + 1)
     bases = [one + k * lift for k in ks]
     powers = [MultiPoly.monomial(ctx, 1, t=k) for k in ks]
-    rhs = MultiPoly.zero(ctx)
+    terms = []
     scale = shrink
     for n in range(nmax + 1):
-        total = sum(powers, MultiPoly.zero(ctx)) * scale
-        rhs = rhs + total * MultiPoly.monomial(ctx, Fraction(1, factorial(n)), u=n)
+        terms.append((MultiPoly.monomial(ctx, Fraction(1, factorial(n)), u=n),
+                      _dot(ctx, ((power, scale) for power in powers))))
         powers = [power * base for power, base in zip(powers, bases)]
         scale = scale * shrink
-    return rhs
+    return _dot(ctx, terms)
 
 
 def _brenti(max_elements, r, nmax):
     _check_group_budgets(r, nmax, max_elements)
     tcap = nmax + 1
     ctx = SeriesContext(("u", "t", "a"), (nmax, tcap, None))
-    lhs = MultiPoly.zero(ctx)
-    for n in range(nmax + 1):
-        dist = dist_polynomial(ctx, r, n, {"des": "t", "col": "a"},
-                               max_elements)
-        lhs = lhs + dist * MultiPoly.monomial(ctx, Fraction(1, factorial(n)), u=n)
+    lhs = _dot(ctx, ((dist_polynomial(ctx, r, n, {"des": "t", "col": "a"},
+                                      max_elements),
+                      MultiPoly.monomial(ctx, Fraction(1, factorial(n)), u=n))
+                     for n in range(nmax + 1)))
     yield ("poly", f"r={r} nmax={nmax}", lhs, _brenti_rhs(ctx, r, nmax))
 
 
@@ -795,8 +794,10 @@ def _bijection_stats(max_elements, r, n, cap):
     # Both sides run the maps on tuples and name a failing sequence from
     # them, since a faulty map's image may be no ColoredSequence.  Each
     # sequence is sorted once; its window and descent set serve every check.
+    _check_sequences(r, n, max_cap=cap, max_elements=max_elements)
+    _check_group_budget(r, n, max_elements)
     checked = 0
-    for values, colors in _sequences(r, n, max_cap=cap, max_elements=max_elements):
+    for values, colors in _sequences(r, n, max_cap=cap):
         window = _sort(values, colors)
         sigma = window[0]
         des_set = _descent_set(*window)
@@ -831,7 +832,7 @@ def _bijection_stats(max_elements, r, n, cap):
     checked = 0
     boxes = list(_parts_in_box(n, cap))
     zeros = (0,) * n  # a partition is written as its parts, uncolored
-    for window in _windows(r, n, max_elements):
+    for window in _windows(r, n):
         # the element's descent set and skew inverse, built once for all its
         # pairs
         sigma = window[0]
@@ -868,7 +869,9 @@ def _biword_count(max_elements, r, n, cap_f, cap_g):
     # Every biword is checked on its tuples, and a failing fact names it
     # from them, since a faulty enumerator's rows may be no Partition or
     # ColoredSequence.
-    words = list(_biwords(r, n, cap_f, cap_g, max_elements))
+    _check_biwords(r, n, cap_f, cap_g, max_elements)
+    _check_group_budget(r, n, max_elements)
+    words = list(_biwords(r, n, cap_f, cap_g))
     for word in words:
         if not _is_biword(*word):
             lam, values, colors = word
@@ -883,7 +886,7 @@ def _biword_count(max_elements, r, n, cap_f, cap_g):
     bottoms = list(_parts_in_box(n, cap_f))
     windows = {}
     expected = set()
-    for window in _windows(r, n, max_elements):
+    for window in _windows(r, n):
         des_set, skew_des_set, _ = windows[window] = _window(*window)
         mus = [mu for mu in bottoms if _fits(mu, des_set)]
         for lam in tops:

@@ -319,6 +319,21 @@ def test_group_budget_refused_before_any_walk(capsys, argv):
                           "exceeds budget 10000000\n")
 
 
+# entries that walk sequences or biwords before the group check the group's
+# budget before either walk
+@pytest.mark.parametrize("argv", [
+    "verify --identity bijection_stats --r 3 --n 7 --cap 2",
+    "verify --identity desmaj --r 3 --n 7 --tmax 2",
+    "verify --identity biword_count --r 3 --n 7 --capf 1 --capg 1",
+])
+def test_group_budget_refused_before_the_other_walk(capsys, argv):
+    start = time.perf_counter()
+    got = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 0.1
+    assert got == (2, "", "budget exceeded: group of order 11022480 "
+                          "exceeds budget 10000000\n")
+
+
 # a thousand positions and 1200 parts: neither walk recurses per position
 @pytest.mark.parametrize("argv", [
     "verify --identity keylem --n 1000 --parts_max 1",
@@ -337,10 +352,12 @@ class TestWarnings:
         assert err == "warning: carlitz: cap tmax=0 compares only the constant term\n"
 
     def test_warning_printed_before_error(self, capsys):
-        code, out, err = run(capsys, "verify", "--identity", "keylem", "--parts_max", "0")
-        assert (code, out) == (1, "")
-        assert err == ("warning: keylem: cap parts_max=0 compares only the constant term\n"
-                       "invalid input: keylem: no case to check at n=3 parts_max=0 r=2\n")
+        code, out, err = run(capsys, "verify", "--identity", "desmaj", "--tmax", "0",
+                             "--n", "6000")
+        assert (code, out) == (2, "")
+        assert err == ("warning: desmaj: cap tmax=0 compares only the constant term\n"
+                       "budget exceeded: group of order 2^72655 or more exceeds "
+                       "budget 10000000\n")
 
 
 # Generated argv for the parsing commands and for verify: every input is

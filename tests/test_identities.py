@@ -1,6 +1,9 @@
+import ast
 import itertools
+import sys
 import warnings
 from bisect import bisect_left, bisect_right
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +129,56 @@ class TestGroupWalk:
         assert visited == []
 
 
+def _no_item(*args):
+    raise AssertionError("an item was visited before every budget was checked")
+
+
+class TestBudgetsBeforeAnyWork:
+    """The entries that walk sequences or biwords as well as the group check
+    both budgets, the other set's first, before they visit either set."""
+
+    @pytest.mark.parametrize("name,core,caps", [
+        ("bijection_stats", "_sort", {"cap": 1}),
+        ("desmaj", "_insertion", {"tmax": 1}),
+        ("biword_count", "_biwords", {"cap_f": 1, "cap_g": 1}),
+    ])
+    def test_group_refused_before_the_first_item(self, monkeypatch, name, core,
+                                                 caps):
+        monkeypatch.setattr(identities, core, _no_item)
+        with pytest.raises(BudgetExceededError) as info:
+            verify_identity(name, r=2, n=7, max_elements=100000, **caps)
+        assert str(info.value) == "group of order 645120 exceeds budget 100000"
+
+    # 3^7 sequences and 8 * 3^7 candidate biwords, both sets over budget
+    @pytest.mark.parametrize("name,caps,refusal", [
+        ("bijection_stats", {"cap": 1}, "2187 sequences"),
+        ("desmaj", {"tmax": 1}, "2187 sequences"),
+        ("biword_count", {"cap_f": 1, "cap_g": 1}, "17496 candidate biwords"),
+    ])
+    def test_other_set_refused_before_the_group(self, name, caps, refusal):
+        with pytest.raises(BudgetExceededError) as info:
+            verify_identity(name, r=2, n=7, max_elements=1000, **caps)
+        assert str(info.value) == f"{refusal} exceed budget 1000"
+
+    def test_one_refusal_rule(self):
+        """Only ``group._check_budget`` words an enumeration's refusal; the
+        one other ``BudgetExceededError`` is ``verify_identity``'s term
+        budget."""
+        built = []
+        for path in sorted(Path(group.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            funcs = [node for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef)]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) \
+                        and getattr(node.func, "id", None) == "BudgetExceededError":
+                    inner = max((f for f in funcs
+                                 if f.lineno <= node.lineno <= f.end_lineno),
+                                key=lambda f: f.lineno)
+                    built.append(f"{path.stem}.{inner.name}")
+        assert sorted(built) == ["group._check_budget", "identities.verify_identity"]
+
+
 class TestCatalogEntries:
     def test_length_gf_closed_form(self):
         report = verify_identity("length_gf", r=2, n=2)
@@ -191,9 +244,11 @@ class TestCatalogEntries:
                 verify_identity("carlitz", r=0, tmax=0)
 
     def test_run_without_cases(self):
-        with pytest.warns(UserWarning), \
-                pytest.raises(ValueError, match="no case.*parts_max=0"):
-            verify_identity("keylem", parts_max=0)
+        # parts_max counts parts, so it is no cap to warn about
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no case.*parts_max=0"):
+                verify_identity("keylem", parts_max=0)
 
     def test_zero_cap_warns(self):
         with pytest.warns(UserWarning):
@@ -743,6 +798,26 @@ class TestFaultyCoreReportsFail:
     def test_capless_handover_shows_past_a_cap(self, monkeypatch, capsys, args):
         monkeypatch.setattr(identities, "_from_tally", _capless_from_tally)
         self.assert_fail(capsys, args, args[1])
+
+    # A descent set that drops the descent at 0 FAILs only the entries that
+    # take descent sets from _descent_set: desmaj's right side and both
+    # bijection checks.  The group walk decides every descent, the
+    # inverse's too, from the ranks of the entries it places and never
+    # calls _descent_set; keylem sums lengths alone; and projection
+    # compares two descent sets that lose the same descent at 0.
+    def test_descent_set_without_zero(self, monkeypatch, capsys):
+        true = group._descent_set
+        for module in [m for key, m in sys.modules.items()
+                       if key.startswith("wreathstats.")]:
+            if hasattr(module, "_descent_set"):
+                monkeypatch.setattr(module, "_descent_set",
+                                    lambda sigma, colors: true(sigma, colors) - {0})
+        code = main(["verify", "--all", "--r", "3", "--n", "4", "--tmax", "4",
+                     "--nmax", "4"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert {line.split()[0] for line in lines if line.endswith(" FAIL")} \
+            == {"desmaj", "bijection_stats", "biword_count"}
 
     def test_capless_handover_fails_the_capped_walk(self, monkeypatch):
         monkeypatch.setattr(identities, "_from_tally", _capless_from_tally)
