@@ -48,7 +48,8 @@ _REFUSED_TABLES = [
 
 
 # The identity calls of the benchmark's ``ring`` and ``enumerate`` workloads,
-# with their parameters, run here as text.
+# with their parameters, run here as text and, last in the corpus, as JSON,
+# which pins each report's ``lhs_terms`` and ``rhs_terms``.
 _IDENTITY_CALLS = [
     ("theorem_A", {"r": 3, "n": 4, "tmax": 5}),
     ("theorem_B", {"r": 3, "n": 3, "t1max": 3, "t2max": 3}),
@@ -83,18 +84,22 @@ def _with_json(argvs):
     return [out for argv in argvs for out in (argv, argv + ["--json"])]
 
 
+_IDENTITY_ARGVS = [["verify", "--identity", name]
+                   + [arg for key, value in params.items()
+                      for arg in (f"--{_FLAG.get(key, key)}", str(value))]
+                   for name, params in _IDENTITY_CALLS]
+
+
 ARGVS = (_with_json([["table", "--r", str(r), "--n", str(n)]
                      for r in range(1, 4) for n in range(5)])
          + _with_json(_README)
          + _with_json(_REFUSED_TABLES)
          + _with_json([["verify", "--all"]])
-         + [["verify", "--identity", name]
-            + [arg for key, value in params.items()
-               for arg in (f"--{_FLAG.get(key, key)}", str(value))]
-            for name, params in _IDENTITY_CALLS]
+         + _IDENTITY_ARGVS
          + [["selftest"]]
          + _with_json([_MATRIX])
-         + [argv + ["--max-elements", "100000"] for argv in _REFUSED_GROUPS])
+         + [argv + ["--max-elements", "100000"] for argv in _REFUSED_GROUPS]
+         + [argv + ["--json"] for argv in _IDENTITY_ARGVS])
 
 CALLS = [[name, side] for name in CATALOG if name not in _FACTS_ONLY
          for side in ("lhs", "rhs")]
