@@ -112,10 +112,12 @@ class TestGroupWalk:
             want = MultiPoly(ctx, reference_dist_terms(ctx, r, n, stats))
             assert got.terms == want.terms, stats
 
-    # at r = 4 the inverse color (r - c) mod r pairs 1 with 3 and keeps 2
+    # At r = 4 the inverse color (r - c) mod r pairs 1 with 3 and keeps 2,
+    # and the walk's final frame runs over 2 * 16 color pairs: every plan,
+    # direct ones too.
     @pytest.mark.parametrize("n", range(5))
     def test_inverse_plans_at_four_colors(self, n):
-        for stats in [{stat: var} for stat, var in _INVERSE.items()] + [_SIX, _FLAGS]:
+        for stats in _WALK_PLANS:
             got = dist_polynomial(_WALK_CTX, 4, n, stats).terms
             assert got == reference_dist_terms(_WALK_CTX, 4, n, stats), stats
 
@@ -742,6 +744,23 @@ def _capless_from_tally(ctx, tally, width):
     return qseries._poly(ctx, keys)
 
 
+def _patch_everywhere(monkeypatch, name, fault):
+    """Patch ``fault`` in as ``name`` in every package module that binds it."""
+    for module in [m for key, m in sys.modules.items()
+                   if key.startswith("wreathstats.")]:
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, fault)
+
+
+def _failing_entries(capsys):
+    """The entries that FAIL ``verify --all`` at r=3 n=4 tmax=4 nmax=4."""
+    code = main(["verify", "--all", "--r", "3", "--n", "4", "--tmax", "4",
+                 "--nmax", "4"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    return {line.split()[0] for line in lines if line.endswith(" FAIL")}
+
+
 class TestFaultyCoreReportsFail:
     @pytest.mark.parametrize("module,core,fault,name", [
         (identities, "_sequence_from", _countless_sequence_from, "bijection_stats"),
@@ -807,17 +826,28 @@ class TestFaultyCoreReportsFail:
     # compares two descent sets that lose the same descent at 0.
     def test_descent_set_without_zero(self, monkeypatch, capsys):
         true = group._descent_set
-        for module in [m for key, m in sys.modules.items()
-                       if key.startswith("wreathstats.")]:
-            if hasattr(module, "_descent_set"):
-                monkeypatch.setattr(module, "_descent_set",
-                                    lambda sigma, colors: true(sigma, colors) - {0})
-        code = main(["verify", "--all", "--r", "3", "--n", "4", "--tmax", "4",
-                     "--nmax", "4"])
-        lines = capsys.readouterr().out.splitlines()
-        assert code == 1
-        assert {line.split()[0] for line in lines if line.endswith(" FAIL")} \
-            == {"desmaj", "bijection_stats", "biword_count"}
+        _patch_everywhere(monkeypatch, "_descent_set",
+                          lambda sigma, colors: true(sigma, colors) - {0})
+        assert _failing_entries(capsys) == {"desmaj", "bijection_stats", "biword_count"}
+
+    # An order_key that orders colored entries by increasing value FAILs
+    # desmaj alone: its left side places each sequence with _insertion,
+    # which reads no order_key, and its right side reads the descent sets
+    # of the windows under the faulty order.  keylem's sides read no
+    # order_key.  projection, bijection_stats and biword_count read one
+    # order on both sides of each check.  On the group-walk entries the
+    # fault moves statistics between elements but keeps their
+    # distribution: reversing the colored values of a window among
+    # themselves is a bijection of the group, and the faulty order on an
+    # element is the true order on its image, which has the same colors
+    # and the same sum of colored values, so length, des, maj and col are
+    # equidistributed.  The inverse plans pass too: theorem_B at r=2 n=4
+    # caps 4/4 and r=3 n=3 caps 3/3, adin_roichman at r=3 ucap=3 qcap=20.
+    def test_order_key_increasing_on_colored_values(self, monkeypatch, capsys):
+        _patch_everywhere(monkeypatch, "order_key",
+                          lambda value, color: (0, value, -color) if color
+                          else (1, value))
+        assert _failing_entries(capsys) == {"desmaj"}
 
     def test_capless_handover_fails_the_capped_walk(self, monkeypatch):
         monkeypatch.setattr(identities, "_from_tally", _capless_from_tally)
