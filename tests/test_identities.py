@@ -521,9 +521,10 @@ class TestCoefficientOnlyRightSides:
 
 
 class TestSharedPieces:
-    """Each right side builds a shared piece once: one set of Gaussian rows
-    per exponential sum, and theorem_B's cells along a k1 row go on from
-    the sums of the cell before."""
+    """Each side builds a shared piece once: one set of Gaussian rows per
+    exponential sum, theorem_B's cells along a k1 row go on from the sums
+    of the cell before, desmaj builds one right side per (des, maj), and
+    projection the signed descent sets once per fiber."""
 
     def test_gaussian_rows_once_per_exponential_sum(self, monkeypatch):
         rows_built, sums_built = [], []
@@ -575,6 +576,24 @@ class TestSharedPieces:
         built.clear()
         assert verify_identity("keylem", r=2, n=300, parts_max=1).passed
         assert built == []
+
+    def test_desmaj_builds_one_right_side_per_descent_pair(self):
+        # the 48 windows of r=2 n=3 share 8 pairs (des, maj)
+        pairs = {(len(des_set), sum(des_set))
+                 for des_set in (_descent_set(*window) for window in group._windows(2, 3))}
+        cases = list(identities._desmaj(None, 2, 3, 2))
+        assert len(cases) == group_order(2, 3)
+        assert len({id(rhs) for *_, rhs in cases}) == len(pairs) == 8
+
+    def test_projection_reads_signed_descents_once_per_fiber(self, monkeypatch):
+        # r=3 n=3: two descent sets per element, 162 of them, and two per
+        # fiber (sigma, signs), 48 of them; per element alone it was 648
+        read = []
+        descent_set = identities._descent_set
+        monkeypatch.setattr(identities, "_descent_set",
+                            lambda sigma, colors: read.append(1) or descent_set(sigma, colors))
+        assert verify_identity("projection", r=3, n=3).passed
+        assert len(read) == 2 * 162 + 2 * 48
 
 
 class TestBijectionStats:
