@@ -20,7 +20,8 @@ values no ``ColoredSequence`` holds.
 
 ``_sort`` sorts one sequence from nothing.  It serves ``pi_of``,
 ``lambda_of``, ``seq_statistics`` and the bijection checks (the triple maps
-and ``bijection_stats``, both sides), where the sort is the map under test.
+and ``bijection_stats``, once per sequence), where the sort is the map under
+test.
 The catalog's sums over many sequences (``keylem`` and ``desmaj``) instead
 walk the sequences position by position, and ``_insertion`` places each new
 position in the sorted window from a count of the values already placed.

@@ -57,7 +57,6 @@ from .encoding import (
     _check_sequences,
     _distinct_permutations,
     _fits,
-    _in_n0,
     _insertion,
     _parts_in_box,
     _residue,
@@ -870,23 +869,18 @@ def _adin_roichman(max_elements, r, ucap, qcap):
         yield ("poly", f"r={r} n={n}", lhs, rhs)
 
 
-def _residue_fact(values, colors, sigma, des_set):
-    """``(checked residue parts, None)``, or ``(None, failing fact)`` naming
-    the sequence when ``_residue`` or ``Partition``'s check refuses them."""
-    try:
-        return _check_parts(_residue(values, sigma, des_set)), None
-    except ValueError as exc:
-        return None, ("fact", f"residue of {_entries_text(values, colors)}",
-                      False, str(exc))
-
-
 def _bijection_stats(max_elements, r, n, cap):
-    # Both sides run the maps on tuples and name a failing sequence from
-    # them, since a faulty map's image may be no ColoredSequence.  Each
-    # sequence is sorted once; its window and descent set serve every check.
+    # The maps run on tuples and a failing fact names a sequence from them,
+    # since a faulty map's image may be no ColoredSequence.  Each sequence
+    # is sorted once; its window and descent set serve every check.  The
+    # round trip makes the map one-to-one on the sequences, and an image
+    # that is every pair in the box makes it onto those pairs, so each
+    # pair's own round trip holds and its image is a sequence, in the
+    # zero-forces-uncolored set.  A pair whose image has max past the cap
+    # is checked at a larger cap.
     _check_sequences(r, n, max_cap=cap, max_elements=max_elements)
     _check_group_budget(r, n, max_elements)
-    checked = 0
+    image = set()
     for values, colors in _sequences(r, n, max_cap=cap):
         window = _sort(values, colors)
         sigma = window[0]
@@ -897,9 +891,11 @@ def _bijection_stats(max_elements, r, n, cap):
             yield ("fact", f"descent forces growth at {_entries_text(values, colors)}",
                    False, None)
             return
-        parts, failure = _residue_fact(values, colors, sigma, des_set)
-        if failure:
-            yield failure
+        try:
+            parts = _check_parts(_residue(values, sigma, des_set))
+        except ValueError as exc:
+            yield ("fact", f"residue of {_entries_text(values, colors)}", False,
+                   str(exc))
             return
         des, maj = len(des_set), sum(des_set)
         back = _sequence_from(parts, des_set, *_skew(*window))
@@ -916,43 +912,15 @@ def _bijection_stats(max_elements, r, n, cap):
             yield ("fact", f"sum relation at {_entries_text(values, colors)}", False,
                    f"{total} vs {sum(parts)} + {n}*{des} - {maj}")
             return
-        checked += 1
-    yield ("fact", f"sequence side r={r} n={n} cap={cap} ({checked} sequences)",
+        image.add((window, parts))
+    yield ("fact", f"sequence side r={r} n={n} cap={cap} ({len(image)} sequences)",
            True, None)
-    checked = 0
-    boxes = list(_parts_in_box(n, cap))
-    zeros = (0,) * n  # a partition is written as its parts, uncolored
-    for window in _windows(r, n):
-        # the element's descent set and skew inverse, built once for all its
-        # pairs
-        sigma = window[0]
-        des_set = _descent_set(*window)
-        skew = _skew(*window)
-        for lam in boxes:
-            values, colors = _sequence_from(lam, des_set, *skew)
-            if not _in_n0(values, colors):
-                yield ("fact", f"image of ([{_entries_text(*window)}], "
-                       f"{_entries_text(lam, zeros)})", False,
-                       "left the zero-forces-uncolored set")
-                return
-            # once the sort gives the element back, the residue reads its
-            # descent set; one other than lam is named as lambda_of names it
-            if _sort(values, colors) == window:
-                try:
-                    if _residue(values, sigma, des_set) == lam:
-                        checked += 1
-                        continue
-                except ValueError:
-                    pass  # _residue_fact names the refusal
-                _, failure = _residue_fact(values, colors, sigma, des_set)
-                if failure:
-                    yield failure
-                    return
-            yield ("fact", f"round trip of ([{_entries_text(*window)}], "
-                   f"{_entries_text(lam, zeros)})", False, None)
-            return
-    yield ("fact", f"pair side r={r} n={n} cap={cap} ({checked} pairs)",
-           True, None)
+    # a sequence's max is its partition's max plus its descent count
+    expected = {(window, lam) for window in _windows(r, n)
+                for lam in _parts_in_box(n, cap - len(_descent_set(*window)))}
+    yield ("fact", f"image is every pair in the box (r={r} n={n} cap={cap})",
+           image == expected,
+           f"{len(image)} pairs reached vs {len(expected)} expected")
 
 
 def _biword_count(max_elements, r, n, cap_f, cap_g):

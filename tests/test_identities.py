@@ -25,6 +25,7 @@ from wreathstats.encoding import (
     ColoredSequence,
     Partition,
     _sequence_from,
+    _sequences,
     partitions_in_box,
 )
 from wreathstats.group import (
@@ -523,8 +524,9 @@ class TestCoefficientOnlyRightSides:
 class TestSharedPieces:
     """Each side builds a shared piece once: one set of Gaussian rows per
     exponential sum, theorem_B's cells along a k1 row go on from the sums
-    of the cell before, desmaj builds one right side per (des, maj), and
-    projection the signed descent sets once per fiber."""
+    of the cell before, desmaj builds one right side per (des, maj),
+    projection the signed descent sets once per fiber, and bijection_stats
+    sends each sequence through the maps once."""
 
     def test_gaussian_rows_once_per_exponential_sum(self, monkeypatch):
         rows_built, sums_built = [], []
@@ -595,6 +597,17 @@ class TestSharedPieces:
         assert verify_identity("projection", r=3, n=3).passed
         assert len(read) == 2 * 162 + 2 * 48
 
+    @pytest.mark.parametrize("core", ["_sort", "_sequence_from"])
+    def test_bijection_stats_maps_each_sequence_once(self, monkeypatch, core):
+        # r=2 n=3 cap=2: 125 sequences; the 48 elements times the 10
+        # partitions in the box sent through both maps again made it 605
+        calls = []
+        true = getattr(identities, core)
+        monkeypatch.setattr(identities, core,
+                            lambda *args: calls.append(1) or true(*args))
+        assert verify_identity("bijection_stats", r=2, n=3, cap=2).passed
+        assert len(calls) == 125
+
 
 class TestBijectionStats:
     def test_descent_at_zero_forces_growth(self, monkeypatch):
@@ -616,12 +629,10 @@ class TestBijectionStats:
         got = next(identities._bijection_stats(None, 1, 2, 1))
         assert got == ("fact", "residue of 1,0", False, "parts must be nondecreasing")
 
-    def test_pair_side_residue_failure_is_a_fact(self, monkeypatch):
+    def test_refused_residue_is_a_fact(self, monkeypatch):
         def refuse(f, gamma, des_set):
             raise ValueError("parts must be nonnegative")
 
-        monkeypatch.setattr(identities, "_sequences",
-                            lambda *args, **kwargs: iter([]))
         monkeypatch.setattr(identities, "_residue", refuse)
         facts = list(identities._bijection_stats(None, 1, 1, 0))
         assert facts[-1] == ("fact", "residue of 0", False,
@@ -704,6 +715,11 @@ def _lowered_sequence_from(parts, des_set, skew_sigma, skew_colors):
     return tuple(v - 1 for v in values), colors
 
 
+def _short_sequences(*args, **kwargs):
+    """_sequences without its last sequence: a faulty enumerator."""
+    return iter(list(_sequences(*args, **kwargs))[:-1])
+
+
 def _colorless_skew(sigma, colors):
     """_skew with every color dropped: a faulty core."""
     return _skew(sigma, colors)[0], (0,) * len(sigma)
@@ -784,6 +800,7 @@ class TestFaultyCoreReportsFail:
     @pytest.mark.parametrize("module,core,fault,name", [
         (identities, "_sequence_from", _countless_sequence_from, "bijection_stats"),
         (identities, "_sequence_from", _lowered_sequence_from, "bijection_stats"),
+        (identities, "_sequences", _short_sequences, "bijection_stats"),
         (biwords, "_skew", _colorless_skew, "biword_count"),
         (identities, "_biwords", _lax_biwords, "biword_count"),
         (identities, "_homogeneous", _short_homogeneous, "theorem_B"),
@@ -881,40 +898,44 @@ _ZERO_BIWORD = ("Biword(g=Partition(parts=(0, 0)), "
 
 
 class TestFailureLabels:
-    """The first failing fact of each checker path, fed one faulty pair or
+    """The first failing fact of each checker path, fed one faulty map or
     biword, reads as the objects name it."""
 
-    @staticmethod
-    def pair_side(monkeypatch, r, n, cap):
-        monkeypatch.setattr(identities, "_sequences",
-                            lambda *args, **kwargs: iter([]))
-        return list(identities._bijection_stats(None, r, n, cap))[-1]
-
-    def test_image_of_a_pair(self, monkeypatch):
-        # ([1], 0) passes; ([1^1], 0) without its descent count is 0^1
+    def test_round_trip_without_the_descent_count(self, monkeypatch):
+        # ([1^1], 0) without its descent count is 0^1, but its image 1^1 has
+        # max 1, so only a cap of 1 sorts 1^1 and sends it round
         monkeypatch.setattr(identities, "_sequence_from", _countless_sequence_from)
-        assert self.pair_side(monkeypatch, 2, 1, 0) == (
-            "fact", "image of ([1^1], 0)", False, "left the zero-forces-uncolored set")
+        assert all(ok for _, _, ok, _ in identities._bijection_stats(None, 2, 1, 0))
+        assert list(identities._bijection_stats(None, 2, 1, 1))[-1] == (
+            "fact", "round trip of 1^1", False, "came back as 0^1")
 
-    def test_round_trip_of_a_pair_sorted_wrong(self, monkeypatch):
+    def test_growth_across_a_reversed_sort(self, monkeypatch):
         monkeypatch.setattr(identities, "_sort", _reversed_sort)
-        assert self.pair_side(monkeypatch, 1, 2, 0) == (
-            "fact", "round trip of ([1,2], 0,0)", False, None)
+        assert list(identities._bijection_stats(None, 1, 2, 0))[-1] == (
+            "fact", "descent forces growth at 0,0", False, None)
 
     @pytest.mark.parametrize("shift,fact", [
         (-1, ("fact", "residue of 0", False, "parts must be nonnegative")),
-        (1, ("fact", "round trip of ([1], 0)", False, None)),
+        (1, ("fact", "round trip of 0", False, "came back as 1")),
     ])
-    def test_pair_residue_other_than_the_partition(self, monkeypatch, shift, fact):
+    def test_residue_other_than_the_partition(self, monkeypatch, shift, fact):
         monkeypatch.setattr(identities, "_residue", lambda values, sigma, des_set:
                             tuple(v + shift for v in values))
-        assert self.pair_side(monkeypatch, 1, 1, 0) == fact
+        assert list(identities._bijection_stats(None, 1, 1, 0))[-1] == fact
 
-    def test_residue_of_a_pair_image_that_is_no_sequence(self, monkeypatch):
-        # ([1], 0) lowered is -1, which no ColoredSequence holds
+    def test_round_trip_to_no_sequence(self, monkeypatch):
+        # 0 comes back lowered as -1, which no ColoredSequence holds
         monkeypatch.setattr(identities, "_sequence_from", _lowered_sequence_from)
-        assert self.pair_side(monkeypatch, 1, 1, 0) == (
-            "fact", "residue of -1", False, "parts must be nonnegative")
+        assert list(identities._bijection_stats(None, 1, 1, 0))[-1] == (
+            "fact", "round trip of 0", False, "came back as -1")
+
+    def test_image_short_of_a_pair(self, monkeypatch):
+        # every sequence that is checked passes; the dropped one's pair is
+        # missed
+        monkeypatch.setattr(identities, "_sequences", _short_sequences)
+        assert list(identities._bijection_stats(None, 2, 3, 2))[-1] == (
+            "fact", "image is every pair in the box (r=2 n=3 cap=2)", False,
+            "124 pairs reached vs 125 expected")
 
     @pytest.mark.parametrize("fault,detail", [
         (_reversed_sort, "first partition is not skew-inverse compatible"),

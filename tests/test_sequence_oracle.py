@@ -10,7 +10,11 @@ import itertools
 
 import pytest
 
-from reference_group import reference_is_compatible, reference_statistics
+from reference_group import (
+    reference_des_set,
+    reference_is_compatible,
+    reference_statistics,
+)
 from reference_sequences import (
     reference_biword_count,
     reference_bijection_stats,
@@ -160,6 +164,18 @@ def _report(monkeypatch, name, func, params):
     out = identities.verify_identity(name, **params).to_json_dict()
     out.pop("millis")
     return out
+
+
+@pytest.mark.parametrize("r,n", _GRID)
+def test_image_is_every_pair_in_the_box(r, n):
+    # bijection_stats' onto check: the sequences with max <= cap reach
+    # exactly the pairs whose partition's max plus des is at most cap
+    for cap in _caps(n):
+        image = {(pi_of(f), reference_lambda_of(f))
+                 for f in enumerate_sequences(r, n, max_cap=cap, restrict_n0=True)}
+        assert image == {(gamma, lam) for gamma in enumerate_group(r, n)
+                         for lam in partitions_in_box(
+                             n, cap - len(reference_des_set(gamma)))}, cap
 
 
 @pytest.mark.filterwarnings("ignore:bijection_stats. cap cap=0")
