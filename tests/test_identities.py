@@ -902,8 +902,9 @@ class TestFailureLabels:
     biword, reads as the objects name it."""
 
     def test_round_trip_without_the_descent_count(self, monkeypatch):
-        # ([1^1], 0) without its descent count is 0^1, but its image 1^1 has
-        # max 1, so only a cap of 1 sorts 1^1 and sends it round
+        # The fault breaks only ([1^1], 0), which it sends to 0^1.  That
+        # pair's true image 1^1 has max 1, so at cap 0 the pair lies outside
+        # the box and the entry passes; at cap 1 the sequence 1^1 shows it.
         monkeypatch.setattr(identities, "_sequence_from", _countless_sequence_from)
         assert all(ok for _, _, ok, _ in identities._bijection_stats(None, 2, 1, 0))
         assert list(identities._bijection_stats(None, 2, 1, 1))[-1] == (
