@@ -7,8 +7,12 @@ catalog-call record holds an identity and a corrupted side, and the SHA-256
 of the report of ``verify_identity(name, corrupt=side)`` at the entry's
 defaults: its ``to_json_dict()`` without ``millis``, plus
 ``corrupted_monomial``, which pins each mismatch monomial and both its
-coefficients.  ``tests/test_golden.py`` runs every record again and
-compares.  A change that means to alter an output regenerates the file from
+coefficients.  Each sides record holds an identity and one point of a
+small parameter grid (``r`` from 1 to 3, 2 to 3 for ``projection``, every
+other parameter from 0 to 3), and the SHA-256 of every polynomial case the
+entry yields there: its label and both sides' ``to_lines()``, which pins the
+polynomials themselves and not only the verdict.  ``tests/test_golden.py``
+runs every record again and compares.  A change that means to alter an output regenerates the file from
 a checkout of the repository:
 
     PYTHONPATH=src python3 tests/golden_cli.py
@@ -21,12 +25,13 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
 
 from wreathstats.cli import main
-from wreathstats.identities import CATALOG, verify_identity
+from wreathstats.identities import CATALOG, DEFAULT_MAX_ELEMENTS, verify_identity
 
 GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
 
@@ -105,6 +110,18 @@ CALLS = [[name, side] for name in CATALOG if name not in _FACTS_ONLY
          for side in ("lhs", "rhs")]
 
 
+def _grid(name):
+    """Every parameter dict of ``name`` with ``r`` <= 3 and the rest <= 3."""
+    defaults = CATALOG[name][1]
+    ranges = [range(2 if name == "projection" else 1, 4) if param == "r"
+              else range(4) for param in defaults]
+    return [dict(zip(defaults, values)) for values in itertools.product(*ranges)]
+
+
+SIDES = [[name, params] for name in CATALOG if name not in _FACTS_ONLY
+         for params in _grid(name)]
+
+
 def record(argv):
     """``{"argv", "exit", "stdout_sha256", "stderr_sha256"}`` of one call."""
     out, err = io.StringIO(), io.StringIO()
@@ -133,8 +150,21 @@ def record_call(call):
             "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
+def record_sides(sides):
+    """``{"sides", "sha256"}`` of every polynomial case of one catalog run:
+    each case's label and the ``to_lines()`` of its two sides."""
+    name, params = sides
+    cases = [[label, lhs.to_lines(), rhs.to_lines()]
+             for kind, label, lhs, rhs in CATALOG[name][0](DEFAULT_MAX_ELEMENTS, **params)
+             if kind == "poly"]
+    text = json.dumps(cases)
+    return {"sides": [name, params],
+            "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
 def write():
-    records = [record(argv) for argv in ARGVS] + [record_call(call) for call in CALLS]
+    records = ([record(argv) for argv in ARGVS] + [record_call(call) for call in CALLS]
+               + [record_sides(sides) for sides in SIDES])
     GOLDEN.write_text("[\n" + ",\n".join(map(json.dumps, records)) + "\n]\n")
     return len(records)
 
