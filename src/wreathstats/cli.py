@@ -4,6 +4,9 @@ Subcommands: ``stats`` (statistics of one element), ``table`` (statistics of
 a whole group), ``encode``/``decode`` (the sequence encoding both ways),
 ``decompose`` (parabolic factorization), ``biword`` (biword to triple),
 ``verify`` (identity catalog) and ``selftest`` (harness corruption check).
+Only ``verify`` and ``selftest`` import the identity catalog
+(``identities``), and with it the q-series ring (``qseries``), when they
+run; a process that runs any other command loads neither.
 
 Exit codes: 0 on success or pass, 1 on identity failure or invalid
 mathematical input, 2 on usage errors or exceeded budgets.  Results go to
@@ -21,7 +24,10 @@ import sys
 import warnings
 
 from .group import (
+    DEFAULT_MAX_ELEMENTS,
+    DEFAULT_MAX_TERMS,
     BudgetExceededError,
+    CatalogError,
     ParseError,
     _entries_text,
     _statistics,
@@ -39,21 +45,13 @@ from .encoding import (
 )
 from .parabolic import DescentClass, decompose
 from .biwords import Biword, to_triple
-from .identities import (
-    CATALOG,
-    CatalogError,
-    DEFAULT_MAX_ELEMENTS,
-    DEFAULT_MAX_TERMS,
-    _entry_params,
-    selftest_localization,
-    verify_identity,
-)
 
-# The verify flags are the catalog's parameter names, spelled as below where
-# the flag differs from the parameter.
+# The verify flags are the catalog's parameter names in catalog order,
+# spelled as below where the flag differs from the parameter; written out so
+# that building the parser does not import the catalog.
 _FLAG_SPELLING = {"cap_f": "capf", "cap_g": "capg"}
-_VERIFY_PARAMS = {_FLAG_SPELLING.get(param, param): param
-                  for _, defaults in CATALOG.values() for param in defaults}
+_VERIFY_FLAGS = ("r", "n", "tmax", "parts_max", "t1max", "t2max", "nmax",
+                 "ucap", "pcap", "qcap", "cap", "capf", "capg")
 
 _STATS_TEXT_KEYS = ("window", "inv", "length", "des_set", "des", "maj", "fmaj",
                     "col", "col_vector")
@@ -156,19 +154,22 @@ def _cmd_biword(args):
 
 
 def _cmd_verify(args):
-    given = {param: getattr(args, flag) for flag, param in _VERIFY_PARAMS.items()
+    from . import identities
+
+    param_of = {flag: param for param, flag in _FLAG_SPELLING.items()}
+    given = {param_of.get(flag, flag): getattr(args, flag) for flag in _VERIFY_FLAGS
              if getattr(args, flag) is not None}
     if args.all:
         # each entry gets the given flags it takes; every entry's range is
         # checked before any entry runs
         runs = [(name, {k: v for k, v in given.items() if k in defaults})
-                for name, (_, defaults) in CATALOG.items()]
+                for name, (_, defaults) in identities.CATALOG.items()]
         for name, params in runs:
-            _entry_params(name, params)
+            identities._entry_params(name, params)
     else:
         runs = [(args.identity, given)]
-    reports = [verify_identity(name, max_elements=args.max_elements,
-                               max_terms=args.max_terms, **params)
+    reports = [identities.verify_identity(name, max_elements=args.max_elements,
+                                          max_terms=args.max_terms, **params)
                for name, params in runs]
     lines = []
     for report in reports:
@@ -182,7 +183,9 @@ def _cmd_verify(args):
 
 
 def _cmd_selftest(args):
-    results = selftest_localization()
+    from . import identities
+
+    results = identities.selftest_localization()
     return ([{"identity": name, "localized": ok} for name, ok in results],
             [f"{name} {'PASS' if ok else 'FAIL'}" for name, ok in results],
             0 if all(ok for _, ok in results) else 1)
@@ -236,7 +239,7 @@ def _build_parser():
     selector.add_argument("--identity", help="catalog entry name")
     selector.add_argument("--all", action="store_true",
                           help="run the whole catalog")
-    for flag in _VERIFY_PARAMS:
+    for flag in _VERIFY_FLAGS:
         p.add_argument(f"--{flag}", type=int)
     p.add_argument("--max-elements", type=int, default=DEFAULT_MAX_ELEMENTS)
     p.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)

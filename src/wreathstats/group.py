@@ -47,6 +47,11 @@ class ParseError(ValueError):
     """Malformed window, sequence, or partition text."""
 
 
+class CatalogError(ValueError):
+    """A name the catalog does not have: an unknown identity, or a parameter
+    the chosen entry does not take."""
+
+
 def order_key(value, color):
     """Sort key realizing the total order on colored integers.
 
@@ -280,6 +285,12 @@ def project_to_signed(gamma):
         raise ValueError("projection needs at least two colors")
     return ColoredPermutation(2, gamma.sigma,
                               tuple(1 if c else 0 for c in gamma.colors))
+
+
+# The budgets a verification and the CLI run with unless given others: group
+# elements (or sequences, or biwords) enumerated, and polynomial terms.
+DEFAULT_MAX_ELEMENTS = 10 ** 7
+DEFAULT_MAX_TERMS = 10 ** 6
 
 
 def _check_budget(max_elements, refusal, count):

@@ -41,7 +41,10 @@ from itertools import chain, combinations, product
 from math import factorial
 
 from .group import (
+    DEFAULT_MAX_ELEMENTS,
+    DEFAULT_MAX_TERMS,
     BudgetExceededError,
+    CatalogError,
     _check_group_budget,
     _descent_set,
     _entries_text,
@@ -103,15 +106,6 @@ __all__ = [
     "selftest_localization",
     "verify_identity",
 ]
-
-DEFAULT_MAX_ELEMENTS = 10 ** 7
-DEFAULT_MAX_TERMS = 10 ** 6
-
-
-class CatalogError(ValueError):
-    """A name the catalog does not have: an unknown identity, or a parameter
-    the chosen entry does not take."""
-
 
 # The quantities the group walk adds up, in the order of its weights; the
 # last three are those of the inverse.  fmaj is r*maj + col, and ifmaj the

@@ -1,13 +1,19 @@
 import contextlib
 import io
 import json
+import os
 import random
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wreathstats
 from reference_group import reference_stats_dict
 from wreathstats import cli, group
 from wreathstats.cli import _stats_dict, main
@@ -184,9 +190,9 @@ class TestVerify:
             assert set(r["params"]) <= set(CATALOG[r["identity"]][1])
 
     def test_all_checks_every_entry_before_any_runs(self, capsys, monkeypatch):
-        from wreathstats import cli, group
+        from wreathstats import identities
         ran = []
-        monkeypatch.setattr(cli, "verify_identity",
+        monkeypatch.setattr(identities, "verify_identity",
                             lambda name, **kwargs: ran.append(name))
         code, out, err = run(capsys, "verify", "--all", "--r", "1")
         assert (code, out, ran) == (1, "", [])
@@ -201,6 +207,70 @@ class TestVerify:
         assert code == 0
         reports = json.loads(out)
         assert sum(r["millis"] for r in reports) <= wall_ms + len(reports)
+
+
+class TestVerifyFlags:
+    """The verify flags are written out in ``cli``; they must stay the
+    catalog's parameter names and the list README.md gives."""
+
+    def test_flags_are_the_catalog_parameters(self):
+        spelled = (cli._FLAG_SPELLING.get(param, param)
+                   for _, defaults in CATALOG.values() for param in defaults)
+        assert cli._VERIFY_FLAGS == tuple(dict.fromkeys(spelled))
+
+    def test_flags_are_the_readme_list(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        start = readme.index("`verify`'s parameter flags are")
+        listed = readme[start:readme.index("(the last two", start)]
+        assert cli._VERIFY_FLAGS == tuple(re.findall(r"`--(\w+)`", listed))
+
+
+# Prints, as its last line, which of the catalog and the ring a fresh
+# interpreter has loaded after importing the CLI and running one command.
+_LOADED_PROBE = """
+import contextlib, io, json, sys
+from wreathstats.cli import main
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(sys.argv[1:])
+print(json.dumps([name for name in ("wreathstats.identities", "wreathstats.qseries")
+                  if name in sys.modules]))
+"""
+
+
+def loaded_after(*argv):
+    src = Path(wreathstats.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _LOADED_PROBE, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestLazyCatalog:
+    """A process that does not verify loads neither the catalog
+    (``identities``) nor the ring (``qseries``)."""
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["stats", "--r", "5", "--window", "[4^1,3,2^4,1^2]"],
+        ["table", "--r", "2", "--n", "3", "--json"],
+        ["encode", "--r", "4", "--f", "4^2,4^1,1,3^3,6,3^1,4^2"],
+        ["decode", "--r", "3", "--window", "[5^1,3^1,1,2^2,4^2]",
+         "--partition", "0,2,2,3,3"],
+        ["decompose", "--r", "3", "--window", "[5,2^2,4^1,3,1^1,6^2,8,7^2]",
+         "--J", "1,2,4,5,7"],
+        ["biword", "--r", "4", "--g", "0,1,1,3,3,4,5", "--f", "4,4^1,1,3^3,6,3^1,4^2"],
+    ], ids=lambda argv: argv[0] if argv else "import")
+    def test_other_commands_load_neither(self, argv):
+        assert loaded_after(*argv) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--identity", "length_gf"],
+        ["selftest"],
+    ], ids=lambda argv: argv[0])
+    def test_verifying_commands_load_both(self, argv):
+        assert loaded_after(*argv) == ["wreathstats.identities", "wreathstats.qseries"]
 
 
 class TestTableRows:
