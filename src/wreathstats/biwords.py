@@ -17,10 +17,14 @@ after the budget of ``_check_biwords``, ``_is_biword`` is ``is_biword`` on
 them, and ``_to_triple`` and ``_from_triple`` map a biword's tuples to its
 triple's ``(sigma, colors, lam, mu)`` and back.  ``_to_triple`` reads each
 element's descent sets and skew inverse from a table of ``_window``
-entries, which ``to_triple`` fills with the one element it needs;
-``_from_triple`` takes the skew inverse's tuples alone.  Each check runs
-once: ``_to_triple`` checks the triple it makes, ``_from_triple`` takes a checked
-one, and the value objects around their results are built ``_unchecked``.
+entries, which ``to_triple`` fills with the one element it needs, and may
+keep a second table keyed by the bottom row: biwords that share a bottom
+row share its sort, its sorted values and their checks, so a caller that
+maps many biwords sorts each bottom row once and checks each top row
+against it.  ``_from_triple`` takes the skew inverse's tuples alone.  Each
+check runs once: ``_to_triple`` checks the triple it makes, ``_from_triple``
+takes a checked one, and the value objects around their results are built
+``_unchecked``.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from .encoding import (
     _parts_in_box,
     _push,
     _sort,
-    multinomial,
 )
 
 __all__ = [
@@ -142,20 +145,31 @@ def to_triple(b):
                       b.g, _unchecked(Partition, mu))
 
 
-def _to_triple(r, lam, values, colors, windows):
+def _to_triple(r, lam, values, colors, windows, rows=None):
     """``to_triple`` on a biword's tuples: ``(sigma, colors, lam, mu)``.
 
     ``windows`` maps each element's window tuples to its ``_window``, and
-    a window missing from it is added once checked.  A sorted window that
-    is no element raises ``ColoredPermutation``'s error, sorted values that
-    are no partition ``Partition``'s, and an incompatible pair ``Triple``'s.
+    a window missing from it is added once checked.  ``rows`` maps each
+    bottom row ``(values, colors)`` to ``(window, mu, _window(window))``,
+    its sorted window and sorted values, and a row missing from it is
+    sorted and added once checked; without it the call sorts.  A sorted
+    window that is no element raises ``ColoredPermutation``'s error, sorted
+    values that are no partition ``Partition``'s, and an incompatible pair
+    ``Triple``'s, the first partition checked first.  ``_sort`` reads the
+    bottom row alone, so a row that failed would fail again and is never
+    stored.
     """
-    window = _sort(values, colors)
-    if window not in windows:
-        _check_window(r, *window)
-        windows[window] = _window(*window)
-    des_set, skew_des_set, _ = windows[window]
-    mu = _check_parts(tuple(values[s - 1] for s in window[0]))
+    if rows is None:
+        rows = {}
+    row = rows.get((values, colors))
+    if row is None:
+        window = _sort(values, colors)
+        if window not in windows:
+            _check_window(r, *window)
+            windows[window] = _window(*window)
+        mu = _check_parts(tuple(values[s - 1] for s in window[0]))
+        row = rows[values, colors] = (window, mu, windows[window])
+    window, mu, (des_set, skew_des_set, _) = row
     _check_triple(lam, mu, des_set, skew_des_set)
     return (*window, lam, mu)
 
@@ -241,14 +255,21 @@ def column_realization_count(columns, r):
     """Number of biwords realizing a column multiset.
 
     For each (top, value) cell, the colored copies may permute their colors
-    freely, giving a multinomial factor; everything else is forced.
+    freely, giving a multinomial factor; everything else is forced.  The
+    columns come sorted, as ``column_multiset`` gives them, so each cell's
+    colored copies are adjacent and grouped by color: the multinomial grows
+    by ``m / k`` as the m-th colored copy of the cell joins a run of ``k``
+    copies of its color, and each partial product is whole.
     """
-    colored = {}
-    for g, v, c in columns:
-        if c:
-            colored.setdefault((g, v), []).append(c)
     count = 1
-    for _, cs in colored.items():
-        per_color = [cs.count(h) for h in range(1, r)]
-        count *= multinomial(per_color)
+    cell = color = None
+    for g, v, c in columns:
+        if not 0 < c < r:
+            continue
+        if (g, v) != cell:
+            cell, color, m = (g, v), None, 0
+        m += 1
+        k = k + 1 if c == color else 1
+        color = c
+        count = count * m // k
     return count

@@ -11,10 +11,14 @@ the column rule out inline; ``reference_lambda_of`` and
 ``reference_from_triple`` and ``reference_check_triple`` are the biword
 bijection and the ``Triple`` check as they were written on a skew-inverse
 group element, here the one from ``reference_group.reference_skew_inverse``;
+``reference_column_realization_count`` collects each (top, value) cell's
+colors in a list and counts each color in it, over columns in any order;
 the two catalog functions compute ``pi_of`` and the descent set again for
 every map they call, test compatibility one partition at a time, and
 rescan every biword for each pair of caps, whose predicted counts come from
-``reference_identities.reference_theorem_B_rhs_term``;
+``reference_identities.reference_theorem_B_rhs_term``, and
+``reference_biword_count`` sorts every biword's bottom row and checks its
+column multisets in sorted order;
 ``reference_keylem_tally`` and ``reference_desmaj_tally`` are the left sides
 of ``keylem`` and ``desmaj`` as they were written on checked value objects,
 a ``ColoredSequence`` and ``pi_of``'s ``ColoredPermutation`` for every
@@ -42,7 +46,6 @@ from reference_identities import reference_theorem_B_rhs_term
 from wreathstats.biwords import (
     Biword,
     column_multiset,
-    column_realization_count,
 )
 from wreathstats.encoding import (
     ColoredSequence,
@@ -50,6 +53,7 @@ from wreathstats.encoding import (
     _sequences,
     _sort,
     enumerate_sequences,
+    multinomial,
     partitions_in_box,
     pi_of,
 )
@@ -204,6 +208,23 @@ def reference_from_triple(gamma, lam, mu):
     return Biword(g=lam, f=f)
 
 
+def reference_column_realization_count(columns, r):
+    """Number of biwords realizing a column multiset.
+
+    For each (top, value) cell, the colored copies may permute their colors
+    freely, giving a multinomial factor; everything else is forced.
+    """
+    colored = {}
+    for g, v, c in columns:
+        if c:
+            colored.setdefault((g, v), []).append(c)
+    count = 1
+    for _, cs in colored.items():
+        per_color = [cs.count(h) for h in range(1, r)]
+        count *= multinomial(per_color)
+    return count
+
+
 def reference_bijection_stats(max_elements, r, n, cap):
     checked = 0
     for f in enumerate_sequences(r, n, max_cap=cap, restrict_n0=True,
@@ -251,7 +272,13 @@ def reference_bijection_stats(max_elements, r, n, cap):
 def reference_biword_count(max_elements, r, n, cap_f, cap_g):
     words = list(reference_enumerate_biwords(r, n, cap_f, cap_g,
                                              max_elements=max_elements))
-    triples = [reference_to_triple(b) for b in words]
+    triples = []
+    for b in words:
+        try:
+            triples.append(reference_to_triple(b))
+        except ValueError as exc:
+            yield ("fact", f"triple of {b!r}", False, str(exc))
+            return
     if len(set(triples)) != len(words):
         yield ("fact", "injectivity", False, "two biwords shared a triple")
         return
@@ -277,7 +304,7 @@ def reference_biword_count(max_elements, r, n, cap_f, cap_g):
         key = column_multiset(b)
         groups[key] = groups.get(key, 0) + 1
     for key, count in sorted(groups.items()):
-        want = column_realization_count(key, r)
+        want = reference_column_realization_count(key, r)
         if count != want:
             yield ("fact", f"column multiset {key}", False,
                    f"{count} biwords vs multinomial {want}")

@@ -597,6 +597,20 @@ class TestSharedPieces:
         assert verify_identity("projection", r=3, n=3).passed
         assert len(read) == 2 * 162 + 2 * 48
 
+    def test_biword_count_sorts_each_bottom_row_once(self, monkeypatch):
+        # r=2 n=3 caps 2/2: 455 biwords share the 125 bottom rows over the
+        # alphabet 0, 1, 1^1, 2, 2^1; each biword still goes back through
+        # _from_triple
+        sorted_rows, rebuilt = [], []
+        sort, from_triple = biwords._sort, identities._from_triple
+        monkeypatch.setattr(biwords, "_sort", lambda values, colors:
+                            sorted_rows.append(1) or sort(values, colors))
+        monkeypatch.setattr(identities, "_from_triple", lambda *args:
+                            rebuilt.append(1) or from_triple(*args))
+        assert verify_identity("biword_count", r=2, n=3, cap_f=2, cap_g=2).passed
+        assert len(sorted_rows) == 125
+        assert len(rebuilt) == 455
+
     @pytest.mark.parametrize("core", ["_sort", "_sequence_from"])
     def test_bijection_stats_maps_each_sequence_once(self, monkeypatch, core):
         # r=2 n=3 cap=2: 125 sequences; the 48 elements times the 10
@@ -742,6 +756,13 @@ def _lax_biwords(r, n, cap_f, cap_g, max_elements=None):
 def _flat_sort(values, colors):
     """_sort that puts position 1 everywhere: its window is no element."""
     return (1,) * len(values), colors
+
+
+def _one_realization(columns, r):
+    """column_realization_count that counts one biword for every column
+    multiset, as if no cell's colored copies could permute: a faulty
+    formula under test."""
+    return 1
 
 
 def _short_homogeneous(ctx, terms, top, row=None):
@@ -963,6 +984,22 @@ class TestFailureLabels:
                             lambda lam, mu, skew: (lam, (1, 1), (0, 0)))
         facts = list(identities._biword_count(None, 2, 2, 0, 0))
         assert facts[-1] == ("fact", f"round trip of {_ZERO_BIWORD}", False, None)
+
+    # The triples, their round trip and the image never read
+    # column_realization_count, so the column facts are the only check of
+    # that formula.  The faulty count is right wherever no (top, value)
+    # cell holds two colored copies of different colors; the least
+    # multiset that has one names the failure.
+    @pytest.mark.parametrize("r,n,cap_f,cap_g,label", [
+        (3, 2, 1, 1, "column multiset ((1, 1, 1), (1, 1, 2))"),
+        (3, 3, 3, 3, "column multiset ((0, 0, 0), (1, 1, 1), (1, 1, 2))"),
+    ])
+    def test_column_multiset_without_multinomials(self, monkeypatch, r, n, cap_f,
+                                                  cap_g, label):
+        _patch_everywhere(monkeypatch, "column_realization_count", _one_realization)
+        facts = list(identities._biword_count(None, r, n, cap_f, cap_g))
+        assert facts[-1] == ("fact", label, False, "2 biwords vs multinomial 1")
+        assert all(ok for _, _, ok, _ in facts[:-1])
 
     def test_invalid_biword(self, monkeypatch):
         monkeypatch.setattr(identities, "_biwords",

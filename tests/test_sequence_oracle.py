@@ -1,15 +1,17 @@
 """The sequence and biword side against its generate-and-test reference:
 the same sequences and biwords in the same order, the same residue for
-every sequence, the same triple for every biword, the same reports from
-the two catalog entries built on them, and the same tallies from the
-sequence walks behind ``keylem`` and ``desmaj`` as from sorting every
-sequence.  The tuple cores behind ``bijection_stats`` and ``biword_count``
-meet the same references."""
+every sequence, the same triple for every biword, the same count for every
+column multiset, the same reports from the two catalog entries built on
+them, ``biword_count``'s under a faulty sort or count too, and the same
+tallies from the sequence walks behind ``keylem`` and ``desmaj`` as from
+sorting every sequence.  The tuple cores behind ``bijection_stats`` and
+``biword_count`` meet the same references."""
 
 import itertools
 
 import pytest
 
+import reference_sequences
 from reference_group import (
     reference_des_set,
     reference_is_compatible,
@@ -19,6 +21,7 @@ from reference_sequences import (
     reference_biword_count,
     reference_bijection_stats,
     reference_check_triple,
+    reference_column_realization_count,
     reference_composition_sequences,
     reference_desmaj_tally,
     reference_distinct_permutations,
@@ -33,14 +36,22 @@ from reference_sequences import (
     reference_to_triple,
     reference_weak_compositions,
 )
+from test_identities import (
+    _flat_sort,
+    _one_realization,
+    _patch_everywhere,
+    _reversed_sort,
+)
 
 from wreathstats import identities
 from wreathstats.biwords import (
     Triple,
     _biwords,
+    _columns,
     _from_triple,
     _to_triple,
     _window,
+    column_realization_count,
     enumerate_biwords,
     from_triple,
     to_triple,
@@ -195,6 +206,59 @@ def test_biword_count_reports(monkeypatch, r, n):
         new = _report(monkeypatch, "biword_count", identities._biword_count, params)
         old = _report(monkeypatch, "biword_count", reference_biword_count, params)
         assert new == old
+
+
+# Each fault is patched into every package module that binds it; the
+# reference sorts through pi_of, which reads encoding's _sort, and counts
+# with its own formula, patched here too.  The table of sorted bottom rows
+# and the unsorted column loop must name the same first failure as the
+# reference, which sorts every biword and walks the column multisets in
+# order.
+@pytest.mark.parametrize("name,fault,reference_name", [
+    pytest.param("_sort", _reversed_sort, None, id="reversed_sort"),
+    pytest.param("_sort", _flat_sort, None, id="flat_sort"),
+    pytest.param("column_realization_count", _one_realization,
+                 "reference_column_realization_count", id="one_realization"),
+])
+@pytest.mark.parametrize("r,n", [(r, n) for r, n in _GRID if n])
+def test_biword_count_reports_under_a_fault(monkeypatch, name, fault,
+                                            reference_name, r, n):
+    _patch_everywhere(monkeypatch, name, fault)
+    if reference_name:
+        monkeypatch.setattr(reference_sequences, reference_name, fault)
+    passed = []
+    for cap_f, cap_g in [(0, 0), (1, 3), (3, 1), (3, 3)] if n < 4 else [(2, 2)]:
+        params = {"r": r, "n": n, "cap_f": cap_f, "cap_g": cap_g}
+        new = _report(monkeypatch, "biword_count", identities._biword_count, params)
+        old = _report(monkeypatch, "biword_count", reference_biword_count, params)
+        assert new == old, params
+        passed.append(new["pass"])
+    # each fault shows at r=3 once n >= 2: a sort has two positions to
+    # misplace, and a cell can hold two colored copies of one value
+    assert not (r >= 3 and n >= 2 and all(passed))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_same_column_realization_counts(r):
+    for n, cap_f, cap_g in itertools.product(range(4), range(3), range(3)):
+        for word in _biwords(r, n, cap_f, cap_g):
+            key = _columns(*word)
+            assert (column_realization_count(key, r)
+                    == reference_column_realization_count(key, r)), key
+
+
+@pytest.mark.parametrize("columns,r,count", [
+    (((0, 1, 1), (0, 1, 1), (0, 1, 2)), 3, 3),
+    (((0, 1, 1), (0, 1, 2), (0, 1, 3)), 4, 6),
+    (((1, 2, 0), (1, 2, 1), (1, 2, 1), (1, 2, 2), (1, 2, 3)), 4, 12),
+    (((0, 1, 1), (0, 1, 2), (0, 2, 1), (1, 1, 1), (1, 1, 2)), 3, 4),
+    (((0, 0, 0), (2, 1, 2), (2, 1, 2), (2, 1, 2)), 3, 1),
+])
+def test_column_realization_count_by_hand(columns, r, count):
+    # three colors in one (top, value) cell, uncolored copies beside colored
+    # ones, and cells that differ in their top or their value alone
+    assert column_realization_count(columns, r) == count
+    assert reference_column_realization_count(columns, r) == count
 
 
 @pytest.mark.parametrize("r,n", _CORE_GRID)
