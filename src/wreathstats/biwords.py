@@ -13,18 +13,17 @@ directions implement.
 
 Each map has one tuple core that the public function wraps: ``_biwords``
 yields ``enumerate_biwords``' rows as ``(top parts, values, colors)``,
-after the budget of ``_check_biwords``, ``_is_biword`` is ``is_biword`` on
-them, and ``_to_triple`` and ``_from_triple`` map a biword's tuples to its
-triple's ``(sigma, colors, lam, mu)`` and back.  ``_to_triple`` reads each
-element's descent sets and skew inverse from a table of ``_window``
-entries, which ``to_triple`` fills with the one element it needs, and may
-keep a second table keyed by the bottom row: biwords that share a bottom
-row share its sort, its sorted values and their checks, so a caller that
-maps many biwords sorts each bottom row once and checks each top row
-against it.  ``_from_triple`` takes the skew inverse's tuples alone.  Each
-check runs once: ``_to_triple`` checks the triple it makes, ``_from_triple``
-takes a checked one, and the value objects around their results are built
-``_unchecked``.
+after the budget of ``_check_biwords``, and ``_to_triple`` and
+``_from_triple`` map a biword's tuples to its triple's ``(sigma, colors,
+lam, mu)`` and back.  ``_to_triple`` reads each element's descent sets and
+skew inverse from a table of ``_window`` entries, which ``to_triple`` fills
+with the one element it needs, and may keep a second table keyed by the
+bottom row: biwords that share a bottom row share its sort, its sorted
+values and their checks, so a caller that maps many biwords sorts each
+bottom row once and checks each top row against it.  ``_from_triple`` takes
+the skew inverse's tuples alone.  Each check runs once: ``_to_triple``
+checks the triple it makes, ``_from_triple`` takes a checked one, and the
+value objects around their results are built ``_unchecked``.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .encoding import (
     Partition,
     _check_parts,
     _fits,
-    _in_n0,
     _parts_in_box,
     _push,
     _sort,
@@ -77,15 +75,10 @@ def is_biword(g, f):
     """Validity of a partition-over-sequence pair, boundary column included."""
     if g.n != f.n:
         raise ValueError("rows must have equal length")
-    return _is_biword(g.parts, f.values, f.colors)
-
-
-def _is_biword(parts, values, colors):
-    """``is_biword`` on the rows' tuples, lengths already checked."""
-    if not _in_n0(values, colors):
+    if not f.in_n0:
         return False
     prev_g, prev_v, prev_c = 0, 0, 0
-    for gi, v, c in zip(parts, values, colors):
+    for gi, v, c in zip(g.parts, f.values, f.colors):
         if gi == prev_g and not _may_follow(prev_v, prev_c, v, c):
             return False
         prev_g, prev_v, prev_c = gi, v, c

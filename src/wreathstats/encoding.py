@@ -11,17 +11,17 @@ that read only the tuples and need no checked value object: ``_sort`` gives
 ``pi_of``'s window as ``(sigma, colors)`` tuples, ``_residue`` the parts of
 ``lambda_of``, ``_sequence_from`` the ``(values, colors)`` of
 ``sequence_from`` and ``_sequences`` those of ``enumerate_sequences``'
-sequences, after the checks and budget of ``_check_sequences``.  ``_in_n0``
-and ``_check_parts`` are the checks of ``ColoredSequence.in_n0`` and
-``Partition`` on tuples, and ``_parts_in_box`` gives the parts of
-``partitions_in_box``.  ``format_sequence`` writes its entries with
-``group._entries_text``, which takes tuples, so a failing check can name
-values no ``ColoredSequence`` holds.
+sequences, after the checks and budget of ``_check_sequences``.
+``_check_parts`` is the check of ``Partition`` on tuples, and
+``_parts_in_box`` gives the parts of ``partitions_in_box``.
+``format_sequence`` writes its entries with ``group._entries_text``, which
+takes tuples, so a failing check can name values no ``ColoredSequence``
+holds.
 
 ``_sort`` sorts one sequence from nothing.  It serves ``pi_of``,
-``lambda_of``, ``seq_statistics`` and the bijection checks (the triple maps
-and ``bijection_stats``, once per sequence), where the sort is the map under
-test.
+``lambda_of``, ``seq_statistics`` and the bijection checks, where the sort
+is the map under test: ``bijection_stats`` sorts once per sequence and the
+triple maps once per bottom row.
 The catalog's sums over many sequences (``keylem`` and ``desmaj``) instead
 walk the sequences position by position, and ``_insertion`` places each new
 position in the sorted window from a count of the values already placed.
@@ -125,15 +125,10 @@ class ColoredSequence:
     @property
     def in_n0(self):
         """True when every zero value is uncolored (recomputed, never stored)."""
-        return _in_n0(self.values, self.colors)
+        return all(c == 0 for v, c in zip(self.values, self.colors) if v == 0)
 
     def __str__(self):
         return format_sequence(self)
-
-
-def _in_n0(values, colors):
-    """``ColoredSequence.in_n0`` on a sequence's tuples."""
-    return all(c == 0 for v, c in zip(values, colors) if v == 0)
 
 
 def pi_of(f):

@@ -73,7 +73,6 @@ from .biwords import (
     _check_biwords,
     _columns,
     _from_triple,
-    _is_biword,
     _to_triple,
     _window,
     column_realization_count,
@@ -863,6 +862,20 @@ def _adin_roichman(max_elements, r, ucap, qcap):
         yield ("poly", f"r={r} n={n}", lhs, rhs)
 
 
+def _image_fact(label, got, expected, noun):
+    """The fact ``got == expected`` on two sets of ``(sigma, colors,
+    *parts)`` tuples; where their sizes agree, the detail names the least
+    tuple in one set alone."""
+    detail = f"{len(got)} {noun} reached vs {len(expected)} expected"
+    if got != expected and len(got) == len(expected):
+        sigma, colors, *parts = least = min(got ^ expected)
+        text = ", ".join([f"[{_entries_text(sigma, colors)}]",
+                          *(",".join(map(str, p)) for p in parts)])
+        side = "reached, not expected" if least in got else "expected, not reached"
+        detail += f"; ({text}) {side}"
+    return ("fact", label, got == expected, detail)
+
+
 def _bijection_stats(max_elements, r, n, cap):
     # The maps run on tuples and a failing fact names a sequence from them,
     # since a faulty map's image may be no ColoredSequence.  Each sequence
@@ -871,22 +884,16 @@ def _bijection_stats(max_elements, r, n, cap):
     # that is every pair in the box makes it onto those pairs, so each
     # pair's own round trip holds and its image is a sequence, in the
     # zero-forces-uncolored set.  A pair whose image has max past the cap
-    # is checked at a larger cap.
+    # is checked at a larger cap.  Sorted values that do not grow across a
+    # descent make the residue fall there, or start at -1, and fail its check.
     _check_sequences(r, n, max_cap=cap, max_elements=max_elements)
     _check_group_budget(r, n, max_elements)
     image = set()
     for values, colors in _sequences(r, n, max_cap=cap):
         window = _sort(values, colors)
-        sigma = window[0]
         des_set = _descent_set(*window)
-        # the sorted values grow strictly across every descent, a descent at
-        # 0 against the implicit zero
-        if not _fits(tuple(values[s - 1] for s in sigma), des_set):
-            yield ("fact", f"descent forces growth at {_entries_text(values, colors)}",
-                   False, None)
-            return
         try:
-            parts = _check_parts(_residue(values, sigma, des_set))
+            parts = _check_parts(_residue(values, window[0], des_set))
         except ValueError as exc:
             yield ("fact", f"residue of {_entries_text(values, colors)}", False,
                    str(exc))
@@ -906,37 +913,30 @@ def _bijection_stats(max_elements, r, n, cap):
             yield ("fact", f"sum relation at {_entries_text(values, colors)}", False,
                    f"{total} vs {sum(parts)} + {n}*{des} - {maj}")
             return
-        image.add((window, parts))
+        image.add((*window, parts))
     yield ("fact", f"sequence side r={r} n={n} cap={cap} ({len(image)} sequences)",
            True, None)
     # a sequence's max is its partition's max plus its descent count
-    expected = {(window, lam) for window in _windows(r, n)
+    expected = {(*window, lam) for window in _windows(r, n)
                 for lam in _parts_in_box(n, cap - len(_descent_set(*window)))}
-    yield ("fact", f"image is every pair in the box (r={r} n={n} cap={cap})",
-           image == expected,
-           f"{len(image)} pairs reached vs {len(expected)} expected")
+    yield _image_fact(f"image is every pair in the box (r={r} n={n} cap={cap})",
+                      image, expected, "pairs")
 
 
 def _biword_count(max_elements, r, n, cap_f, cap_g):
     # Every biword is checked on its tuples, and a failing fact names it
     # from them, since a faulty enumerator's rows may be no Partition or
-    # ColoredSequence.
+    # ColoredSequence.  The triple check is the paper's validity condition:
+    # rows that break the column rule, or hold a colored zero or a negative
+    # value, make no compatible triple.  The walk of the expected set over
+    # the group's windows also fills the table of each element's descent
+    # sets and skew inverse that ``_to_triple`` reads, and whose skew
+    # inverses ``_from_triple`` takes.  ``_to_triple`` sorts and checks each
+    # bottom row once, in ``rows``; every biword's triple, its round trip
+    # and the image are still made and checked one biword at a time.
     _check_biwords(r, n, cap_f, cap_g, max_elements)
     _check_group_budget(r, n, max_elements)
     words = list(_biwords(r, n, cap_f, cap_g))
-    for word in words:
-        if not _is_biword(*word):
-            lam, values, colors = word
-            yield ("fact", f"biword {_entries_text(lam, (0,) * len(lam))} over "
-                   f"{_entries_text(values, colors)}", False,
-                   "rows do not form a valid biword")
-            return
-    # The walk of the expected set over the group's windows also fills the
-    # table of each element's descent sets and skew inverse that
-    # ``_to_triple`` reads, and whose skew inverses ``_from_triple`` takes.
-    # ``_to_triple`` sorts and checks each bottom row once, in ``rows``;
-    # every biword's triple, its round trip and the image are still made
-    # and checked one biword at a time.
     tops = list(_parts_in_box(n, cap_g))
     bottoms = list(_parts_in_box(n, cap_f))
     windows = {}
@@ -963,9 +963,8 @@ def _biword_count(max_elements, r, n, cap_f, cap_g):
         if _from_triple(lam, mu, windows[sigma, colors][2]) != word:
             yield ("fact", f"round trip of {_biword_text(r, *word)}", False, None)
             return
-    yield ("fact", f"image is every compatible triple (r={r} n={n})",
-           got == expected,
-           f"{len(got)} triples reached vs {len(expected)} expected")
+    yield _image_fact(f"image is every compatible triple (r={r} n={n})",
+                      got, expected, "triples")
     # the first failing multiset in sorted order is the least failing one
     groups = Counter(_columns(*word) for word in words)
     failing = [key for key, count in groups.items()
@@ -977,18 +976,11 @@ def _biword_count(max_elements, r, n, cap_f, cap_g):
                f"{column_realization_count(key, r)}")
         return
     yield ("fact", f"column multiset counts (r={r} n={n})", True, None)
-    tally = {}
-    for lam, values, _ in words:
-        key = (max(values, default=0), max(lam, default=0))
-        tally[key] = tally.get(key, 0) + 1
-    # within[k1][k2] counts the biwords with max f <= k1 and max g <= k2, the
-    # 2-D prefix sums of the tally; index -1 reads the spare zero row or column
-    within = [[0] * (cap_g + 2) for _ in range(cap_f + 2)]
+    tally = Counter((max(values, default=0), max(lam, default=0))
+                    for lam, values, _ in words)
     ctx = SeriesContext(("q1", "q2", "a", "b"))
     for k1, k2, term in _theorem_B_rhs_terms(ctx, r, n, cap_f, cap_g):
-        actual = within[k1][k2] = (
-            tally.get((k1, k2), 0) + within[k1 - 1][k2]
-            + within[k1][k2 - 1] - within[k1 - 1][k2 - 1])
+        actual = sum(count for (f, g), count in tally.items() if f <= k1 and g <= k2)
         # the coefficient's value at q1 = q2 = a = b = 1
         predicted = sum(term.terms.values())
         yield ("fact", f"count at caps ({k1},{k2})", actual == predicted,

@@ -17,8 +17,9 @@ the two catalog functions compute ``pi_of`` and the descent set again for
 every map they call, test compatibility one partition at a time, and
 rescan every biword for each pair of caps, whose predicted counts come from
 ``reference_identities.reference_theorem_B_rhs_term``, and
-``reference_biword_count`` sorts every biword's bottom row and checks its
-column multisets in sorted order;
+``reference_biword_count`` sorts every biword's bottom row, names the least
+triple its image and the expected set do not share as the value objects
+write it, and checks its column multisets in sorted order;
 ``reference_keylem_tally`` and ``reference_desmaj_tally`` are the left sides
 of ``keylem`` and ``desmaj`` as they were written on checked value objects,
 a ``ColoredSequence`` and ``pi_of``'s ``ColoredPermutation`` for every
@@ -296,9 +297,15 @@ def reference_biword_count(max_elements, r, n, cap_f, cap_g):
                 if reference_is_compatible(mu, gamma):
                     expected.add((gamma, lam, mu))
     got = set(triples)
+    detail = f"{len(got)} triples reached vs {len(expected)} expected"
+    if got != expected and len(got) == len(expected):
+        gamma, lam, mu = least = min(
+            got ^ expected,
+            key=lambda t: (t[0].sigma, t[0].colors, t[1].parts, t[2].parts))
+        side = "reached, not expected" if least in got else "expected, not reached"
+        detail += f"; ({gamma}, {lam}, {mu}) {side}"
     yield ("fact", f"image is every compatible triple (r={r} n={n})",
-           got == expected,
-           f"{len(got)} triples reached vs {len(expected)} expected")
+           got == expected, detail)
     groups = {}
     for b in words:
         key = column_multiset(b)

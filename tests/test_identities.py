@@ -626,12 +626,12 @@ class TestSharedPieces:
 class TestBijectionStats:
     def test_descent_at_zero_forces_growth(self, monkeypatch):
         # A colored zero sorts to [1^1], a descent at 0 over the value 0.
-        # Its residue would have the negative part -1, but the growth check
-        # comes before the residue's Partition check and names it.
+        # Its residue has the negative part -1, which the residue's
+        # Partition check names.
         monkeypatch.setattr(identities, "_sequences",
                             lambda *args, **kwargs: iter([((0,), (1,))]))
         got = next(identities._bijection_stats(None, 2, 1, 0))
-        assert got == ("fact", "descent forces growth at 0^1", False, None)
+        assert got == ("fact", "residue of 0^1", False, "parts must be nonnegative")
 
     def test_sequence_side_residue_failure_is_a_fact(self, monkeypatch):
         # An identity "sort" of 1,0 has no descent to grow across, so the
@@ -932,9 +932,11 @@ class TestFailureLabels:
             "fact", "round trip of 1^1", False, "came back as 0^1")
 
     def test_growth_across_a_reversed_sort(self, monkeypatch):
+        # reversed, 0,0 sorts to [2,1], whose descent at 1 lowers the
+        # second part to -1
         monkeypatch.setattr(identities, "_sort", _reversed_sort)
         assert list(identities._bijection_stats(None, 1, 2, 0))[-1] == (
-            "fact", "descent forces growth at 0,0", False, None)
+            "fact", "residue of 0,0", False, "parts must be nonnegative")
 
     @pytest.mark.parametrize("shift,fact", [
         (-1, ("fact", "residue of 0", False, "parts must be nonnegative")),
@@ -1002,11 +1004,15 @@ class TestFailureLabels:
         assert all(ok for _, _, ok, _ in facts[:-1])
 
     def test_invalid_biword(self, monkeypatch):
+        # a colored copy after an equal uncolored entry where the top row
+        # stalls makes no compatible triple
         monkeypatch.setattr(identities, "_biwords",
                             lambda *args: iter([((0, 0), (1, 1), (0, 1))]))
         facts = list(identities._biword_count(None, 2, 2, 1, 0))
-        assert facts[-1] == ("fact", "biword 0,0 over 1,1^1", False,
-                             "rows do not form a valid biword")
+        assert facts[-1] == (
+            "fact", "triple of Biword(g=Partition(parts=(0, 0)), "
+            "f=ColoredSequence(r=2, values=(1, 1), colors=(0, 1)))", False,
+            "first partition is not skew-inverse compatible")
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -1020,8 +1026,6 @@ def test_label_text_matches_the_objects(r):
         for lam, values, colors in biwords._biwords(r, n, cap_f, cap_g):
             b = Biword(g=Partition(lam), f=ColoredSequence(r, values, colors))
             assert _biword_text(r, lam, values, colors) == repr(b)
-            assert (f"biword {_entries_text(lam, (0,) * n)} over "
-                    f"{_entries_text(values, colors)}" == f"biword {b.g} over {b.f}")
 
 
 class TestInverseStatistics:

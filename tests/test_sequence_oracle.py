@@ -36,6 +36,7 @@ from reference_sequences import (
     reference_to_triple,
     reference_weak_compositions,
 )
+from test_fault_matrix import _past_the_cap
 from test_identities import (
     _flat_sort,
     _one_realization,
@@ -45,6 +46,7 @@ from test_identities import (
 
 from wreathstats import identities
 from wreathstats.biwords import (
+    Biword,
     Triple,
     _biwords,
     _columns,
@@ -57,6 +59,7 @@ from wreathstats.biwords import (
     to_triple,
 )
 from wreathstats.encoding import (
+    ColoredSequence,
     _distinct_permutations,
     _residue,
     _sequence_from,
@@ -236,6 +239,30 @@ def test_biword_count_reports_under_a_fault(monkeypatch, name, fault,
     # each fault shows at r=3 once n >= 2: a sort has two positions to
     # misplace, and a cell can hold two colored copies of one value
     assert not (r >= 3 and n >= 2 and all(passed))
+
+
+def _reference_past_the_cap(*args, **kwargs):
+    """reference_enumerate_biwords with ``_past_the_cap``'s fault."""
+    words = list(reference_enumerate_biwords(*args, **kwargs))
+    g, f = words[-1].g, words[-1].f
+    words[-1] = Biword(g, ColoredSequence(f.r, (*f.values[:-1], f.values[-1] + 1),
+                                          f.colors))
+    return iter(words)
+
+
+# A last biword moved past the value cap keeps the image's size, so where
+# the image fact is the first to fail, both name the least triple in one
+# set alone.
+@pytest.mark.parametrize("r,n,cap_f,cap_g", [(1, 2, 1, 0), (2, 2, 1, 0), (3, 2, 1, 0)])
+def test_biword_count_names_the_same_unshared_triple(monkeypatch, r, n, cap_f, cap_g):
+    _patch_everywhere(monkeypatch, "_biwords", _past_the_cap)
+    monkeypatch.setattr(reference_sequences, "reference_enumerate_biwords",
+                        _reference_past_the_cap)
+    params = {"r": r, "n": n, "cap_f": cap_f, "cap_g": cap_g}
+    new = _report(monkeypatch, "biword_count", identities._biword_count, params)
+    old = _report(monkeypatch, "biword_count", reference_biword_count, params)
+    assert new == old
+    assert new["mismatch"]["detail"].endswith("expected, not reached")
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
