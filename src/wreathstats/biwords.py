@@ -18,10 +18,12 @@ after the budget of ``_check_biwords``, and ``_to_triple`` and
 lam, mu)`` and back.  ``_to_triple`` reads each element's descent sets and
 skew inverse from a table of ``_window`` entries, which ``to_triple`` fills
 with the one element it needs, and may keep a second table keyed by the
-bottom row: biwords that share a bottom row share its sort, its sorted
-values and their checks, so a caller that maps many biwords sorts each
-bottom row once and checks each top row against it.  ``_from_triple`` takes
-the skew inverse's tuples alone.  Each check runs once: ``_to_triple``
+bottom row.  Its entry holds what depends on the bottom row alone: the
+sorted window, the sorted values, the window's skew descent set and whether
+the sorted values fit the window's descent set.  So a caller that maps many
+biwords sorts and checks each bottom row once, and checks each biword's top
+row against the stored skew descent set.  ``_from_triple`` takes the skew
+inverse's tuples alone.  Each check runs once: ``_to_triple``
 checks the triple it makes, ``_from_triple`` takes a checked one, and the
 value objects around their results are built ``_unchecked``.
 """
@@ -109,7 +111,7 @@ class Triple:
         if self.gamma.n != self.lam.n or self.gamma.n != self.mu.n:
             raise ValueError("lengths do not agree")
         des_set, skew_des_set, _ = _window(self.gamma.sigma, self.gamma.colors)
-        _check_triple(self.lam.parts, self.mu.parts, des_set, skew_des_set)
+        _check_triple(self.lam.parts, skew_des_set, _fits(self.mu.parts, des_set))
 
 
 def _window(sigma, colors):
@@ -120,12 +122,15 @@ def _window(sigma, colors):
     return _descent_set(sigma, colors), _descent_set(*skew), skew
 
 
-def _check_triple(lam, mu, des_set, skew_des_set):
-    """``Triple``'s two compatibility checks on parts tuples, given the
-    element's descent set and that of its skew inverse."""
+def _check_triple(lam, skew_des_set, mu_fits):
+    """``Triple``'s two compatibility checks, the first partition's first:
+    its parts tuple against the skew inverse's descent set, then
+    ``mu_fits``, whether the second partition fits the element's descent
+    set, ``_fits(mu, des_set)``, which a caller may read once per bottom
+    row."""
     if not _fits(lam, skew_des_set):
         raise ValueError("first partition is not skew-inverse compatible")
-    if not _fits(mu, des_set):
+    if not mu_fits:
         raise ValueError("second partition is not compatible with the element")
 
 
@@ -143,14 +148,16 @@ def _to_triple(r, lam, values, colors, windows, rows=None):
 
     ``windows`` maps each element's window tuples to its ``_window``, and
     a window missing from it is added once checked.  ``rows`` maps each
-    bottom row ``(values, colors)`` to ``(window, mu, _window(window))``,
-    its sorted window and sorted values, and a row missing from it is
-    sorted and added once checked; without it the call sorts.  A sorted
-    window that is no element raises ``ColoredPermutation``'s error, sorted
-    values that are no partition ``Partition``'s, and an incompatible pair
-    ``Triple``'s, the first partition checked first.  ``_sort`` reads the
-    bottom row alone, so a row that failed would fail again and is never
-    stored.
+    bottom row ``(values, colors)`` to ``(window, mu, skew_des_set,
+    mu_fits)``: its sorted window, its sorted values, the window's skew
+    descent set and whether the sorted values fit the window's descent
+    set.  A row missing from it is sorted, checked and added; without it
+    the call sorts.  A sorted window that is no element raises
+    ``ColoredPermutation``'s error, sorted values that are no partition
+    ``Partition``'s, and an incompatible pair ``Triple``'s, the first
+    partition checked first, against each biword's own top row.  ``_sort``
+    reads the bottom row alone, so a row that failed would fail again and
+    is never stored.
     """
     if rows is None:
         rows = {}
@@ -160,10 +167,12 @@ def _to_triple(r, lam, values, colors, windows, rows=None):
         if window not in windows:
             _check_window(r, *window)
             windows[window] = _window(*window)
-        mu = _check_parts(tuple(values[s - 1] for s in window[0]))
-        row = rows[values, colors] = (window, mu, windows[window])
-    window, mu, (des_set, skew_des_set, _) = row
-    _check_triple(lam, mu, des_set, skew_des_set)
+        mu = _check_parts(tuple([values[s - 1] for s in window[0]]))
+        des_set, skew_des_set, _ = windows[window]
+        row = rows[values, colors] = (window, mu, skew_des_set,
+                                      _fits(mu, des_set))
+    window, mu, skew_des_set, mu_fits = row
+    _check_triple(lam, skew_des_set, mu_fits)
     return (*window, lam, mu)
 
 

@@ -246,7 +246,7 @@ def lambda_gamma(lam, gamma):
 def _push(parts, sigma, colors):
     """``lambda_gamma`` as ``(values, colors)`` tuples, lengths already
     checked."""
-    return tuple(parts[s - 1] for s in sigma), colors
+    return tuple([parts[s - 1] for s in sigma]), colors
 
 
 def is_compatible(lam, gamma):

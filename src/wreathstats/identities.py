@@ -37,7 +37,7 @@ from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain, combinations, product, starmap
 from math import factorial
 
 from .group import (
@@ -88,6 +88,7 @@ from .qseries import (
     _hat_multinomial,
     _homogeneous,
     _reciprocal_pochhammer,
+    _value_at_one,
     bracket_two_param,
     hat_factorial,
     monomial_text,
@@ -879,19 +880,22 @@ def _image_fact(label, got, expected, noun):
 def _bijection_stats(max_elements, r, n, cap):
     # The maps run on tuples and a failing fact names a sequence from them,
     # since a faulty map's image may be no ColoredSequence.  Each sequence
-    # is sorted once; its window and descent set serve every check.  The
-    # round trip makes the map one-to-one on the sequences, and an image
-    # that is every pair in the box makes it onto those pairs, so each
-    # pair's own round trip holds and its image is a sequence, in the
-    # zero-forces-uncolored set.  A pair whose image has max past the cap
-    # is checked at a larger cap.  Sorted values that do not grow across a
-    # descent make the residue fall there, or start at -1, and fail its check.
+    # is sorted once, and its window's descent set, read from the table the
+    # expected set reads too, serves every check.  The round trip makes the
+    # map one-to-one on the sequences, and an image that is every pair in
+    # the box makes it onto those pairs, so each pair's own round trip
+    # holds and its image is a sequence, in the zero-forces-uncolored set.
+    # A pair whose image has max past the cap is checked at a larger cap.
+    # Sorted values that do not grow across a descent make the residue fall
+    # there, or start at -1, and fail its check.
     _check_sequences(r, n, max_cap=cap, max_elements=max_elements)
     _check_group_budget(r, n, max_elements)
+    des_sets = {window: _descent_set(*window) for window in _windows(r, n)}
     image = set()
     for values, colors in _sequences(r, n, max_cap=cap):
         window = _sort(values, colors)
-        des_set = _descent_set(*window)
+        # a faulty sort's window may be no element
+        des_set = des_sets[window] if window in des_sets else _descent_set(*window)
         try:
             parts = _check_parts(_residue(values, window[0], des_set))
         except ValueError as exc:
@@ -917,8 +921,10 @@ def _bijection_stats(max_elements, r, n, cap):
     yield ("fact", f"sequence side r={r} n={n} cap={cap} ({len(image)} sequences)",
            True, None)
     # a sequence's max is its partition's max plus its descent count
-    expected = {(*window, lam) for window in _windows(r, n)
-                for lam in _parts_in_box(n, cap - len(_descent_set(*window)))}
+    boxes = {des: list(_parts_in_box(n, cap - des))
+             for des in set(map(len, des_sets.values()))}
+    expected = {(*window, lam) for window, des_set in des_sets.items()
+                for lam in boxes[len(des_set)]}
     yield _image_fact(f"image is every pair in the box (r={r} n={n} cap={cap})",
                       image, expected, "pairs")
 
@@ -928,33 +934,31 @@ def _biword_count(max_elements, r, n, cap_f, cap_g):
     # from them, since a faulty enumerator's rows may be no Partition or
     # ColoredSequence.  The triple check is the paper's validity condition:
     # rows that break the column rule, or hold a colored zero or a negative
-    # value, make no compatible triple.  The walk of the expected set over
-    # the group's windows also fills the table of each element's descent
-    # sets and skew inverse that ``_to_triple`` reads, and whose skew
-    # inverses ``_from_triple`` takes.  ``_to_triple`` sorts and checks each
-    # bottom row once, in ``rows``; every biword's triple, its round trip
-    # and the image are still made and checked one biword at a time.
+    # value, make no compatible triple.  ``windows`` holds each element's
+    # descent sets and skew inverse, and the expected set lists the
+    # partitions that fit a descent set once per distinct set.
+    # ``_to_triple`` sorts each bottom row, and checks whether its sorted
+    # values fit, once, in ``rows``; each biword's first-partition check,
+    # round trip, image entry and column key are its own.
     _check_biwords(r, n, cap_f, cap_g, max_elements)
     _check_group_budget(r, n, max_elements)
     words = list(_biwords(r, n, cap_f, cap_g))
-    tops = list(_parts_in_box(n, cap_g))
-    bottoms = list(_parts_in_box(n, cap_f))
-    windows = {}
-    expected = set()
-    for window in _windows(r, n):
-        des_set, skew_des_set, _ = windows[window] = _window(*window)
-        mus = [mu for mu in bottoms if _fits(mu, des_set)]
-        for lam in tops:
-            if _fits(lam, skew_des_set):
-                expected.update((*window, lam, mu) for mu in mus)
-    rows = {}
-    triples = []
-    for word in words:
-        try:
+    windows = {window: _window(*window) for window in _windows(r, n)}
+    mus = {des_set: [mu for mu in _parts_in_box(n, cap_f) if _fits(mu, des_set)]
+           for des_set in {entry[0] for entry in windows.values()}}
+    lams = {des_set: [lam for lam in _parts_in_box(n, cap_g) if _fits(lam, des_set)]
+            for des_set in {entry[1] for entry in windows.values()}}
+    expected = {(*window, lam, mu)
+                for window, (des_set, skew_des_set, _) in windows.items()
+                for lam in lams[skew_des_set] for mu in mus[des_set]}
+    rows, triples = {}, []
+    try:
+        for word in words:
             triples.append(_to_triple(r, *word, windows, rows))
-        except ValueError as exc:
-            yield ("fact", f"triple of {_biword_text(r, *word)}", False, str(exc))
-            return
+    except ValueError as exc:
+        yield ("fact", f"triple of {_biword_text(r, *words[len(triples)])}", False,
+               str(exc))
+        return
     got = set(triples)
     if len(got) != len(words):
         yield ("fact", "injectivity", False, "two biwords shared a triple")
@@ -966,7 +970,7 @@ def _biword_count(max_elements, r, n, cap_f, cap_g):
     yield _image_fact(f"image is every compatible triple (r={r} n={n})",
                       got, expected, "triples")
     # the first failing multiset in sorted order is the least failing one
-    groups = Counter(_columns(*word) for word in words)
+    groups = Counter(starmap(_columns, words))
     failing = [key for key, count in groups.items()
                if count != column_realization_count(key, r)]
     if failing:
@@ -976,13 +980,15 @@ def _biword_count(max_elements, r, n, cap_f, cap_g):
                f"{column_realization_count(key, r)}")
         return
     yield ("fact", f"column multiset counts (r={r} n={n})", True, None)
-    tally = Counter((max(values, default=0), max(lam, default=0))
-                    for lam, values, _ in words)
+    # a bottom row's max is the last part of its checked sorted values
+    tally = Counter()
+    for (lam, f_max), count in Counter(
+            (lam, mu[-1] if mu else 0) for _, _, lam, mu in triples).items():
+        tally[f_max, max(lam, default=0)] += count
     ctx = SeriesContext(("q1", "q2", "a", "b"))
     for k1, k2, term in _theorem_B_rhs_terms(ctx, r, n, cap_f, cap_g):
         actual = sum(count for (f, g), count in tally.items() if f <= k1 and g <= k2)
-        # the coefficient's value at q1 = q2 = a = b = 1
-        predicted = sum(term.terms.values())
+        predicted = _value_at_one(term)
         yield ("fact", f"count at caps ({k1},{k2})", actual == predicted,
                f"{actual} biwords vs coefficient {predicted}")
 

@@ -184,6 +184,12 @@ def _poly(ctx, keys):
     return poly
 
 
+def _value_at_one(poly):
+    """``poly`` with every variable at 1: the sum of its coefficients, read
+    without unpacking a key."""
+    return sum(poly._keys.values())
+
+
 def _from_tally(ctx, tally, width):
     """The polynomial of a tally of positive counts whose keys hold the
     exponent of variable i in bits ``[i*width, (i+1)*width)``, built in the

@@ -3,6 +3,7 @@ import itertools
 import sys
 import warnings
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,11 +20,12 @@ from reference_identities import (
     reference_theorem_B_rhs_term,
 )
 from wreathstats import biwords, group, identities, qseries
-from wreathstats.biwords import Biword, Triple, _biword_text
+from wreathstats.biwords import Biword, Triple, _biword_text, _window
 from wreathstats.cli import main
 from wreathstats.encoding import (
     ColoredSequence,
     Partition,
+    _parts_in_box,
     _sequence_from,
     _sequences,
     partitions_in_box,
@@ -610,6 +612,63 @@ class TestSharedPieces:
         assert verify_identity("biword_count", r=2, n=3, cap_f=2, cap_g=2).passed
         assert len(sorted_rows) == 125
         assert len(rebuilt) == 455
+
+    def test_biword_count_checks_each_bottom_row_once(self, monkeypatch):
+        # r=2 n=3 caps 2/2: whether the sorted values fit the element is
+        # read once per bottom row (125) and kept in _to_triple's rows; the
+        # first partition is checked against each biword's own top row
+        # (455); both ran once per biword inside _check_triple (910)
+        first, second, inside = [], [], []
+        fits, check_triple = biwords._fits, biwords._check_triple
+
+        def counting_fits(parts, des_set):
+            (first if inside else second).append(parts)
+            return fits(parts, des_set)
+
+        def counting_check(*args):
+            inside.append(1)
+            try:
+                return check_triple(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(biwords, "_fits", counting_fits)
+        monkeypatch.setattr(biwords, "_check_triple", counting_check)
+        assert verify_identity("biword_count", r=2, n=3, cap_f=2, cap_g=2).passed
+        assert (len(first), len(second)) == (455, 125)
+
+    def test_biword_count_lists_fitting_partitions_once_per_descent_set(
+            self, monkeypatch):
+        # r=2 n=3 caps 2/2: the 48 elements have 8 descent sets and 8 skew
+        # descent sets, so each of the box's 10 partitions is tried 8 times
+        # as a bottom and 8 times as a top; per element it was 960 calls
+        calls = []
+        fits = identities._fits
+        monkeypatch.setattr(identities, "_fits", lambda parts, des_set:
+                            calls.append((parts, des_set)) or fits(parts, des_set))
+        assert verify_identity("biword_count", r=2, n=3, cap_f=2, cap_g=2).passed
+        windows = [_window(*window) for window in group._windows(2, 3)]
+        des_sets = {des_set for des_set, _, _ in windows}
+        skew_des_sets = {skew_des_set for _, skew_des_set, _ in windows}
+        box = list(_parts_in_box(3, 2))
+        assert len(des_sets) == len(skew_des_sets) == 8
+        assert Counter(calls) == Counter(
+            [(mu, des_set) for des_set in des_sets for mu in box]
+            + [(lam, des_set) for des_set in skew_des_sets for lam in box])
+
+    def test_bijection_stats_reads_each_descent_set_once(self, monkeypatch):
+        # r=2 n=3 cap=2: one descent set per element (48), which the 125
+        # sequences and the expected set both read, and one box per descent
+        # count (4); it was 125 + 48 descent sets and 48 boxes
+        read, boxes = [], []
+        descent_set, parts_in_box = identities._descent_set, identities._parts_in_box
+        monkeypatch.setattr(identities, "_descent_set",
+                            lambda sigma, colors: read.append(1) or descent_set(sigma, colors))
+        monkeypatch.setattr(identities, "_parts_in_box",
+                            lambda n, cap: boxes.append(cap) or parts_in_box(n, cap))
+        assert verify_identity("bijection_stats", r=2, n=3, cap=2).passed
+        assert len(read) == group_order(2, 3) == 48
+        assert sorted(boxes) == [-1, 0, 1, 2]
 
     @pytest.mark.parametrize("core", ["_sort", "_sequence_from"])
     def test_bijection_stats_maps_each_sequence_once(self, monkeypatch, core):

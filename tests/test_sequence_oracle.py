@@ -38,7 +38,9 @@ from reference_sequences import (
 )
 from test_fault_matrix import _past_the_cap
 from test_identities import (
+    _colorblind_sort,
     _flat_sort,
+    _lax_biwords,
     _one_realization,
     _patch_everywhere,
     _reversed_sort,
@@ -200,6 +202,33 @@ def test_bijection_stats_reports(monkeypatch, r, n):
         new = _report(monkeypatch, "bijection_stats", identities._bijection_stats, params)
         old = _report(monkeypatch, "bijection_stats", reference_bijection_stats, params)
         assert new == old
+
+
+# Each faulty sort is patched into every package module that binds _sort
+# and into the reference, which takes its window unchecked, as the entry
+# does.  Where the reference's Partition raises, it names the entry's
+# residue fact; a window that is no element reaches the round trip and the
+# image on both sides.
+@pytest.mark.filterwarnings("ignore:bijection_stats. cap cap=0")
+@pytest.mark.parametrize("fault", [
+    pytest.param(_reversed_sort, id="reversed_sort"),
+    pytest.param(_colorblind_sort, id="colorblind_sort"),
+    pytest.param(_flat_sort, id="flat_sort"),
+])
+@pytest.mark.parametrize("r,n", _GRID)
+def test_bijection_stats_reports_under_a_fault(monkeypatch, fault, r, n):
+    _patch_everywhere(monkeypatch, "_sort", fault)
+    monkeypatch.setattr(reference_sequences, "_sort", fault)
+    passed = []
+    for cap in _caps(n):
+        params = {"r": r, "n": n, "cap": cap}
+        new = _report(monkeypatch, "bijection_stats", identities._bijection_stats, params)
+        old = _report(monkeypatch, "bijection_stats", reference_bijection_stats, params)
+        assert new == old, params
+        passed.append(new["pass"])
+    # a sort has two positions to misplace once n >= 2, and two colors to
+    # confuse once r >= 2 as well
+    assert not (r >= 2 and n >= 2 and all(passed))
 
 
 @pytest.mark.parametrize("r,n", [(r, n) for r, n in _GRID if n])
@@ -454,3 +483,39 @@ def test_same_triple_tuples(r, n):
             skew = windows[gamma.sigma, gamma.colors][2]
             got = _from_triple(lam.parts, mu.parts, skew)
             assert got == (want.g.parts, want.f.values, want.f.colors), (gamma, lam, mu)
+
+
+def _every_row(r, n, cap):
+    """Every top row in the box over every bottom row of values <= cap,
+    colored zeros among them: rows where neither partition fits."""
+    alphabet = list(itertools.product(range(cap + 1), range(r)))
+    for lam in partitions_in_box(n, cap):
+        for entries in itertools.product(alphabet, repeat=n):
+            yield (lam.parts, tuple(v for v, _ in entries),
+                   tuple(c for _, c in entries))
+
+
+_NOT_SKEW = "first partition is not skew-inverse compatible"
+_NOT_FIT = "second partition is not compatible with the element"
+
+
+# _to_triple keeps each bottom row's sort and whether its sorted values fit
+# the element in a shared table; every biword's first partition must still
+# be checked against its own top row, and a row that failed is never kept.
+@pytest.mark.parametrize("r,n", [(r, n) for r, n in _GRID if n < 4])
+def test_shared_rows_give_the_same_triples(r, n):
+    windows = _windows(r, n)
+    # a top row that grows at every position fits every descent set
+    rising = tuple(range(1, n + 1))
+    both_fail = 0
+    for words in (_biwords(r, n, 2, 2), _lax_biwords(r, n, 2, 2),
+                  _every_row(r, n, 1)):
+        rows = {}
+        for lam, values, colors in words:
+            got = _result(_to_triple, r, lam, values, colors, windows, rows)
+            assert got == _result(_to_triple, r, lam, values, colors, windows), \
+                (lam, values, colors)
+            both_fail += (got == _NOT_SKEW and _result(
+                _to_triple, r, rising, values, colors, windows) == _NOT_FIT)
+    # a colored zero sorts to a descent at 0 that its value cannot cross
+    assert both_fail or r == 1 or n == 0
