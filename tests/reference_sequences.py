@@ -13,13 +13,18 @@ bijection and the ``Triple`` check as they were written on a skew-inverse
 group element, here the one from ``reference_group.reference_skew_inverse``;
 ``reference_column_realization_count`` collects each (top, value) cell's
 colors in a list and counts each color in it, over columns in any order;
-the two catalog functions compute ``pi_of`` and the descent set again for
-every map they call, test compatibility one partition at a time, and
-rescan every biword for each pair of caps, whose predicted counts come from
-``reference_identities.reference_theorem_B_rhs_term``, and
-``reference_biword_count`` sorts every biword's bottom row, names the least
-triple its image and the expected set do not share as the value objects
-write it, and checks its column multisets in sorted order;
+``reference_bijection_stats`` builds each sequence's sorted window
+unchecked, as the entry takes it, reads its descent set for every
+sequence, puts each part back at its position by the definition of the
+push, and names the least pair its image and the box do not share as the
+value objects write it; ``reference_biword_count`` computes ``pi_of`` and
+the descent sets again for every map it calls, tests compatibility one
+partition at a time, rescans every biword for each pair of caps, whose
+predicted counts come from
+``reference_identities.reference_theorem_B_rhs_term``, sorts every
+biword's bottom row, names the least triple its image and the expected set
+do not share as the value objects write it, and checks its column
+multisets in sorted order;
 ``reference_keylem_tally`` and ``reference_desmaj_tally`` are the left sides
 of ``keylem`` and ``desmaj`` as they were written on checked value objects,
 a ``ColoredSequence`` and ``pi_of``'s ``ColoredPermutation`` for every
@@ -229,8 +234,8 @@ def reference_column_realization_count(columns, r):
 
 
 def reference_bijection_stats(max_elements, r, n, cap):
-    # pi_of's window is taken unchecked, as the entry takes _sort's: under a
-    # faulty sort it may be no element, and the push through the skew
+    # the sorted window is taken unchecked, as the entry takes it: under a
+    # faulty sort it may be no element, and the push through its skew
     # inverse places each part at its position without checking either
     image = set()
     for f in enumerate_sequences(r, n, max_cap=cap, restrict_n0=True,

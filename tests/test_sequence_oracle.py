@@ -2,10 +2,12 @@
 the same sequences and biwords in the same order, the same residue for
 every sequence, the same triple for every biword, the same count for every
 column multiset, the same reports from the two catalog entries built on
-them, ``biword_count``'s under a faulty sort or count too, and the same
-tallies from the sequence walks behind ``keylem`` and ``desmaj`` as from
-sorting every sequence.  The tuple cores behind ``bijection_stats`` and
-``biword_count`` meet the same references."""
+them, under a faulty sort too and, for ``biword_count``, a faulty count,
+and the same tallies from the sequence walks behind ``keylem`` and
+``desmaj`` as from sorting every sequence.  The tuple cores behind
+``bijection_stats`` and ``biword_count`` meet the same references, and
+``_to_triple`` gives the same triple or error with a shared table of
+bottom rows as without one."""
 
 import itertools
 
@@ -36,7 +38,7 @@ from reference_sequences import (
     reference_to_triple,
     reference_weak_compositions,
 )
-from test_fault_matrix import _past_the_cap
+from test_fault_matrix import _NOT_SKEW, _past_the_cap
 from test_identities import (
     _colorblind_sort,
     _flat_sort,
@@ -487,7 +489,7 @@ def test_same_triple_tuples(r, n):
 
 def _every_row(r, n, cap):
     """Every top row in the box over every bottom row of values <= cap,
-    colored zeros among them: rows where neither partition fits."""
+    colored zeros among them, so that some rows fit neither partition."""
     alphabet = list(itertools.product(range(cap + 1), range(r)))
     for lam in partitions_in_box(n, cap):
         for entries in itertools.product(alphabet, repeat=n):
@@ -495,7 +497,6 @@ def _every_row(r, n, cap):
                    tuple(c for _, c in entries))
 
 
-_NOT_SKEW = "first partition is not skew-inverse compatible"
 _NOT_FIT = "second partition is not compatible with the element"
 
 
